@@ -12,12 +12,14 @@ from .acting import (
     OBSERVATION,
     REDUCTION,
     REPLACEMENT,
+    Choice,
     Configuration,
     ReductionCouple,
     RunContext,
     Step,
     action_result,
     applicable_substitutions,
+    apply,
     exec_all,
     exec_via_action,
     exec_via_reduction,
@@ -58,7 +60,6 @@ from .constraints import (
     TaskNetwork,
     holds,
     rewrite_labels,
-    transitive_closure,
 )
 from .domain import (
     Domain,
@@ -89,6 +90,7 @@ from .syntax import (
     parse_domain,
     parse_problem,
     parse_scenario,
+    parse_task,
 )
 from .trace import (
     DefaultStrategy,

@@ -10,6 +10,11 @@ couples and the domain.  Three kinds of execution rewrite configurations:
 * execution via replacement swaps a blocked pursued set for an untried
   alternative body, recovering from failure.
 
+``exec_via_*`` and ``exec_all`` enumerate the legal executions from a
+configuration as light ``Choice`` values; ``apply`` performs one choice, or
+the observation step of a dynamic trace, and is the one place a successor
+configuration is built.
+
 All values are immutable; the only mutable collaborator is the fresh-name
 generator confined to one run context.
 """
@@ -17,13 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Iterator, Optional
+from typing import Optional
 
 from .constraints import (
     After,
     Before,
     Between,
-    Constraint,
     FirstRef,
     LabelRef,
     LastRef,
@@ -31,9 +35,8 @@ from .constraints import (
     TaskNetwork,
     holds,
     ref_labels,
-    satisfies,
 )
-from .domain import Domain, NOP_SYMBOL
+from .domain import Domain
 from .model import (
     Atom,
     Constant,
@@ -109,15 +112,6 @@ class Configuration:
     domain: Domain = field(repr=False)
     theta: Substitution = EMPTY_SUBSTITUTION
 
-    def substitute(self, theta: Substitution) -> "Configuration":
-        return Configuration(
-            self.network.substitute(theta),
-            self.state,
-            substitute(self.couples, theta),
-            self.domain,
-            self.theta,
-        )
-
     def sorted_couples(self) -> list[ReductionCouple]:
         return sorted(self.couples, key=ReductionCouple.sort_key)
 
@@ -130,9 +124,6 @@ class RunContext:
     gen: NameGenerator
     universe: tuple[Constant, ...]
 
-    def clone(self) -> "RunContext":
-        return RunContext(self.domain, self.gen.clone(), self.universe)
-
     def for_config(self, config: "Configuration") -> "RunContext":
         """A context whose fresh names avoid exactly what ``config`` mentions.
 
@@ -142,18 +133,23 @@ class RunContext:
         """
         return make_context(self.domain, config, universe=self.universe)
 
-    def absorb(self, config: "Configuration") -> None:
-        """Commit every name a chosen configuration mentions to the generator.
+    def absorb(self, choice: "Choice") -> None:
+        """Commit the names a chosen reduction introduced to the generator.
 
-        Candidate executions rename method bodies against a throwaway fork of
-        the generator; once one is chosen, its names become taken for the
-        rest of the run.
+        Candidate reductions rename method bodies against a throwaway fork of
+        the generator; once one is chosen, the names of its body and of its
+        alternatives become taken for the rest of the run.  No other kind of
+        execution introduces names, and observations draw theirs from the
+        generator itself.
         """
-        labels, variables = _names_of_config(config)
-        for label in labels:
-            self.gen.reserve_label(label)
-        for name in variables:
-            self.gen.reserve_variable(name)
+        if choice.kind != REDUCTION:
+            return
+        bodies = (choice.body,) + choice.alternatives
+        for body in bodies:
+            for label in body.network.labels:
+                self.gen.reserve_label(label)
+        for variable in variables_of(bodies):
+            self.gen.reserve_variable(variable.name)
 
     def extend_universe(self, constants) -> None:
         merged = set(self.universe) | set(constants)
@@ -180,15 +176,9 @@ def _names_of_config(config: "Configuration") -> tuple[set, set]:
 
 
 def make_context(
-    domain: Domain,
-    config: Configuration,
-    *label_sources,
-    universe: Optional[tuple] = None,
+    domain: Domain, config: Configuration, universe: Optional[tuple] = None
 ) -> RunContext:
-    labels, variables = _names_of_config(config)
-    for source in label_sources:
-        labels |= set(source)
-    gen = NameGenerator(labels, variables)
+    gen = NameGenerator(*_names_of_config(config))
     if universe is None:
         universe = tuple(
             sorted(
@@ -200,21 +190,8 @@ def make_context(
     return RunContext(domain, gen, universe)
 
 
-@dataclass(frozen=True)
-class Step:
-    """One trace element: the configuration reached and how it was reached."""
-
-    kind: str
-    config: Configuration
-    label: Optional[str] = None
-    task: Optional[Task] = None
-    binding: Optional[Substitution] = None
-    body: Optional[Body] = None
-    removed: frozenset = frozenset()
-    added: frozenset = frozenset()
-    complete: Optional[bool] = None
-    jump: Optional[bool] = None
-    observed: frozenset = frozenset()
+class _Described:
+    """``describe`` for choices and steps, which share the fields it reads."""
 
     def describe(self) -> str:
         if self.kind == ACTION:
@@ -231,6 +208,44 @@ class Step:
             )
             return f"observation {tasks}"
         return self.kind
+
+
+@dataclass(frozen=True)
+class Choice(_Described):
+    """One legal execution from a configuration, not yet performed.
+
+    It holds everything a strategy, a choice directive or an explorer matches
+    on; ``apply`` performs it.  A reduction keeps the bodies it leaves untried
+    in ``alternatives``; a replacement names the couple it swaps out.
+    """
+
+    kind: str
+    label: Optional[str] = None
+    task: Optional[Task] = None
+    binding: Optional[Substitution] = None
+    body: Optional[Body] = None
+    alternatives: tuple[Body, ...] = ()
+    couple: Optional[ReductionCouple] = None
+    complete: Optional[bool] = None
+    jump: Optional[bool] = None
+    observed: frozenset = frozenset()
+
+
+@dataclass(frozen=True)
+class Step(_Described):
+    """One trace element: the configuration reached and how it was reached."""
+
+    kind: str
+    config: Configuration
+    label: Optional[str] = None
+    task: Optional[Task] = None
+    binding: Optional[Substitution] = None
+    body: Optional[Body] = None
+    removed: frozenset = frozenset()
+    added: frozenset = frozenset()
+    complete: Optional[bool] = None
+    jump: Optional[bool] = None
+    observed: frozenset = frozenset()
 
 
 # -- primary tasks -------------------------------------------------------------
@@ -514,8 +529,8 @@ def action_result(
 
 def exec_via_action(
     cfg: Configuration, ctx: RunContext, all_bindings: bool = False
-) -> tuple[Step, ...]:
-    steps = []
+) -> tuple[Choice, ...]:
+    choices = []
     for lt in sorted(primary_tasks(cfg.network, cfg.domain), key=labelled_task_key):
         if not cfg.domain.is_primitive(lt.task.symbol):
             continue
@@ -523,66 +538,26 @@ def exec_via_action(
         for theta in applicable_substitutions(
             lt.label, cfg.network, cfg.state, ctx, limit=limit
         ):
-            network, state, couples = action_result(
-                lt.label, cfg.state, cfg.network, theta, cfg.couples, cfg.domain
+            choices.append(
+                Choice(ACTION, lt.label, lt.task.substitute(theta), binding=theta)
             )
-            config = Configuration(
-                network, state, couples, cfg.domain, cfg.theta.compose(theta)
-            )
-            steps.append(
-                Step(
-                    ACTION,
-                    config,
-                    label=lt.label,
-                    task=lt.task.substitute(theta),
-                    binding=theta,
-                    removed=frozenset((lt.label,)),
-                )
-            )
-    return tuple(steps)
+    return tuple(choices)
 
 
-def _replace_in_couples(couples: frozenset, target: LabelledTask, body: Body) -> frozenset:
-    out = set()
-    for couple in couples:
-        if target in couple.pursued:
-            pursued = (couple.pursued - {target}) | body.network.tasks
-            out.add(dc_replace(couple, pursued=frozenset(pursued)))
-        else:
-            out.add(couple)
-    return frozenset(out)
-
-
-def exec_via_reduction(cfg: Configuration, ctx: RunContext) -> tuple[Step, ...]:
-    steps = []
+def exec_via_reduction(cfg: Configuration, ctx: RunContext) -> tuple[Choice, ...]:
+    choices = []
     for lt in sorted(primary_tasks(cfg.network, cfg.domain), key=labelled_task_key):
         if not cfg.domain.is_nonprimitive(lt.task.symbol):
             continue
-        # candidates rename against a fork; the chosen step's names are
+        # candidates rename against a fork; the chosen reduction's names are
         # committed by the caller via RunContext.absorb
         bodies = relevant_method_bodies(lt.task, cfg.domain, ctx.gen.clone())
         for body in bodies:
             remaining = ordered_alternatives(b for b in bodies if b is not body)
-            network = reduce_task(cfg.network, lt.label, body.network)
-            couples = _replace_in_couples(cfg.couples, lt, body)
-            couples = couples | {
-                ReductionCouple(lt.label, body.network.tasks, remaining)
-            }
-            config = Configuration(
-                network, cfg.state, frozenset(couples), cfg.domain, cfg.theta
+            choices.append(
+                Choice(REDUCTION, lt.label, lt.task, body=body, alternatives=remaining)
             )
-            steps.append(
-                Step(
-                    REDUCTION,
-                    config,
-                    label=lt.label,
-                    task=lt.task,
-                    body=body,
-                    removed=frozenset((lt.label,)),
-                    added=body.network.labels,
-                )
-            )
-    return tuple(steps)
+    return tuple(choices)
 
 
 def is_blocked(
@@ -682,8 +657,26 @@ def smallest_replaceable(couples: frozenset) -> frozenset:
     return frozenset(out)
 
 
-def exec_via_replacement(cfg: Configuration, ctx: RunContext) -> tuple[Step, ...]:
-    steps = []
+def replacement_choice(
+    cfg: Configuration, couple: ReductionCouple, body: Body, smallest: frozenset
+) -> Choice:
+    """Replace ``couple``'s pursued tasks in ``cfg`` with ``body``.
+
+    ``smallest`` is ``smallest_replaceable(cfg.couples)``: replacing a couple
+    outside it is a jump.
+    """
+    return Choice(
+        REPLACEMENT,
+        couple.origin,
+        body=body,
+        couple=couple,
+        complete=couple.labels <= cfg.network.labels,
+        jump=couple not in smallest,
+    )
+
+
+def exec_via_replacement(cfg: Configuration, ctx: RunContext) -> tuple[Choice, ...]:
+    choices = []
     primary_labels = frozenset(
         lt.label for lt in primary_tasks(cfg.network, cfg.domain)
     )
@@ -695,32 +688,14 @@ def exec_via_replacement(cfg: Configuration, ctx: RunContext) -> tuple[Step, ...
             continue
         if not is_blocked(couple.pursued, cfg.network, cfg.state, ctx):
             continue
-        present = couple.labels & cfg.network.labels
-        complete = couple.labels <= cfg.network.labels
         for body in couple.alternatives:
-            network = replace_tasks(couple.pursued, body.network, cfg.network)
-            couples = update_couples(present, couple, body, cfg.couples)
-            config = Configuration(
-                network, cfg.state, couples, cfg.domain, cfg.theta
-            )
-            steps.append(
-                Step(
-                    REPLACEMENT,
-                    config,
-                    label=couple.origin,
-                    body=body,
-                    removed=present,
-                    added=body.network.labels,
-                    complete=complete,
-                    jump=couple not in smallest,
-                )
-            )
-    return tuple(steps)
+            choices.append(replacement_choice(cfg, couple, body, smallest))
+    return tuple(choices)
 
 
 def exec_all(
     cfg: Configuration, ctx: RunContext, all_bindings: bool = False
-) -> tuple[Step, ...]:
+) -> tuple[Choice, ...]:
     """Every execution possible from ``cfg``: actions, reductions, replacements."""
     if not cfg.network.tasks:
         return ()
@@ -728,6 +703,77 @@ def exec_all(
         exec_via_action(cfg, ctx, all_bindings)
         + exec_via_reduction(cfg, ctx)
         + exec_via_replacement(cfg, ctx)
+    )
+
+
+def with_observed(cfg: Configuration, observed: frozenset) -> Configuration:
+    """``cfg`` with ``observed`` added to its network and its top-level couple."""
+    network = TaskNetwork(cfg.network.tasks | observed, cfg.network.formula)
+    couples = frozenset(
+        dc_replace(c, pursued=c.pursued | observed) if c.origin is None else c
+        for c in cfg.couples
+    )
+    return dc_replace(cfg, network=network, couples=couples)
+
+
+def apply(cfg: Configuration, choice: Choice) -> Step:
+    """The step that performs ``choice`` from ``cfg``.
+
+    Every successor configuration is built here, for the three kinds of
+    execution and for observations.  Legality is the caller's concern:
+    ``exec_*`` offer only legal choices, and replay checks a recorded one
+    before applying it.
+    """
+    label, body = choice.label, choice.body
+    removed = added = frozenset()
+    if choice.kind == ACTION:
+        network, state, couples = action_result(
+            label, cfg.state, cfg.network, choice.binding, cfg.couples, cfg.domain
+        )
+        config = Configuration(
+            network, state, couples, cfg.domain, cfg.theta.compose(choice.binding)
+        )
+        removed = frozenset((label,))
+    elif choice.kind == REDUCTION:
+        target = cfg.network.task_of(label)
+        couples = {
+            dc_replace(c, pursued=(c.pursued - {target}) | body.network.tasks)
+            if target in c.pursued
+            else c
+            for c in cfg.couples
+        }
+        couples.add(ReductionCouple(label, body.network.tasks, choice.alternatives))
+        config = dc_replace(
+            cfg,
+            network=reduce_task(cfg.network, label, body.network),
+            couples=frozenset(couples),
+        )
+        removed, added = frozenset((label,)), body.network.labels
+    elif choice.kind == REPLACEMENT:
+        couple = choice.couple
+        removed = couple.labels & cfg.network.labels
+        config = dc_replace(
+            cfg,
+            network=replace_tasks(couple.pursued, body.network, cfg.network),
+            couples=update_couples(removed, couple, body, cfg.couples),
+        )
+        added = body.network.labels
+    elif choice.kind == OBSERVATION:
+        config = with_observed(cfg, choice.observed)
+    else:
+        raise ValueError(f"cannot apply a {choice.kind} choice")
+    return Step(
+        choice.kind,
+        config,
+        label=label,
+        task=choice.task,
+        binding=choice.binding,
+        body=body,
+        removed=removed,
+        added=added,
+        complete=choice.complete,
+        jump=choice.jump,
+        observed=choice.observed,
     )
 
 

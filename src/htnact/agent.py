@@ -17,15 +17,17 @@ from .acting import (
     ReductionCouple,
     RunContext,
     Step,
+    apply,
     exec_all,
     initial_configuration,
     is_successful,
     is_trace_blocked,
     make_context,
+    with_observed,
 )
 from .constraints import TaskNetwork
 from .domain import Domain, NOP_SYMBOL
-from .model import LabelledTask, Task, constants_of, labelled_task_key
+from .model import LabelledTask, Task, constants_of
 from .reduction import has_relevant_method
 from .trace import Strategy, Trace
 
@@ -149,15 +151,7 @@ def observe(
     if not observed:
         return config, observed
     ctx.extend_universe(constants_of(observed))
-    network = TaskNetwork(config.network.tasks | observed, config.network.formula)
-    top = top_couple(config)
-    couples = (config.couples - {top}) | {
-        dc_replace(top, pursued=top.pursued | observed)
-    }
-    new_config = Configuration(
-        network, config.state, frozenset(couples), config.domain, config.theta
-    )
-    return new_config, observed
+    return with_observed(config, observed), observed
 
 
 @dataclass
@@ -184,15 +178,16 @@ def sra_step(
         dtrace.steps.append(Step(OBSERVATION, config2, observed=observed))
     if is_successful(config2) or is_trace_blocked(config2, ctx):
         return config2
-    choices = exec_all(config2, ctx, strategy.wants_all_bindings)
+    choices = exec_all(config2, ctx)
     if not choices:
         return config2
     chosen = strategy.choose(dtrace.steps, choices)
     if chosen is None:
         return config2
-    ctx.absorb(chosen.config)
-    dtrace.steps.append(chosen)
-    return chosen.config
+    ctx.absorb(chosen)
+    step = apply(config2, chosen)
+    dtrace.steps.append(step)
+    return step.config
 
 
 def run_agent(
@@ -234,29 +229,10 @@ def run_agent(
             if is_trace_blocked(config, ctx):
                 stopped = "blocked"
                 break
-            if _script_done(strategy):
+            if strategy.exhausted():
                 stopped = "events-exhausted"
                 break
     return LoopResult(dtrace, iteration, stopped)
-
-
-def _script_done(strategy: Strategy) -> bool:
-    position = getattr(strategy, "position", None)
-    directives = getattr(strategy, "directives", None)
-    return (
-        position is not None
-        and directives is not None
-        and position >= len(directives)
-    )
-
-
-def observed_union(dtrace: Trace) -> frozenset:
-    """Every task ever present at the top level, initial no-op included."""
-    out = set(dtrace.initial.network.tasks)
-    for step in dtrace.steps:
-        if step.kind == OBSERVATION:
-            out |= step.observed
-    return frozenset(out)
 
 
 def dtrace_to_trace(dtrace: Trace) -> Trace:
@@ -279,21 +255,7 @@ def dtrace_to_trace(dtrace: Trace) -> Trace:
         observed = steps[index].observed
         del steps[index]
         for i in range(index):
-            step = steps[i]
-            cfg = step.config
-            network = TaskNetwork(cfg.network.tasks | observed, cfg.network.formula)
-            couples = set()
-            for couple in cfg.couples:
-                if couple.origin is None:
-                    couples.add(
-                        dc_replace(couple, pursued=couple.pursued | observed)
-                    )
-                else:
-                    couples.add(couple)
             steps[i] = dc_replace(
-                step,
-                config=Configuration(
-                    network, cfg.state, frozenset(couples), cfg.domain, cfg.theta
-                ),
+                steps[i], config=with_observed(steps[i].config, observed)
             )
     return Trace(steps, dtrace.ctx, dtrace.budget_exhausted)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .acting import initial_configuration, make_context
+from .acting import initial_configuration
 from .agent import (
     CallbackEvents,
     EventSource,
@@ -19,7 +19,7 @@ from .agent import (
     dtrace_to_trace,
     run_agent,
 )
-from .corpus import corpus
+from .corpus import CorpusCase, corpus
 from .domain import validate_domain
 from .export import render_trace
 from .model import Task
@@ -27,10 +27,10 @@ from .oracle import solutions_bounded
 from .syntax import (
     Problem,
     Scenario,
-    _Cursor,
     parse_domain,
     parse_problem,
     parse_scenario,
+    parse_task,
 )
 from .trace import (
     DefaultStrategy,
@@ -44,6 +44,7 @@ from .trace import (
 )
 from .verify import (
     SuiteResult,
+    check_dtrace_soundness,
     suite_acting_only,
     suite_dtrace_soundness,
     suite_equivalence,
@@ -130,15 +131,7 @@ def _interactive_events(domain) -> EventSource:
             return ()
         batch = []
         for chunk in line.split(","):
-            cur = _Cursor(chunk.strip(), iteration + 1, [])
-            symbol = cur.ident()
-            if symbol is None:
-                print(f"cannot parse task {chunk!r}", file=sys.stderr)
-                continue
-            cur.pos = 0
-            from .syntax import _parse_task
-
-            task = _parse_task(cur)
+            task = parse_task(chunk.strip())
             if task is None:
                 print(f"cannot parse task {chunk!r}", file=sys.stderr)
                 continue
@@ -230,13 +223,10 @@ def cmd_plan(args) -> int:
 
 
 def _parse_target(text: str) -> tuple[Task, ...]:
-    from .syntax import _parse_task
-
     tasks = []
     for chunk in text.split("."):
-        cur = _Cursor(chunk.strip(), 1, [])
-        task = _parse_task(cur)
-        if task is None or not cur.at_end():
+        task = parse_task(chunk.strip())
+        if task is None:
             raise InputError(f"cannot parse target task {chunk.strip()!r}")
         tasks.append(task)
     return tuple(tasks)
@@ -270,9 +260,6 @@ def cmd_verify(args) -> int:
         result = suite_jumps(problem.network, problem.state, domain, target)
     elif suite == "dtrace-soundness":
         if args.domain and args.problem and args.scenario:
-            from .corpus import CorpusCase
-            from .verify import check_dtrace_soundness
-
             domain = _load_domain(args.domain)
             problem = _load_problem(args.problem, domain)
             scenario = _load_scenario(args.scenario, domain)

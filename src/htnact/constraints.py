@@ -9,15 +9,13 @@ ordered first or last among those the labels yield.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .model import (
     EQUALITY_SYMBOL,
-    Atom,
     LabelledTask,
     Literal,
     Substitution,
-    Task,
     label_key,
     labelled_task_key,
     substitute,
@@ -64,10 +62,6 @@ def ref_labels(ref: TaskRef) -> frozenset[str]:
     if isinstance(ref, LabelRef):
         return frozenset((ref.label,))
     return ref.labels
-
-
-def ref_mentions(ref: TaskRef, label: str) -> bool:
-    return label in ref_labels(ref)
 
 
 @dataclass(frozen=True)
@@ -146,9 +140,6 @@ class Constraint:
             out |= ref_labels(ref)
         return frozenset(out)
 
-    def mentions(self, label: str) -> bool:
-        return any(ref_mentions(ref, label) for ref in self.refs())
-
     def rewrite_refs(self, fn) -> "Constraint":
         b = self.body
         if isinstance(b, Ordering):
@@ -165,13 +156,6 @@ class Constraint:
 
     def __str__(self) -> str:
         return f"not {self.body}" if self.negated else str(self.body)
-
-
-Formula = frozenset  # frozenset[Constraint]
-
-
-def constraint_key(c: Constraint) -> str:
-    return str(c)
 
 
 def render_formula(formula: Iterable[Constraint]) -> str:
@@ -208,42 +192,53 @@ class TaskNetwork:
         return f"<{tasks} | {render_formula(self.formula)}>"
 
 
-EMPTY_NETWORK = TaskNetwork(frozenset(), frozenset())
+def label_renamer() -> Callable[[str], str]:
+    """Maps each label to ``#k``, numbering labels in order of first request."""
+    mapping: dict[str, str] = {}
+    return lambda label: mapping.setdefault(label, f"#{len(mapping)}")
+
+
+def network_fingerprint(
+    network: TaskNetwork, rename: Optional[Callable[[str], str]] = None
+) -> str:
+    """A label-renaming-invariant form of ``network``.
+
+    Labels are renamed in a deterministic traversal order: the tasks sorted by
+    task and then label, then the labels of each constraint not met yet.
+    Networks that differ only in the names their fresh labels happened to get
+    share a fingerprint as long as those names sort alike; distinct structures
+    never do.  Passing ``rename`` continues one renaming across several
+    networks.
+    """
+    rename = rename or label_renamer()
+    tasks = sorted(network.tasks, key=lambda lt: (str(lt.task), label_key(lt.label)))
+    pieces = [f"{rename(lt.label)}:{lt.task}" for lt in tasks]
+    formula = sorted(network.formula, key=str)
+    for c in formula:
+        for label in sorted(c.labels(), key=label_key):
+            rename(label)
+    rendered = sorted(_renamed_constraint(c, rename) for c in formula)
+    return " ".join(pieces) + " | " + " & ".join(rendered)
+
+
+def _renamed_constraint(c: Constraint, rename: Callable[[str], str]) -> str:
+    def ref_str(ref: TaskRef) -> str:
+        if isinstance(ref, LabelRef):
+            return rename(ref.label)
+        inner = ",".join(sorted(rename(label) for label in ref.labels))
+        return ("first[" if isinstance(ref, FirstRef) else "last[") + inner + "]"
+
+    parts = [type(c.body).__name__] + [ref_str(ref) for ref in c.refs()]
+    literal = getattr(c.body, "literal", None)
+    if literal is not None:
+        parts.append(str(literal))
+    if c.negated:
+        parts.append("~")
+    return " ".join(parts)
 
 
 def network(tasks: Iterable[LabelledTask], formula: Iterable[Constraint] = ()) -> TaskNetwork:
     return TaskNetwork(frozenset(tasks), frozenset(formula))
-
-
-def transitive_closure(formula: frozenset) -> frozenset:
-    """Close plain-label ordering chains: add (a < c) whenever (a < b), (b < c).
-
-    Only positive orderings between plain labels participate; the result adds
-    only Ordering constraints and is idempotent.
-    """
-    edges: set[tuple[str, str]] = set()
-    for c in formula:
-        if (
-            not c.negated
-            and isinstance(c.body, Ordering)
-            and isinstance(c.body.before, LabelRef)
-            and isinstance(c.body.after, LabelRef)
-        ):
-            edges.add((c.body.before.label, c.body.after.label))
-    closed = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c, d in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
-    extra = {
-        Constraint(Ordering(LabelRef(a), LabelRef(b)))
-        for a, b in closed - edges
-    }
-    return frozenset(formula) | extra
 
 
 def rewrite_labels(formula: frozenset, label: str, replacement: frozenset) -> frozenset:
@@ -332,9 +327,3 @@ def precedence_closure(formula: Iterable[Constraint]) -> set[tuple[str, str]]:
             closed.add((start, node))
             stack.extend(succ.get(node, ()))
     return closed
-
-
-def equality_constraint(left, right, ref: TaskRef, negated: bool = False) -> Constraint:
-    """Encode a variable-binding requirement as a before state-constraint."""
-    literal = Literal(Atom(EQUALITY_SYMBOL, (left, right)))
-    return Constraint(Before(literal, ref), negated)

@@ -13,9 +13,7 @@ from typing import Iterable, Optional
 
 from .constraints import (
     After,
-    Before,
     Between,
-    Constraint,
     FirstRef,
     LabelRef,
     LastRef,
@@ -110,13 +108,6 @@ class Domain:
         return constants_of(self.operators) | constants_of(
             tuple((m.head, m.body) for m in self.methods)
         )
-
-    @cached_property
-    def declared_labels(self) -> frozenset[str]:
-        out: set[str] = set()
-        for m in self.methods:
-            out |= m.body.labels
-        return frozenset(out)
 
 
 def make_domain(name: str, operators: Iterable[Operator], methods: Iterable[Method]) -> Domain:

@@ -32,10 +32,6 @@ class Constant:
 Term = Union[Variable, Constant]
 
 
-def term_key(term: Term) -> tuple:
-    return (isinstance(term, Variable), term.name)
-
-
 @dataclass(frozen=True)
 class Atom:
     """A predicate applied to function-free terms."""

@@ -22,6 +22,7 @@ from .constraints import (
     Ordering,
     TaskNetwork,
     holds,
+    network_fingerprint,
 )
 from .domain import Domain, run_generator
 from .model import (
@@ -30,7 +31,6 @@ from .model import (
     Substitution,
     Task,
     constants_of,
-    labelled_task_key,
     variables_of,
 )
 from .reduction import reduce_task, relevant_method_bodies
@@ -152,44 +152,12 @@ def _simulate(
     return states
 
 
-def _network_fingerprint(network: TaskNetwork) -> str:
-    """Label-renaming-invariant form used to collapse duplicate frontiers."""
-    mapping: dict[str, str] = {}
-
-    def rename(label: str) -> str:
-        if label not in mapping:
-            mapping[label] = f"#{len(mapping)}"
-        return mapping[label]
-
-    def ref_str(ref) -> str:
-        if isinstance(ref, LabelRef):
-            return rename(ref.label)
-        inner = ",".join(sorted(rename(l) for l in ref.labels))
-        kind = "first[" if isinstance(ref, FirstRef) else "last["
-        return kind + inner + "]"
-
-    parts = []
-    for lt in sorted(network.tasks, key=lambda t: (str(t.task), labelled_task_key(t))):
-        parts.append(f"{rename(lt.label)}:{lt.task}")
-    rendered = []
-    for c in sorted(network.formula, key=str):
-        fields = [type(c.body).__name__]
-        fields += [ref_str(ref) for ref in c.refs()]
-        literal = getattr(c.body, "literal", None)
-        if literal is not None:
-            fields.append(str(literal))
-        if c.negated:
-            fields.append("~")
-        rendered.append(" ".join(fields))
-    return ";".join(parts) + "|" + "&".join(sorted(rendered))
-
-
 def reachable_networks(
     network: TaskNetwork, domain: Domain, depth: int
 ) -> list[TaskNetwork]:
     """Networks reachable from ``network`` by at most ``depth`` reductions."""
     gen = run_generator(network.labels, (network,))
-    seen = {_network_fingerprint(network)}
+    seen = {network_fingerprint(network)}
     frontier = [network]
     out = [network]
     for _ in range(depth):
@@ -200,7 +168,7 @@ def reachable_networks(
                     continue
                 for body in relevant_method_bodies(lt.task, domain, gen):
                     reduced = reduce_task(net, lt.label, body.network)
-                    key = _network_fingerprint(reduced)
+                    key = network_fingerprint(reduced)
                     if key in seen:
                         continue
                     seen.add(key)

@@ -30,7 +30,6 @@ from .constraints import (
     Ordering,
     TaskNetwork,
     TaskRef,
-    render_formula,
 )
 from .domain import (
     Domain,
@@ -47,8 +46,6 @@ from .model import (
     Task,
     Term,
     Variable,
-    label_key,
-    labelled_task_key,
 )
 
 IDENT = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
@@ -195,6 +192,15 @@ def _parse_task(cur: _Cursor) -> Optional[Task]:
     if args is None:
         return None
     return Task(symbol, args)
+
+
+def parse_task(text: str) -> Optional[Task]:
+    """The task ``text`` spells out, or None unless all of it is one task."""
+    cur = _Cursor(text, 1, [])
+    task = _parse_task(cur)
+    if task is None or not cur.at_end():
+        return None
+    return task
 
 
 def _parse_ref(cur: _Cursor) -> Optional[TaskRef]:
@@ -614,9 +620,6 @@ def _parse_labelled_task(
 class Scenario:
     name: str
     schedule: dict  # iteration -> tuple[(label | None, Task), ...]
-
-    def max_iteration(self) -> int:
-        return max(self.schedule, default=-1)
 
 
 def parse_scenario(text: str, domain: Optional[Domain] = None) -> ParseResult:

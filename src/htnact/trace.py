@@ -2,10 +2,12 @@
 
 A trace is a sequence of configurations produced by the execution semantics,
 optionally interleaved with observation steps (d-traces).  This module also
-provides the strategies that resolve the semantics' nondeterminism, an
-exhaustive searcher used by the verification suites, and the constructive
-rewriting that eliminates complete-replacement steps from a trace while
-preserving the actions performed.
+provides the strategies that resolve the semantics' nondeterminism by picking
+one of the choices ``exec_all`` offers, exhaustive searchers used by the
+verification suites, and the constructive rewriting that eliminates
+complete-replacement steps from a trace while preserving the actions
+performed.  Every step, whether run, replayed, explored or rewritten, is
+built by ``acting.apply`` from a choice.
 """
 from __future__ import annotations
 
@@ -20,12 +22,12 @@ from .acting import (
     OBSERVATION,
     REDUCTION,
     REPLACEMENT,
+    Choice,
     Configuration,
     ReductionCouple,
     RunContext,
     Step,
-    action_result,
-    applicable_substitutions,
+    apply,
     exec_all,
     extracted_literals,
     initial_configuration,
@@ -35,20 +37,12 @@ from .acting import (
     make_context,
     ordered_alternatives,
     primary_tasks,
-    replace_tasks,
+    replacement_choice,
     smallest_replaceable,
-    update_couples,
-    _replace_in_couples,
 )
-from .constraints import TaskNetwork, satisfies
-from .model import (
-    Substitution,
-    Task,
-    label_key,
-    labelled_task_key,
-    substitute,
-)
-from .reduction import Body, reduce_task
+from .constraints import TaskNetwork, label_renamer, network_fingerprint, satisfies
+from .model import Substitution, Task, label_key, substitute
+from .reduction import Body
 
 SUCCESSFUL = "successful"
 BLOCKED = "blocked"
@@ -118,10 +112,14 @@ class Trace:
 class Strategy:
     """Deterministic chooser over the non-empty execution choice sets."""
 
-    wants_all_bindings = False
-
-    def choose(self, trace: list[Step], steps: tuple[Step, ...]) -> Optional[Step]:
+    def choose(
+        self, trace: list[Step], choices: tuple[Choice, ...]
+    ) -> Optional[Choice]:
         raise NotImplementedError
+
+    def exhausted(self) -> bool:
+        """Has the strategy nothing left to choose, whatever is offered?"""
+        return False
 
 
 class DefaultStrategy(Strategy):
@@ -129,22 +127,22 @@ class DefaultStrategy(Strategy):
     smallest non-primitive label with its first untried body, then replacement
     of a smallest replaceable couple (non-jumps first)."""
 
-    def choose(self, trace, steps):
-        def key(step: Step) -> tuple:
-            rank = {ACTION: 0, REDUCTION: 1, REPLACEMENT: 2}[step.kind]
-            jump = 1 if step.jump else 0
-            return (rank, jump, label_key(step.label or ""),
-                    step.body.index if step.body else -1)
+    def choose(self, trace, choices):
+        def key(choice: Choice) -> tuple:
+            rank = {ACTION: 0, REDUCTION: 1, REPLACEMENT: 2}[choice.kind]
+            jump = 1 if choice.jump else 0
+            return (rank, jump, label_key(choice.label or ""),
+                    choice.body.index if choice.body else -1)
 
-        return min(steps, key=key)
+        return min(choices, key=key)
 
 
 class RandomStrategy(Strategy):
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
 
-    def choose(self, trace, steps):
-        return self.rng.choice(list(steps))
+    def choose(self, trace, choices):
+        return self.rng.choice(list(choices))
 
 
 @dataclass(frozen=True)
@@ -153,11 +151,11 @@ class Directive:
     label: str
     method: Optional[str] = None
 
-    def matches(self, step: Step) -> bool:
-        if step.kind != self.kind or step.label != self.label:
+    def matches(self, choice: Choice) -> bool:
+        if choice.kind != self.kind or choice.label != self.label:
             return False
         if self.method is not None:
-            return step.body is not None and step.body.method == self.method
+            return choice.body is not None and choice.body.method == self.method
         return True
 
     def __str__(self) -> str:
@@ -200,18 +198,21 @@ class ScriptedStrategy(Strategy):
         self.directives = list(directives)
         self.position = 0
 
-    def choose(self, trace, steps):
-        if self.position >= len(self.directives):
+    def choose(self, trace, choices):
+        if self.exhausted():
             return None
         directive = self.directives[self.position]
-        for step in steps:
-            if directive.matches(step):
+        for choice in choices:
+            if directive.matches(choice):
                 self.position += 1
-                return step
-        available = "; ".join(s.describe() for s in steps)
+                return choice
+        available = "; ".join(c.describe() for c in choices)
         raise TraceError(
             f"directive {directive} matches no execution (available: {available})"
         )
+
+    def exhausted(self) -> bool:
+        return self.position >= len(self.directives)
 
 
 # -- running -------------------------------------------------------------------
@@ -226,27 +227,24 @@ def start_trace(network: TaskNetwork, state: frozenset, domain) -> Trace:
 
 
 def run(
-    cfg0: Configuration,
-    strategy: Strategy,
-    budget: int = DEFAULT_BUDGET,
-    ctx: Optional[RunContext] = None,
+    cfg0: Configuration, strategy: Strategy, budget: int = DEFAULT_BUDGET
 ) -> Trace:
     """Extend a trace from ``cfg0`` until it is successful, blocked or out of budget."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    ctx = ctx or make_context(cfg0.domain, cfg0)
+    ctx = make_context(cfg0.domain, cfg0)
     trace = Trace([Step(INITIAL, cfg0)], ctx)
     for _ in range(budget):
         if is_successful(trace.final) or is_trace_blocked(trace.final, ctx):
             return trace
-        steps = exec_all(trace.final, ctx, strategy.wants_all_bindings)
-        if not steps:
+        choices = exec_all(trace.final, ctx)
+        if not choices:
             return trace
-        chosen = strategy.choose(trace.steps, steps)
+        chosen = strategy.choose(trace.steps, choices)
         if chosen is None:
             return trace
-        ctx.absorb(chosen.config)
-        trace.steps.append(chosen)
+        ctx.absorb(chosen)
+        trace.steps.append(apply(trace.final, chosen))
     trace.budget_exhausted = not (
         is_successful(trace.final) or is_trace_blocked(trace.final, ctx)
     )
@@ -266,95 +264,58 @@ def replay_step(prev: Configuration, recorded: Step, ctx: RunContext) -> Step:
     """Recompute ``recorded`` from ``prev`` using the choice it documents.
 
     Succeeds only when the choice is legal from ``prev``; the resulting step
-    is built deterministically from the recorded label, binding and body, so
-    a valid trace replays to exactly its recorded configurations.
+    is applied deterministically from the recorded label, binding and body,
+    so a valid trace replays to exactly its recorded configurations.
     """
     primary = primary_tasks(prev.network, prev.domain)
+    label, body = recorded.label, recorded.body
     if recorded.kind == ACTION:
-        lt = prev.network.task_of(recorded.label)
+        lt = prev.network.task_of(label)
         if lt not in primary:
-            raise TraceError(f"action {recorded.label} is not primary")
+            raise TraceError(f"action {label} is not primary")
         theta = recorded.binding or Substitution()
         op = prev.domain.operator_for(lt.task)
         pre, _, _ = op.instantiate(lt.task)
         formula = [l.substitute(theta) for l in pre]
         formula += [
-            l.substitute(theta)
-            for l in extracted_literals(recorded.label, prev.network)
+            l.substitute(theta) for l in extracted_literals(label, prev.network)
         ]
         if any(not l.is_ground for l in formula):
-            raise TraceError(f"binding for {recorded.label} is not ground")
+            raise TraceError(f"binding for {label} is not ground")
         if not satisfies(prev.state, formula):
-            raise TraceError(f"action {recorded.label} is not applicable")
-        network, state, couples = action_result(
-            recorded.label, prev.state, prev.network, theta, prev.couples, prev.domain
-        )
-        config = Configuration(
-            network, state, couples, prev.domain, prev.theta.compose(theta)
-        )
-        return dc_replace(recorded, config=config, task=lt.task.substitute(theta))
-
-    if recorded.kind == REDUCTION:
-        lt = prev.network.task_of(recorded.label)
+            raise TraceError(f"action {label} is not applicable")
+        choice = Choice(ACTION, label, lt.task.substitute(theta), binding=theta)
+    elif recorded.kind == REDUCTION:
+        lt = prev.network.task_of(label)
         if lt not in primary:
-            raise TraceError(f"reduced task {recorded.label} is not primary")
+            raise TraceError(f"reduced task {label} is not primary")
         if not prev.domain.is_nonprimitive(lt.task.symbol):
-            raise TraceError(f"reduced task {recorded.label} is primitive")
-        body = recorded.body
-        network = reduce_task(prev.network, recorded.label, body.network)
-        new_couple = _couple_by_origin(recorded.config, recorded.label)
+            raise TraceError(f"reduced task {label} is primitive")
+        new_couple = _couple_by_origin(recorded.config, label)
         if new_couple.pursued != body.network.tasks:
-            raise TraceError(
-                f"couple for {recorded.label} does not pursue the chosen body"
-            )
-        couples = _replace_in_couples(prev.couples, lt, body) | {new_couple}
-        config = Configuration(
-            network, prev.state, frozenset(couples), prev.domain, prev.theta
+            raise TraceError(f"couple for {label} does not pursue the chosen body")
+        choice = Choice(
+            REDUCTION, label, lt.task, body=body, alternatives=new_couple.alternatives
         )
-        return dc_replace(recorded, config=config, task=lt.task)
-
-    if recorded.kind == REPLACEMENT:
-        couple = _couple_by_origin(prev, recorded.label)
-        body = recorded.body
+    elif recorded.kind == REPLACEMENT:
+        couple = _couple_by_origin(prev, label)
         if body not in couple.alternatives:
             raise TraceError(
-                f"body {body.method} is not an untried alternative of {recorded.label}"
+                f"body {body.method} is not an untried alternative of {label}"
             )
         primary_labels = frozenset(lt.label for lt in primary)
         if not (couple.labels & primary_labels):
-            raise TraceError(f"couple {recorded.label} meets no primary task")
+            raise TraceError(f"couple {label} meets no primary task")
         if not is_blocked(couple.pursued, prev.network, prev.state, ctx):
-            raise TraceError(f"couple {recorded.label} is not blocked")
-        present = couple.labels & prev.network.labels
-        network = replace_tasks(couple.pursued, body.network, prev.network)
-        couples = update_couples(present, couple, body, prev.couples)
-        config = Configuration(network, prev.state, couples, prev.domain, prev.theta)
-        return dc_replace(
-            recorded,
-            config=config,
-            removed=present,
-            added=body.network.labels,
-            complete=couple.labels <= prev.network.labels,
-            jump=couple not in smallest_replaceable(prev.couples),
+            raise TraceError(f"couple {label} is not blocked")
+        choice = replacement_choice(
+            prev, couple, body, smallest_replaceable(prev.couples)
         )
-
-    if recorded.kind == OBSERVATION:
-        observed = recorded.observed
-        network = TaskNetwork(
-            prev.network.tasks | observed, prev.network.formula
-        )
-        couples = set()
-        for c in prev.couples:
-            if c.origin is None:
-                couples.add(dc_replace(c, pursued=c.pursued | observed))
-            else:
-                couples.add(c)
-        config = Configuration(
-            network, prev.state, frozenset(couples), prev.domain, prev.theta
-        )
-        return dc_replace(recorded, config=config)
-
-    raise TraceError(f"cannot replay step kind {recorded.kind}")
+    elif recorded.kind == OBSERVATION:
+        choice = Choice(OBSERVATION, observed=recorded.observed)
+    else:
+        raise TraceError(f"cannot replay step kind {recorded.kind}")
+    return apply(prev, choice)
 
 
 def validate_trace(trace: Trace) -> list[str]:
@@ -446,26 +407,10 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
                     f"step {j} touches the replaced subtree before the replacement"
                 )
 
-        prev = steps[i - 1].config
-        lt = prev.network.task_of(origin)
-        network = reduce_task(prev.network, origin, correct.network)
-        couples = _replace_in_couples(prev.couples, lt, correct) | {
-            ReductionCouple(origin, correct.network.tasks, alternatives)
-        }
-        config = Configuration(
-            network, prev.state, frozenset(couples), prev.domain, prev.theta
+        redirected = Choice(
+            REDUCTION, origin, steps[i].task, body=correct, alternatives=alternatives
         )
-        new_steps = steps[:i] + [
-            Step(
-                REDUCTION,
-                config,
-                label=origin,
-                task=lt.task,
-                body=correct,
-                removed=frozenset((origin,)),
-                added=correct.network.labels,
-            )
-        ]
+        new_steps = steps[:i] + [apply(steps[i - 1].config, redirected)]
         for j in range(i + 1, m):
             if j in skipped:
                 continue
@@ -522,36 +467,17 @@ class SearchBudgetExceeded(Exception):
 def canonical_key(cfg: Configuration) -> str:
     """A renaming-invariant fingerprint of a configuration (minus bindings).
 
-    Labels are renamed in a deterministic traversal order, so configurations
-    that differ only by the names their fresh labels happened to get collapse
-    to one key.  Distinct structures always produce distinct keys.
+    Extends ``network_fingerprint`` of the network with the state and the
+    couples, under one renaming, so configurations that differ only by the
+    names their fresh labels happened to get collapse to one key.  Distinct
+    structures always produce distinct keys.
     """
-    mapping: dict[str, str] = {}
-
-    def rename(label: str) -> str:
-        if label not in mapping:
-            mapping[label] = f"#{len(mapping)}"
-        return mapping[label]
-
-    pieces: list[str] = []
-    for lt in sorted(
-        cfg.network.tasks, key=lambda t: (str(t.task), label_key(t.label))
-    ):
-        pieces.append(f"{rename(lt.label)}:{lt.task}")
-    for c in sorted(cfg.network.formula, key=str):
-        for lab in sorted(c.labels(), key=label_key):
-            rename(lab)
-    pieces.append("|")
-    for c in sorted(cfg.network.formula, key=str):
-        pieces.append(_rename_constraint(c, rename))
-    pieces.append("@" + " ".join(sorted(map(str, cfg.state))))
-    for couple in sorted(
-        cfg.couples,
-        key=lambda c: (
-            c.origin is not None,
-            label_key(c.origin or ""),
-        ),
-    ):
+    rename = label_renamer()
+    pieces = [
+        network_fingerprint(cfg.network, rename),
+        "@" + " ".join(sorted(map(str, cfg.state))),
+    ]
+    for couple in cfg.sorted_couples():
         origin = rename(couple.origin) if couple.origin else "top"
         members = " ".join(
             sorted(
@@ -561,45 +487,18 @@ def canonical_key(cfg: Configuration) -> str:
                 )
             )
         )
-        alts = []
-        for body in couple.alternatives:
-            inner_tasks = " ".join(
-                f"{rename(lt.label)}:{lt.task}"
-                for lt in sorted(
-                    body.network.tasks,
-                    key=lambda t: (str(t.task), label_key(t.label)),
-                )
-            )
-            inner_formula = " & ".join(
-                sorted(
-                    _rename_constraint(c, rename) for c in body.network.formula
-                )
-            )
-            alts.append(f"{body.index}<{inner_tasks}|{inner_formula}>")
-        pieces.append(f"[{origin}: {members} ! {' '.join(alts)}]")
+        alts = " ".join(
+            f"{body.index}<{network_fingerprint(body.network, rename)}>"
+            for body in couple.alternatives
+        )
+        pieces.append(f"[{origin}: {members} ! {alts}]")
     return "\n".join(pieces)
 
 
-def _rename_constraint(c, rename) -> str:
-    from .constraints import FirstRef, LabelRef, LastRef
-
-    def ref_str(ref):
-        if isinstance(ref, LabelRef):
-            return rename(ref.label)
-        inner = ",".join(sorted((rename(l) for l in ref.labels)))
-        return ("first[" if isinstance(ref, FirstRef) else "last[") + inner + "]"
-
-    b = c.body
-    name = type(b).__name__
-    parts = [name]
-    for ref in c.refs():
-        parts.append(ref_str(ref))
-    lit = getattr(b, "literal", None)
-    if lit is not None:
-        parts.append(str(lit))
-    if c.negated:
-        parts.append("~")
-    return " ".join(parts)
+def _allowed(choice: Choice, allow_partial: bool, allow_complete: bool) -> bool:
+    if choice.kind != REPLACEMENT:
+        return True
+    return allow_complete if choice.complete else allow_partial
 
 
 def successful_action_sequences(
@@ -630,17 +529,14 @@ def successful_action_sequences(
             raise SearchBudgetExceeded(f"more than {max_nodes} configurations")
         memo[key] = frozenset()  # cycle guard; configurations never recur
         sequences = set()
-        for step in exec_all(cfg, ctx.for_config(cfg), all_bindings=True):
-            if step.kind == REPLACEMENT:
-                if step.complete and not allow_complete:
-                    continue
-                if not step.complete and not allow_partial:
-                    continue
-            suffixes = explore(step.config)
-            if step.kind == ACTION:
+        for choice in exec_all(cfg, ctx.for_config(cfg), all_bindings=True):
+            if not _allowed(choice, allow_partial, allow_complete):
+                continue
+            suffixes = explore(apply(cfg, choice).config)
+            if choice.kind == ACTION:
                 # bindings ground the task at execution time, so the head is
                 # final and the suffix set is label- and binding-free
-                sequences |= {(step.task,) + s for s in suffixes}
+                sequences |= {(choice.task,) + s for s in suffixes}
             else:
                 sequences |= suffixes
         memo[key] = frozenset(sequences)
@@ -680,18 +576,15 @@ def iter_successful_traces(
             if action_target is None or actions == action_target:
                 yield steps
             return
-        for step in exec_all(cfg, ctx.for_config(cfg), all_bindings=True):
-            if step.kind == REPLACEMENT:
-                if step.complete and not allow_complete:
-                    continue
-                if not step.complete and not allow_partial:
-                    continue
+        for choice in exec_all(cfg, ctx.for_config(cfg), all_bindings=True):
+            if not _allowed(choice, allow_partial, allow_complete):
+                continue
             extended = actions
-            if step.kind == ACTION:
-                extended = actions + (step.task,)
+            if choice.kind == ACTION:
+                extended = actions + (choice.task,)
                 if not prefix_ok(extended):
                     continue
-            yield from walk(steps + [step], extended)
+            yield from walk(steps + [apply(cfg, choice)], extended)
 
     for found in walk([Step(INITIAL, cfg0)], ()):
         yield Trace(list(found), ctx)
@@ -722,8 +615,8 @@ def sample_traces(
             if require is None or require(trace):
                 collected.append(trace)
             return
-        for step in nexts:
-            walk(steps + [step])
+        for choice in nexts:
+            walk(steps + [apply(cfg, choice)])
             if len(collected) >= count:
                 return
 

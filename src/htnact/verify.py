@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .acting import (
-    Configuration,
+    apply,
     exec_all,
     initial_configuration,
     is_successful,
@@ -29,6 +29,7 @@ from .trace import (
     REPLACEMENT,
     SearchBudgetExceeded,
     Trace,
+    TraceError,
     canonical_key,
     eliminate_complete_replacements,
     iter_successful_traces,
@@ -112,16 +113,17 @@ def check_extendability(
         visited += 1
         if visited > max_nodes:
             raise SearchBudgetExceeded(f"more than {max_nodes} configurations")
-        steps = exec_all(cfg, ctx.for_config(cfg), all_bindings=True)
+        choices = exec_all(cfg, ctx.for_config(cfg), all_bindings=True)
         terminal = is_successful(cfg) or is_trace_blocked(cfg, ctx)
-        if bool(steps) == terminal:
+        if bool(choices) == terminal:
             kind = "terminal" if terminal else "open"
-            return f"{kind} configuration with {len(steps)} executions: {cfg.network}"
-        for step in steps:
-            key = canonical_key(step.config)
+            return f"{kind} configuration with {len(choices)} executions: {cfg.network}"
+        for choice in choices:
+            successor = apply(cfg, choice).config
+            key = canonical_key(successor)
             if key not in seen:
                 seen.add(key)
-                stack.append(step.config)
+                stack.append(successor)
     return None
 
 
@@ -139,7 +141,10 @@ def suite_extendability(cases: Iterable[CorpusCase]) -> SuiteResult:
 def check_elimination(trace: Trace) -> Optional[str]:
     """Eliminate complete replacements and re-check the trace's guarantees."""
     before = trace.actions_performed()
-    rewritten = eliminate_complete_replacements(trace)
+    try:
+        rewritten = eliminate_complete_replacements(trace)
+    except TraceError as exc:
+        return f"elimination failed: {exc}"
     if not rewritten.complete_replacement_free():
         return "complete replacements remain"
     if rewritten.actions_performed() != before:

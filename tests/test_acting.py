@@ -7,6 +7,7 @@ from htnact.acting import (
     ReductionCouple,
     action_result,
     applicable_substitutions,
+    apply,
     exec_all,
     exec_via_reduction,
     exec_via_replacement,
@@ -264,9 +265,9 @@ def test_action_result_on_last_task_empties_network(rover):
 def test_reduction_couples_after_first_step(rover, rover_problem):
     cfg = initial_configuration(rover_problem.network, rover_problem.state, rover)
     ctx = make_context(rover, cfg)
-    steps = exec_via_reduction(cfg, ctx)
-    chosen = next(s for s in steps if s.body.method == "m2")
-    by_origin = {c.origin: c for c in chosen.config.couples}
+    choices = exec_via_reduction(cfg, ctx)
+    chosen = next(c for c in choices if c.body.method == "m2")
+    by_origin = {c.origin: c for c in apply(cfg, chosen).config.couples}
     assert set(by_origin) == {None, "A"}
     assert labels(by_origin[None].pursued) == {"6", "7", "B"}
     assert labels(by_origin["A"].pursued) == {"6", "7"}
@@ -336,12 +337,12 @@ def test_complete_replacement_rewrites_inherited_references(
 ):
     cfg = after_two_reductions_nocali
     ctx = make_context(cfg.domain, cfg)
-    steps = exec_via_replacement(cfg, ctx)
+    choices = exec_via_replacement(cfg, ctx)
     # both the navigation couple and its ancestor are blocked; skipping the
     # smaller navigation couple would be a jump
-    options = {(s.label, s.body.method, s.complete, s.jump) for s in steps}
+    options = {(c.label, c.body.method, c.complete, c.jump) for c in choices}
     assert options == {("6", "m4", True, False), ("A", "m1", True, True)}
-    step = next(s for s in steps if s.label == "6")
+    step = apply(cfg, next(c for c in choices if c.label == "6"))
     assert step.complete and not step.jump
     assert labels(step.config.network.tasks) == {"8", "9", "10", "7", "B"}
     rendered = {str(c) for c in step.config.network.formula}
@@ -370,9 +371,9 @@ def test_partial_replacement_reaches_radio_recipe(rover, rover_nocali):
         "act 8\nact 9\nact B",
     )
     ctx = make_context(rover, trace.final)
-    steps = exec_via_replacement(trace.final, ctx)
-    assert [s.body.method for s in steps] == ["m1"]
-    step = steps[0]
+    choices = exec_via_replacement(trace.final, ctx)
+    assert [c.body.method for c in choices] == ["m1"]
+    step = apply(trace.final, choices[0])
     assert not step.complete
     assert not step.jump
     assert labels(step.config.network.tasks) == {"1", "2", "3"}

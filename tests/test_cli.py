@@ -206,3 +206,27 @@ def test_act_interactive_reads_tasks_from_stdin(tmp_path, monkeypatch, capsys):
     text = out.read_text()
     assert "kind: observation" in text
     assert "classification: successful" in text
+
+
+def test_act_interactive_rejects_trailing_input(tmp_path, monkeypatch, capsys):
+    lines = iter(["charge junk"])
+
+    def fake_input(prompt=""):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    out = tmp_path / "trace.txt"
+    main(["act", ROVER, PROB, "--interactive", "--out", str(out)])
+    assert "cannot parse task 'charge junk'" in capsys.readouterr().err
+    assert "kind: observation" not in out.read_text()
+
+
+def test_verify_elimination_reports_replay_failure(capsys):
+    code = main(["verify", "--suite", "elimination", "--count", "1", "--seed", "100046"])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert captured.out.startswith("complete-replacement-elimination: FAIL")
+    assert "Traceback" not in captured.out + captured.err

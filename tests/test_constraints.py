@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from htnact.constraints import (
     Before,
@@ -10,49 +9,17 @@ from htnact.constraints import (
     LabelRef,
     LastRef,
     Ordering,
+    TaskNetwork,
     holds,
+    network_fingerprint,
     precedence_closure,
     rewrite_labels,
-    transitive_closure,
 )
-from htnact.model import Atom, Constant, Literal, Variable
+from htnact.model import Atom, Constant, LabelledTask, Literal, Task, Variable
 
 
 def ordc(a: str, b: str) -> Constraint:
     return Constraint(Ordering(LabelRef(a), LabelRef(b)))
-
-
-def test_transitive_closure_adds_chain_edge():
-    closed = transitive_closure(frozenset({ordc("1", "2"), ordc("2", "3")}))
-    assert ordc("1", "3") in closed
-
-
-def test_transitive_closure_empty():
-    assert transitive_closure(frozenset()) == frozenset()
-
-
-def test_transitive_closure_no_chain():
-    formula = frozenset({ordc("a", "b")})
-    assert transitive_closure(formula) == formula
-
-
-def test_transitive_closure_idempotent_and_monotone():
-    formula = frozenset({ordc("1", "2"), ordc("2", "3"), ordc("3", "4")})
-    once = transitive_closure(formula)
-    assert transitive_closure(once) == once
-    assert formula <= once
-    assert all(isinstance(c.body, Ordering) for c in once - formula)
-
-
-labels = st.sampled_from(["1", "2", "3", "4"])
-
-
-@given(st.sets(st.tuples(labels, labels), max_size=6))
-def test_transitive_closure_idempotent_random(pairs):
-    formula = frozenset(ordc(a, b) for a, b in pairs)
-    once = transitive_closure(formula)
-    assert transitive_closure(once) == once
-    assert formula <= once
 
 
 def test_rewrite_labels_inside_first():
@@ -137,3 +104,36 @@ def test_formula_equality_is_order_insensitive():
     assert frozenset({ordc("a", "b"), ordc("b", "c")}) == frozenset(
         {ordc("b", "c"), ordc("a", "b")}
     )
+
+
+# -- network fingerprints -------------------------------------------------------------
+
+def chain(a: str, b: str, c: str, literal: str = "ready") -> TaskNetwork:
+    """Two ``go`` tasks ``a``, ``b`` before ``c``, gated by a before-constraint."""
+    tasks = [
+        LabelledTask(a, Task("go")),
+        LabelledTask(b, Task("go")),
+        LabelledTask(c, Task("stop")),
+    ]
+    formula = [
+        Constraint(Ordering(LastRef(frozenset({a, b})), LabelRef(c))),
+        Constraint(Before(Literal(Atom(literal)), FirstRef(frozenset({a, b})))),
+    ]
+    return TaskNetwork(frozenset(tasks), frozenset(formula))
+
+
+def test_network_fingerprint_ignores_label_names():
+    assert network_fingerprint(chain("1", "2", "3")) == network_fingerprint(
+        chain("n7", "n8", "n9")
+    )
+
+
+def test_network_fingerprint_tells_structures_apart():
+    base = network_fingerprint(chain("1", "2", "3"))
+    assert network_fingerprint(chain("1", "2", "3", literal="busy")) != base
+    unordered = chain("1", "2", "3")
+    unordered = TaskNetwork(
+        unordered.tasks,
+        frozenset(c for c in unordered.formula if not isinstance(c.body, Ordering)),
+    )
+    assert network_fingerprint(unordered) != base

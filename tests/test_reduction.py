@@ -21,7 +21,6 @@ from htnact.model import (
     Task,
     Variable,
 )
-from htnact.oracle import reachable_networks, _network_fingerprint
 from htnact.reduction import reduce_task, relevant_method_bodies
 
 loc1 = Constant("loc1")

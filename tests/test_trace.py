@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace as dc_replace
+
 import pytest
 
-from htnact.acting import initial_configuration, make_context
-from htnact.constraints import TaskNetwork
+from htnact.acting import ReductionCouple, initial_configuration, make_context
+from htnact.constraints import LabelRef, TaskNetwork
 from htnact.corpus import corpus
 from htnact.model import Atom, Constant, LabelledTask, Task
 from htnact.trace import (
@@ -12,6 +14,7 @@ from htnact.trace import (
     RandomStrategy,
     ScriptedStrategy,
     TraceError,
+    canonical_key,
     eliminate_complete_replacements,
     iter_successful_traces,
     parse_directives,
@@ -225,3 +228,62 @@ def test_iter_traces_prunes_on_target(rover, rover_nocali):
     ctx = make_context(rover, cfg)
     target = (Task("monitor"),)
     assert list(iter_successful_traces(cfg, ctx, action_target=target)) == []
+
+
+# -- canonical keys ---------------------------------------------------------------
+
+def reduced_twice(rover, problem):
+    """The rover problem after reducing A by m2, then 6 by m5."""
+    cfg = initial_configuration(problem.network, problem.state, rover)
+    script = parse_directives("reduce A with m2\nreduce 6 with m5")
+    return run(cfg, ScriptedStrategy(script)).final
+
+
+def relabelled(cfg, prefix):
+    """``cfg`` with ``prefix`` put before every label, which keeps their order."""
+
+    def ref(r):
+        if isinstance(r, LabelRef):
+            return LabelRef(prefix + r.label)
+        return type(r)(frozenset(prefix + label for label in r.labels))
+
+    def tasks(labelled):
+        return frozenset(LabelledTask(prefix + lt.label, lt.task) for lt in labelled)
+
+    def network(d):
+        return TaskNetwork(tasks(d.tasks), frozenset(c.rewrite_refs(ref) for c in d.formula))
+
+    couples = frozenset(
+        ReductionCouple(
+            c.origin and prefix + c.origin,
+            tasks(c.pursued),
+            tuple(dc_replace(b, network=network(b.network)) for b in c.alternatives),
+        )
+        for c in cfg.couples
+    )
+    return dc_replace(cfg, network=network(cfg.network), couples=couples)
+
+
+def test_canonical_key_ignores_label_names(rover, rover_problem):
+    cfg = reduced_twice(rover, rover_problem)
+    renamed = relabelled(cfg, "n")
+    assert renamed != cfg
+    assert canonical_key(renamed) == canonical_key(cfg)
+
+
+def test_canonical_key_tells_structures_apart(rover, rover_problem):
+    cfg = reduced_twice(rover, rover_problem)
+    key = canonical_key(cfg)
+    dropped = sorted(cfg.network.formula, key=str)[0]
+    fewer_constraints = dc_replace(
+        cfg,
+        network=TaskNetwork(cfg.network.tasks, cfg.network.formula - {dropped}),
+    )
+    more_state = dc_replace(cfg, state=cfg.state | {Atom("bogus")})
+    couple = next(c for c in cfg.couples if c.alternatives)
+    fewer_alternatives = dc_replace(
+        cfg,
+        couples=(cfg.couples - {couple}) | {dc_replace(couple, alternatives=())},
+    )
+    for changed in (fewer_constraints, more_state, fewer_alternatives):
+        assert canonical_key(changed) != key

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import cached_property
 from typing import Optional
 
 from .constraints import (
@@ -76,13 +77,13 @@ class ReductionCouple:
     alternatives: tuple[Body, ...] = ()
 
     def substitute(self, theta: Substitution) -> "ReductionCouple":
-        return ReductionCouple(
-            self.origin,
-            substitute(self.pursued, theta),
-            substitute(self.alternatives, theta),
-        )
+        pursued = substitute(self.pursued, theta)
+        alternatives = substitute(self.alternatives, theta)
+        if pursued is self.pursued and alternatives is self.alternatives:
+            return self
+        return ReductionCouple(self.origin, pursued, alternatives)
 
-    @property
+    @cached_property
     def labels(self) -> frozenset[str]:
         return frozenset(lt.label for lt in self.pursued)
 
@@ -519,10 +520,8 @@ def action_result(
         survivors.append(c)
 
     tasks = frozenset(t for t in d.tasks if t.label != label)
-    network = TaskNetwork(tasks, frozenset(survivors))
-    network = network.substitute(theta)
-    couples = substitute(couples, theta)
-    return network, new_state, couples
+    network = substitute(TaskNetwork(tasks, frozenset(survivors)), theta)
+    return network, new_state, substitute(couples, theta)
 
 
 # -- the three kinds of execution ----------------------------------------------
@@ -680,7 +679,7 @@ def exec_via_replacement(cfg: Configuration, ctx: RunContext) -> tuple[Choice, .
     primary_labels = frozenset(
         lt.label for lt in primary_tasks(cfg.network, cfg.domain)
     )
-    smallest = smallest_replaceable(cfg.couples)
+    smallest = None
     for couple in cfg.sorted_couples():
         if not couple.alternatives:
             continue
@@ -688,6 +687,8 @@ def exec_via_replacement(cfg: Configuration, ctx: RunContext) -> tuple[Choice, .
             continue
         if not is_blocked(couple.pursued, cfg.network, cfg.state, ctx):
             continue
+        if smallest is None:
+            smallest = smallest_replaceable(cfg.couples)
         for body in couple.alternatives:
             choices.append(replacement_choice(cfg, couple, body, smallest))
     return tuple(choices)
@@ -786,11 +787,8 @@ def is_trace_blocked(cfg: Configuration, ctx: RunContext) -> bool:
     primary_labels = frozenset(
         lt.label for lt in primary_tasks(cfg.network, cfg.domain)
     )
-    for couple in cfg.couples:
-        if not (couple.labels & primary_labels):
-            continue
-        if couple.alternatives:
-            return False
-        if not is_blocked(couple.pursued, cfg.network, cfg.state, ctx):
-            return False
-    return True
+    # sorted, so that which couples get checked does not depend on string hashing
+    meeting = [c for c in cfg.sorted_couples() if c.labels & primary_labels]
+    if any(c.alternatives for c in meeting):
+        return False
+    return all(is_blocked(c.pursued, cfg.network, cfg.state, ctx) for c in meeting)

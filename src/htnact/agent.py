@@ -238,24 +238,20 @@ def run_agent(
 def dtrace_to_trace(dtrace: Trace) -> Trace:
     """Fold observation steps away by propagating observed tasks backwards.
 
-    Repeatedly takes the last observation step, removes it, and adds its
-    tasks to the network and top-level couple of every earlier configuration.
-    The result is a plain execution trace of the union network under the
-    original initial state, performing the same actions.
+    Every observation step is removed, and its tasks are added to the network
+    and top-level couple of every earlier configuration.  One backward pass
+    carries the union of the tasks observed later, so each kept step is
+    rebuilt at most once.  The result is a plain execution trace of the union
+    network under the original initial state, performing the same actions.
     """
-    steps = list(dtrace.steps)
-    while True:
-        index = None
-        for i in range(len(steps) - 1, -1, -1):
-            if steps[i].kind == OBSERVATION:
-                index = i
-                break
-        if index is None:
-            break
-        observed = steps[index].observed
-        del steps[index]
-        for i in range(index):
-            steps[i] = dc_replace(
-                steps[i], config=with_observed(steps[i].config, observed)
-            )
+    observed_later: frozenset = frozenset()
+    steps = []
+    for step in reversed(dtrace.steps):
+        if step.kind == OBSERVATION:
+            observed_later |= step.observed
+            continue
+        if observed_later:
+            step = dc_replace(step, config=with_observed(step.config, observed_later))
+        steps.append(step)
+    steps.reverse()
     return Trace(steps, dtrace.ctx, dtrace.budget_exhausted)

@@ -31,6 +31,7 @@ from .syntax import (
     parse_problem,
     parse_scenario,
     parse_task,
+    split_task_list,
 )
 from .trace import (
     DefaultStrategy,
@@ -130,8 +131,8 @@ def _interactive_events(domain) -> EventSource:
         if not line:
             return ()
         batch = []
-        for chunk in line.split(","):
-            task = parse_task(chunk.strip())
+        for chunk in split_task_list(line):
+            task = parse_task(chunk)
             if task is None:
                 print(f"cannot parse task {chunk!r}", file=sys.stderr)
                 continue

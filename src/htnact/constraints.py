@@ -9,6 +9,7 @@ ordered first or last among those the labels yield.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 from .model import (
@@ -82,7 +83,8 @@ class Before:
     ref: TaskRef
 
     def substitute(self, theta: Substitution) -> "Before":
-        return Before(self.literal.substitute(theta), self.ref)
+        literal = self.literal.substitute(theta)
+        return self if literal is self.literal else Before(literal, self.ref)
 
     def __str__(self) -> str:
         return f"before {self.literal} {self.ref}"
@@ -94,7 +96,8 @@ class After:
     literal: Literal
 
     def substitute(self, theta: Substitution) -> "After":
-        return After(self.ref, self.literal.substitute(theta))
+        literal = self.literal.substitute(theta)
+        return self if literal is self.literal else After(self.ref, literal)
 
     def __str__(self) -> str:
         return f"after {self.ref} {self.literal}"
@@ -107,7 +110,10 @@ class Between:
     end: TaskRef
 
     def substitute(self, theta: Substitution) -> "Between":
-        return Between(self.start, self.literal.substitute(theta), self.end)
+        literal = self.literal.substitute(theta)
+        if literal is self.literal:
+            return self
+        return Between(self.start, literal, self.end)
 
     def __str__(self) -> str:
         return f"between {self.start} {self.literal} {self.end}"
@@ -122,7 +128,8 @@ class Constraint:
     negated: bool = False
 
     def substitute(self, theta: Substitution) -> "Constraint":
-        return Constraint(self.body.substitute(theta), self.negated)
+        body = self.body.substitute(theta)
+        return self if body is self.body else Constraint(body, self.negated)
 
     def refs(self) -> tuple[TaskRef, ...]:
         b = self.body
@@ -170,11 +177,13 @@ class TaskNetwork:
     formula: frozenset[Constraint]
 
     def substitute(self, theta: Substitution) -> "TaskNetwork":
-        return TaskNetwork(
-            substitute(self.tasks, theta), substitute(self.formula, theta)
-        )
+        tasks = substitute(self.tasks, theta)
+        formula = substitute(self.formula, theta)
+        if tasks is self.tasks and formula is self.formula:
+            return self
+        return TaskNetwork(tasks, formula)
 
-    @property
+    @cached_property
     def labels(self) -> frozenset[str]:
         return frozenset(lt.label for lt in self.tasks)
 

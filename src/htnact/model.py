@@ -40,7 +40,8 @@ class Atom:
     args: tuple[Term, ...] = ()
 
     def substitute(self, theta: "Substitution") -> "Atom":
-        return Atom(self.symbol, tuple(theta.term(a) for a in self.args))
+        args = _substitute_terms(self.args, theta)
+        return self if args is self.args else Atom(self.symbol, args)
 
     @property
     def is_ground(self) -> bool:
@@ -60,7 +61,8 @@ class Literal:
     positive: bool = True
 
     def substitute(self, theta: "Substitution") -> "Literal":
-        return Literal(self.atom.substitute(theta), self.positive)
+        atom = self.atom.substitute(theta)
+        return self if atom is self.atom else Literal(atom, self.positive)
 
     def negated(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -81,7 +83,8 @@ class Task:
     args: tuple[Term, ...] = ()
 
     def substitute(self, theta: "Substitution") -> "Task":
-        return Task(self.symbol, tuple(theta.term(a) for a in self.args))
+        args = _substitute_terms(self.args, theta)
+        return self if args is self.args else Task(self.symbol, args)
 
     @property
     def is_ground(self) -> bool:
@@ -101,7 +104,8 @@ class LabelledTask:
     task: Task
 
     def substitute(self, theta: "Substitution") -> "LabelledTask":
-        return LabelledTask(self.label, self.task.substitute(theta))
+        task = self.task.substitute(theta)
+        return self if task is self.task else LabelledTask(self.label, task)
 
     def __str__(self) -> str:
         return f"{self.label}:{self.task}"
@@ -196,19 +200,33 @@ EMPTY_SUBSTITUTION = Substitution()
 
 
 def substitute(value, theta: Substitution):
-    """Apply ``theta`` to any term-bearing value, preserving its structure."""
+    """Apply ``theta`` to any term-bearing value, preserving its structure.
+
+    Unchanged structure is shared: when ``theta`` is empty or binds no
+    variable of ``value``, the result is ``value`` itself, and a tuple,
+    frozenset or object whose parts all come back unchanged is returned as
+    the same object rather than rebuilt.  Every ``substitute`` method keeps
+    the same guarantee.
+    """
+    if not theta or isinstance(value, Constant) or value is None:
+        return value
     if isinstance(value, Variable):
         return theta.term(value)
-    if isinstance(value, Constant) or value is None:
-        return value
-    if isinstance(value, tuple):
-        return tuple(substitute(v, theta) for v in value)
-    if isinstance(value, frozenset):
-        return frozenset(substitute(v, theta) for v in value)
+    if isinstance(value, (tuple, frozenset)):
+        members = [substitute(v, theta) for v in value]
+        if all(new is old for new, old in zip(members, value)):
+            return value
+        return tuple(members) if isinstance(value, tuple) else frozenset(members)
     sub = getattr(value, "substitute", None)
     if sub is not None:
         return sub(theta)
     raise TypeError(f"cannot substitute into {type(value).__name__}")
+
+
+def _substitute_terms(args: tuple, theta: Substitution) -> tuple:
+    """``args`` under ``theta``; the same tuple when no argument changes."""
+    new = tuple(theta.term(a) for a in args)
+    return args if all(n is a for n, a in zip(new, args)) else new
 
 
 def match_task(task: Task, head: Task) -> Optional[Substitution]:

@@ -32,7 +32,10 @@ class Body:
     network: TaskNetwork
 
     def substitute(self, theta) -> "Body":
-        return Body(self.method, self.index, self.network.substitute(theta))
+        network = self.network.substitute(theta)
+        if network is self.network:
+            return self
+        return Body(self.method, self.index, network)
 
     def sort_key(self) -> tuple:
         return (self.index, str(self.network))

@@ -646,7 +646,7 @@ def parse_scenario(text: str, domain: Optional[Domain] = None) -> ParseResult:
             continue
         iteration = int(m.group(1))
         entries: list[tuple[Optional[str], Task]] = []
-        for chunk in _split_task_list(m.group(2)):
+        for chunk in split_task_list(m.group(2)):
             label, task = _parse_labelled_task(chunk.strip(), lineno, diagnostics)
             if task is None:
                 continue
@@ -669,7 +669,7 @@ def parse_scenario(text: str, domain: Optional[Domain] = None) -> ParseResult:
     return ParseResult(Scenario(name, schedule), diagnostics)
 
 
-def _split_task_list(text: str) -> list[str]:
+def split_task_list(text: str) -> list[str]:
     """Split on commas that are not inside parentheses."""
     parts: list[str] = []
     depth = 0

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import htnact
+from htnact import acting
 from htnact.acting import (
     Configuration,
     ReductionCouple,
@@ -391,6 +398,26 @@ def test_update_keeps_couple_with_no_alternatives_left(rover, rover_nocali):
     assert by_origin["6"].alternatives == ()
 
 
+def test_replacement_checks_smallest_only_for_a_blocked_couple(
+    monkeypatch, after_two_reductions, after_two_reductions_nocali
+):
+    calls = []
+    real = acting.smallest_replaceable
+
+    def counted(couples):
+        calls.append(couples)
+        return real(couples)
+
+    monkeypatch.setattr(acting, "smallest_replaceable", counted)
+    cfg = after_two_reductions
+    assert any(c.alternatives for c in cfg.couples)
+    assert exec_via_replacement(cfg, make_context(cfg.domain, cfg)) == ()
+    assert calls == []
+    blocked = after_two_reductions_nocali
+    assert exec_via_replacement(blocked, make_context(blocked.domain, blocked))
+    assert calls == [blocked.couples]
+
+
 # -- smallest replaceable couples --------------------------------------------------
 
 def couple(origin, task_labels, n_alts, body):
@@ -453,6 +480,58 @@ def test_exec_all_empty_when_fully_blocked(rover):
     ctx = make_context(rover, cfg)
     assert exec_all(cfg, ctx) == ()
     assert is_trace_blocked(cfg, ctx)
+
+
+# Counts is_blocked calls over a plain run and an agent run of rover with two
+# chained transmitData tasks; printed as "<plain> <plain + agent>".
+BLOCKED_CALLS_SCRIPT = r"""
+from htnact import acting
+from htnact.acting import initial_configuration
+from htnact.agent import ScriptedEvents, run_agent
+from htnact.fixtures import fixture_text
+from htnact.syntax import parse_domain, parse_problem, parse_scenario
+from htnact.trace import DefaultStrategy, run
+
+calls = 0
+real = acting.is_blocked
+
+def counted(*args):
+    global calls
+    calls += 1
+    return real(*args)
+
+acting.is_blocked = counted
+domain = parse_domain(fixture_text("rover.htn"), "rover").value
+problem = parse_problem(
+    "problem two\nstate: didExp(loc1), didExp(loc2), lander(lan1)\n"
+    "tasks:\n  A1: transmitData(loc1)\n  A2: transmitData(loc2)\n"
+    "constraints:\n  ord A1 < A2\n",
+    domain,
+).value
+run(initial_configuration(problem.network, problem.state, domain), DefaultStrategy())
+plain = calls
+scenario = parse_scenario(
+    "scenario two\n0: A1: transmitData(loc1)\n8: A2: transmitData(loc2)\n", domain
+).value
+run_agent(problem.state, domain, ScriptedEvents(dict(scenario.schedule)), DefaultStrategy())
+print(plain, calls)
+"""
+
+
+def test_blocked_checks_do_not_depend_on_string_hashing():
+    env = dict(os.environ, PYTHONPATH=str(Path(htnact.__file__).parents[1]))
+    counts = set()
+    for hash_seed in ("1", "2", "3"):
+        done = subprocess.run(
+            [sys.executable, "-c", BLOCKED_CALLS_SCRIPT],
+            env=dict(env, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        counts.add(done.stdout.strip())
+    assert len(counts) == 1, counts
 
 
 def test_exec_all_offers_action_after_reductions(after_two_reductions):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace as dc_replace
+
 import pytest
 
 from htnact.acting import is_successful, make_context
@@ -25,7 +27,7 @@ from htnact.trace import (
     parse_directives,
     validate_trace,
 )
-from htnact.acting import INITIAL, Step
+from htnact.acting import INITIAL, OBSERVATION, Step, with_observed
 
 loc1 = Constant("loc1")
 
@@ -153,7 +155,8 @@ def test_run_agent_walkthrough(
     assert validate_trace(folded) == []
 
 
-def test_dtrace_folding_moves_late_observations_to_the_start(rover, rover_nocali):
+def midrun_dtrace(rover, rover_nocali) -> Trace:
+    """Rover's walkthrough with ``B: monitor`` observed mid-run."""
     scenario = parse_scenario(
         "scenario midrun\n0: A: transmitData(loc1)\n6: B: monitor\n", rover
     ).value
@@ -168,7 +171,11 @@ def test_dtrace_folding_moves_late_observations_to_the_start(rover, rover_nocali
         ScriptedEvents(dict(scenario.schedule)),
         ScriptedStrategy(parse_directives(script)),
     )
-    dtrace = outcome.dtrace
+    return outcome.dtrace
+
+
+def test_dtrace_folding_moves_late_observations_to_the_start(rover, rover_nocali):
+    dtrace = midrun_dtrace(rover, rover_nocali)
     observation_indexes = [
         i for i, s in enumerate(dtrace.steps) if s.kind == "observation"
     ]
@@ -180,6 +187,24 @@ def test_dtrace_folding_moves_late_observations_to_the_start(rover, rover_nocali
     assert labels == {NOP_LABEL, "A", "B"}
     assert folded.initial.network.formula == frozenset()
     assert folded.actions_performed() == dtrace.actions_performed()
+    assert validate_trace(folded) == []
+
+
+def reference_fold(dtrace: Trace) -> list:
+    """Removes the last observation step and extends every earlier step, repeatedly."""
+    steps = list(dtrace.steps)
+    while any(s.kind == OBSERVATION for s in steps):
+        index = max(i for i, s in enumerate(steps) if s.kind == OBSERVATION)
+        observed = steps.pop(index).observed
+        for i in range(index):
+            steps[i] = dc_replace(steps[i], config=with_observed(steps[i].config, observed))
+    return steps
+
+
+def test_dtrace_folding_matches_the_one_observation_at_a_time_fold(rover, rover_nocali):
+    dtrace = midrun_dtrace(rover, rover_nocali)
+    folded = dtrace_to_trace(dtrace)
+    assert folded.steps == reference_fold(dtrace)
     assert validate_trace(folded) == []
 
 
@@ -201,6 +226,7 @@ def test_dtrace_soundness_on_random_schedules():
             strict=True,
         )
         folded = dtrace_to_trace(outcome.dtrace)
+        assert folded.steps == reference_fold(outcome.dtrace)
         assert folded.actions_performed() == outcome.dtrace.actions_performed()
         assert validate_trace(folded) == []
 

@@ -190,16 +190,21 @@ def test_verify_failure_exits_5(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_act_interactive_reads_tasks_from_stdin(tmp_path, monkeypatch, capsys):
-    lines = iter(["transmitData(loc1), monitor", ""])
+def feed_stdin(monkeypatch, lines):
+    """Answer each ``input()`` prompt with the next line, then end of file."""
+    pending = iter(lines)
 
     def fake_input(prompt=""):
         try:
-            return next(lines)
+            return next(pending)
         except StopIteration:
             raise EOFError
 
     monkeypatch.setattr("builtins.input", fake_input)
+
+
+def test_act_interactive_reads_tasks_from_stdin(tmp_path, monkeypatch, capsys):
+    feed_stdin(monkeypatch, ["transmitData(loc1), monitor", ""])
     out = tmp_path / "trace.txt"
     code = main(["act", ROVER, PROB, "--interactive", "--out", str(out)])
     assert code == 0
@@ -209,19 +214,41 @@ def test_act_interactive_reads_tasks_from_stdin(tmp_path, monkeypatch, capsys):
 
 
 def test_act_interactive_rejects_trailing_input(tmp_path, monkeypatch, capsys):
-    lines = iter(["charge junk"])
-
-    def fake_input(prompt=""):
-        try:
-            return next(lines)
-        except StopIteration:
-            raise EOFError
-
-    monkeypatch.setattr("builtins.input", fake_input)
+    feed_stdin(monkeypatch, ["charge junk"])
     out = tmp_path / "trace.txt"
     main(["act", ROVER, PROB, "--interactive", "--out", str(out)])
     assert "cannot parse task 'charge junk'" in capsys.readouterr().err
     assert "kind: observation" not in out.read_text()
+
+
+TWO_PLACE_DOMAIN = """\
+domain two
+
+operator move(X, Y)
+  pre:
+  add: at(Y)
+  del: at(X)
+
+operator charge
+  pre:
+  add: charged
+  del:
+"""
+
+
+def test_act_interactive_keeps_commas_inside_arguments(tmp_path, monkeypatch, capsys):
+    domain = tmp_path / "two.htn"
+    domain.write_text(TWO_PLACE_DOMAIN)
+    problem = tmp_path / "two.prob"
+    problem.write_text("problem two\nstate: at(loc1)\n")
+    feed_stdin(monkeypatch, ["move(loc1,lan1), charge"])
+    out = tmp_path / "trace.txt"
+    code = main(["act", str(domain), str(problem), "--interactive", "--out", str(out)])
+    assert code == 0
+    assert "cannot parse task" not in capsys.readouterr().err
+    text = out.read_text()
+    assert "observed: t:move(loc1, lan1) t_2:charge" in text
+    assert "actions: nop . move(loc1, lan1) . charge" in text
 
 
 def test_verify_elimination_reports_replay_failure(capsys):

@@ -15,7 +15,18 @@ from htnact.constraints import (
     precedence_closure,
     rewrite_labels,
 )
-from htnact.model import Atom, Constant, LabelledTask, Literal, Task, Variable
+from htnact.acting import ReductionCouple
+from htnact.model import (
+    Atom,
+    Constant,
+    LabelledTask,
+    Literal,
+    Substitution,
+    Task,
+    Variable,
+    substitute,
+)
+from htnact.reduction import Body
 
 
 def ordc(a: str, b: str) -> Constraint:
@@ -137,3 +148,64 @@ def test_network_fingerprint_tells_structures_apart():
         frozenset(c for c in unordered.formula if not isinstance(c.body, Ordering)),
     )
     assert network_fingerprint(unordered) != base
+
+
+# -- structure sharing under substitution ------------------------------------
+
+def move_then_charge() -> TaskNetwork:
+    """``1: move(X)`` before ``2: charge``, gated on ``at(X)``."""
+    X = Variable("X")
+    tasks = [LabelledTask("1", Task("move", (X,))), LabelledTask("2", Task("charge"))]
+    formula = [
+        Constraint(Ordering(LabelRef("1"), LabelRef("2"))),
+        Constraint(Before(Literal(Atom("at", (X,))), LabelRef("1"))),
+    ]
+    return TaskNetwork(frozenset(tasks), frozenset(formula))
+
+
+def couple_over(network: TaskNetwork) -> ReductionCouple:
+    return ReductionCouple("n", network.tasks, (Body("m", 0, network),))
+
+
+def test_empty_and_disjoint_substitutions_share_every_value():
+    network = move_then_charge()
+    values = (network, Body("m", 0, network), couple_over(network), network.formula)
+    for theta in (Substitution(), Substitution({Variable("Z"): Constant("loc1")})):
+        for value in values:
+            assert substitute(value, theta) is value
+        for value in values[:3]:
+            assert value.substitute(theta) is value
+
+
+def test_substitution_of_one_task_equals_a_rebuild_and_shares_the_rest():
+    loc1 = Constant("loc1")
+    theta = Substitution({Variable("X"): loc1})
+    network = move_then_charge()
+    couple = couple_over(network)
+    rebuilt = TaskNetwork(
+        frozenset(
+            {LabelledTask("1", Task("move", (loc1,))), LabelledTask("2", Task("charge"))}
+        ),
+        frozenset(
+            {
+                Constraint(Ordering(LabelRef("1"), LabelRef("2"))),
+                Constraint(Before(Literal(Atom("at", (loc1,))), LabelRef("1"))),
+            }
+        ),
+    )
+    got = substitute(couple, theta)
+    assert got == couple_over(rebuilt)
+    got_network = got.alternatives[0].network
+    assert any(lt is network.task_of("2") for lt in got_network.tasks)
+    ordering = next(c for c in network.formula if isinstance(c.body, Ordering))
+    assert any(c is ordering for c in got_network.formula)
+
+
+def test_cached_labels_stay_out_of_equality_hash_and_repr():
+    network = move_then_charge()
+    read, unread = couple_over(network), couple_over(network)
+    assert read.labels == frozenset({"1", "2"})
+    assert read.alternatives[0].network.labels == frozenset({"1", "2"})
+    assert read == unread and hash(read) == hash(unread)
+    assert repr(read) == repr(unread)
+    assert network == move_then_charge() and hash(network) == hash(move_then_charge())

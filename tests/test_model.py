@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from htnact.model import (
     Atom,
     Constant,
+    LabelledTask,
     Literal,
     NameGenerator,
     Substitution,
@@ -111,3 +112,31 @@ def test_variable_and_constant_collection():
     task = Task("t", (X, loc1))
     assert variables_of(task) == frozenset({X})
     assert constants_of(task) == frozenset({loc1})
+
+
+# -- structure sharing under substitution --------------------------------------
+
+def test_empty_substitution_returns_the_same_object():
+    members = frozenset(
+        {LabelledTask("1", Task("move", (X, loc1))), LabelledTask("2", Task("charge"))}
+    )
+    args = (X, loc1)
+    assert substitute(members, Substitution()) is members
+    assert substitute(args, Substitution()) is args
+
+
+def test_disjoint_substitution_returns_the_same_object():
+    theta = Substitution({Y: a})
+    task = Task("move", (X, loc1))
+    literal = Literal(Atom("at", (X,)), positive=False)
+    values = (task, LabelledTask("1", task), literal, frozenset({task}), (literal, task))
+    for value in values:
+        assert substitute(value, theta) is value
+
+
+def test_substitution_rebuilds_only_what_it_changes():
+    moved = LabelledTask("1", Task("move", (X, loc1)))
+    kept = LabelledTask("2", Task("charge", (Y,)))
+    got = substitute(frozenset({moved, kept}), Substitution({X: lan1}))
+    assert got == frozenset({LabelledTask("1", Task("move", (lan1, loc1))), kept})
+    assert any(lt is kept for lt in got)

@@ -2,7 +2,7 @@
 
 The package couples an execution semantics for task networks (interleaved
 reduction, action execution and failure-recovery replacement) with a
-brute-force planning oracle, a continual sense-reason-act loop for exogenous
+forward-search planning oracle, a continual sense-reason-act loop for exogenous
 tasks, textual formats for domains and problems, and verification suites for
 the formal properties relating acting to planning.
 """

@@ -107,20 +107,31 @@ def top_couple(config: Configuration) -> ReductionCouple:
 
 def check_observable(task: Task, domain: Domain) -> Optional[str]:
     """Why ``task`` falls outside the observed-task stipulation, if it does."""
+    return _observation_problem(task, domain)[0]
+
+
+def _observation_problem(task: Task, domain: Domain) -> tuple[Optional[str], bool]:
+    """``check_observable``'s answer, and whether the task cannot be inserted.
+
+    A task that is not ground, names no operator or method, or does not match
+    its operator's arity cannot be inserted at all; the other violations
+    only break the stipulation.
+    """
     if not task.is_ground:
-        return f"observed task {task} is not ground"
+        return f"observed task {task} is not ground", True
     if domain.is_primitive(task.symbol):
         op = domain.operator_for(task)
+        if len(task.args) != len(op.params):
+            arity = f"{op.symbol}/{len(op.params)}"
+            return f"observed task {task} does not match operator {arity}", True
         if op.precondition:
-            return (
-                f"observed primitive task {task} has a non-empty precondition"
-            )
-        return None
+            return f"observed primitive task {task} has a non-empty precondition", False
+        return None, False
     if domain.is_nonprimitive(task.symbol):
         if not has_relevant_method(task, domain):
-            return f"observed task {task} has no relevant method"
-        return None
-    return f"observed task {task} has no operator or method"
+            return f"observed task {task} has no relevant method", False
+        return None, False
+    return f"observed task {task} has no operator or method", True
 
 
 def observe(
@@ -139,9 +150,9 @@ def observe(
     """
     labelled = []
     for wanted_label, task in tasks:
-        problem = check_observable(task, ctx.domain)
+        problem, fatal = _observation_problem(task, ctx.domain)
         if problem is not None:
-            if strict or "no operator or method" in problem or "not ground" in problem:
+            if strict or fatal:
                 raise ObservationError(problem)
             if warn is not None:
                 warn(problem)

@@ -15,6 +15,7 @@ from .acting import initial_configuration
 from .agent import (
     CallbackEvents,
     EventSource,
+    ObservationError,
     ScriptedEvents,
     dtrace_to_trace,
     run_agent,
@@ -159,16 +160,19 @@ def cmd_act(args) -> int:
             scenario = _load_scenario(args.scenario, domain)
             events = ScriptedEvents(dict(scenario.schedule))
             meta["scenario"] = scenario.name
-        outcome = run_agent(
-            problem.state,
-            domain,
-            events,
-            strategy,
-            max_iterations=args.max_iterations,
-            stop_on_success=not args.run_to_exhaustion,
-            strict=args.strict_observations,
-            warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
-        )
+        try:
+            outcome = run_agent(
+                problem.state,
+                domain,
+                events,
+                strategy,
+                max_iterations=args.max_iterations,
+                stop_on_success=not args.run_to_exhaustion,
+                strict=args.strict_observations,
+                warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
+            )
+        except ObservationError as exc:
+            raise InputError(str(exc)) from None
         trace = outcome.dtrace
         meta["iterations"] = str(outcome.iterations)
         _emit(render_trace(trace, domain.name, meta), args.out)
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="htnact",
         description="Act over hierarchical task networks, plan with the "
-        "brute-force oracle, and verify the formal properties.",
+        "forward-search oracle, and verify the formal properties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,16 +1,25 @@
-"""Brute-force planning semantics: completions and bounded solution sets.
+"""Planning semantics by forward search: completions and bounded solution sets.
 
 A completion of a primitive task network is a total ordering of one of its
 ground instances that is executable from the initial state and satisfies
 every constraint, evaluated positionally over the simulated state sequence.
 The solution set is the union of the completions of every network reachable
-by a bounded number of reductions.  This module trades efficiency for
-obviousness; it is the ground truth the acting semantics is verified against.
+by a bounded number of reductions.
+
+Completions are found by depth-first progression, per grounding of the
+network's variables: a task is placed once every task guaranteed to precede
+it is placed and its precondition holds in the state the placed prefix
+reaches, so orderings that share a prefix share its simulation.  Every full
+ordering is then checked against every constraint.  The pruning only drops
+orderings that a guaranteed precedence or a precondition already rules out,
+so the result is exactly the set of every grounding times every permutation
+that simulates and satisfies the formula; that makes this module the ground
+truth the acting semantics is verified against.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .constraints import (
     After,
@@ -23,11 +32,11 @@ from .constraints import (
     TaskNetwork,
     holds,
     network_fingerprint,
+    ordering_edges,
 )
 from .domain import Domain, run_generator
 from .model import (
     Constant,
-    LabelledTask,
     Substitution,
     Task,
     constants_of,
@@ -114,42 +123,55 @@ def completions(
         return frozenset()
     if universe is None:
         universe = constant_universe(network, state, domain)
-    found: set[tuple[Task, ...]] = set()
     base_tasks = network.sorted_tasks()
+    index = {lt.label: i for i, lt in enumerate(base_tasks)}
+    predecessors = [0] * len(base_tasks)
+    for a, b in ordering_edges(network.formula):
+        predecessors[index[b]] |= 1 << index[a]
+    found: set[tuple[Task, ...]] = set()
     for theta in _groundings(network, universe):
-        tasks = [lt.substitute(theta) for lt in base_tasks]
+        tasks = [lt.substitute(theta).task for lt in base_tasks]
         formula = [c.substitute(theta) for c in network.formula]
         orderings = [c for c in formula if isinstance(c.body, Ordering)]
         others = [c for c in formula if not isinstance(c.body, Ordering)]
-        for perm in itertools.permutations(tasks):
-            position = {lt.label: i for i, lt in enumerate(perm)}
-            if not all(
+        effects = [domain.operator_for(t).instantiate(t) for t in tasks]
+        for order, states in _executable_orders(effects, predecessors, state):
+            position = {base_tasks[i].label: k for k, i in enumerate(order)}
+            if all(
                 (not c.negated) == _ordering_holds(c.body, position)
                 for c in orderings
-            ):
-                continue
-            states = _simulate(perm, state, domain)
-            if states is None:
-                continue
-            if all(_satisfied(c, position, states) for c in others):
-                found.add(tuple(lt.task for lt in perm))
+            ) and all(_satisfied(c, position, states) for c in others):
+                found.add(tuple(tasks[i] for i in order))
     return frozenset(found)
 
 
-def _simulate(
-    sequence: tuple[LabelledTask, ...], state: frozenset, domain: Domain
-) -> Optional[list]:
-    """State sequence s0..sk for an executable run, or None if one step fails."""
-    states = [state]
-    current = state
-    for lt in sequence:
-        op = domain.operator_for(lt.task)
-        pre, add, delete = op.instantiate(lt.task)
-        if not all(holds(l, current) for l in pre):
-            return None
-        current = frozenset((current - frozenset(delete)) | frozenset(add))
-        states.append(current)
-    return states
+def _executable_orders(
+    effects: list[tuple], predecessors: list[int], state: frozenset
+) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Every executable order of the tasks that respects ``predecessors``.
+
+    ``effects[i]`` holds task ``i``'s instantiated precondition, add and
+    delete lists.  Task ``i`` is placed once every task in the bit mask
+    ``predecessors[i]`` is placed and its precondition holds in the state the
+    placed prefix reaches.  Yields each full order, as task indices, with its
+    state sequence s0..sk; orders that share a prefix share its states.
+    """
+    full = (1 << len(effects)) - 1
+    stack: list = [((), 0, (state,))]
+    while stack:
+        order, placed, states = stack.pop()
+        if placed == full:
+            yield order, states
+            continue
+        current = states[-1]
+        for i in range(len(effects)):
+            bit = 1 << i
+            if placed & bit or predecessors[i] & ~placed:
+                continue
+            pre, add, delete = effects[i]
+            if all(holds(l, current) for l in pre):
+                after = (current - frozenset(delete)) | frozenset(add)
+                stack.append((order + (i,), placed | bit, states + (after,)))
 
 
 def reachable_networks(

@@ -9,6 +9,7 @@ from htnact.agent import (
     NOP_LABEL,
     ObservationError,
     ScriptedEvents,
+    check_observable,
     dtrace_to_trace,
     initial_agent_configuration,
     observe,
@@ -74,6 +75,22 @@ def test_observe_rejects_unknown_symbols(rover):
     config, ctx, _ = fresh_agent(rover, frozenset())
     with pytest.raises(ObservationError):
         observe(config, [(None, Task("mystery"))], ctx)
+
+
+def test_observe_rejects_a_primitive_of_the_wrong_arity(rover):
+    task = Task("move", (loc1, Constant("lan1")))
+    assert check_observable(task, rover) == (
+        "observed task move(loc1, lan1) does not match operator move/1"
+    )
+    config, ctx, _ = fresh_agent(rover, frozenset())
+    with pytest.raises(ObservationError, match="does not match operator move/1"):
+        observe(config, [(None, task)], ctx)
+
+
+def test_run_agent_rejects_a_scheduled_primitive_of_the_wrong_arity(rover):
+    events = ScriptedEvents({0: [(None, Task("charge", (loc1,)))]})
+    with pytest.raises(ObservationError, match="does not match operator charge/0"):
+        run_agent(frozenset(), rover, events, DefaultStrategy())
 
 
 def test_observe_strict_rejects_preconditioned_primitives(rover):

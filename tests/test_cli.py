@@ -221,6 +221,17 @@ def test_act_interactive_rejects_trailing_input(tmp_path, monkeypatch, capsys):
     assert "kind: observation" not in out.read_text()
 
 
+def test_act_interactive_rejects_a_primitive_of_the_wrong_arity(
+    tmp_path, monkeypatch, capsys
+):
+    feed_stdin(monkeypatch, ["move(loc1, lan1)", ""])
+    code = main(["act", ROVER, PROB, "--interactive", "--out", str(tmp_path / "t.txt")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error: observed task move(loc1, lan1) does not match operator move/1" in err
+    assert "Traceback" not in err
+
+
 TWO_PLACE_DOMAIN = """\
 domain two
 

@@ -1,18 +1,30 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle_reference
 from htnact.constraints import (
+    After,
     Before,
     Between,
     Constraint,
+    FirstRef,
     LabelRef,
+    LastRef,
     Ordering,
     TaskNetwork,
 )
+from htnact.corpus import corpus
 from htnact.domain import Method, Operator, make_domain
 from htnact.model import Atom, Constant, LabelledTask, Literal, Task, Variable
-from htnact.oracle import completions, solutions_bounded
+from htnact.oracle import (
+    completions,
+    constant_universe,
+    reachable_networks,
+    solutions_bounded,
+)
+from htnact.syntax import parse_problem
 
 loc1 = Constant("loc1")
 
@@ -90,8 +102,6 @@ def test_completions_check_negated_before(tiny):
 
 
 def test_completions_check_after_constraints(tiny):
-    from htnact.constraints import After
-
     d = net(
         [LabelledTask("a", Task("mk")), LabelledTask("b", Task("rm"))],
         [Constraint(After(LabelRef("a"), Literal(Atom("p"))))],
@@ -190,3 +200,107 @@ def test_completions_are_permutations_of_the_tasks(tiny):
     d = net([LabelledTask("a", Task("mk")), LabelledTask("b", Task("rm"))])
     for seq in completions(d, frozenset(), tiny):
         assert sorted(t.symbol for t in seq) == ["mk", "rm"]
+
+
+def _problem(rover, text):
+    result = parse_problem(text, rover)
+    assert result.ok, [str(d) for d in result.diagnostics]
+    return result.value
+
+
+def _assert_matches_reference(network, state, domain, depth=4):
+    universe = constant_universe(network, state, domain)
+    for net in reachable_networks(network, domain, depth):
+        assert completions(net, state, domain, universe) == (
+            oracle_reference.completions(net, state, domain, universe)
+        ), str(net)
+    assert solutions_bounded(network, state, domain, depth) == (
+        oracle_reference.solutions_bounded(network, state, domain, depth)
+    )
+
+
+def test_forward_search_matches_brute_force_on_the_corpus():
+    for case in corpus(200, 0):
+        _assert_matches_reference(case.network, case.state, case.domain)
+
+
+def test_forward_search_matches_brute_force_on_rover(
+    rover, rover_problem, rover_nocali
+):
+    for problem in (rover_problem, rover_nocali):
+        _assert_matches_reference(problem.network, problem.state, rover)
+    housekeeping = _problem(rover, """\
+problem housekeeping
+state: raw, didExp(loc1), lander(lan1)
+tasks:
+  A: transmitData(loc1)
+  H1: monitor
+  H2: charge
+  H3: move(lan1)
+  H4: charge
+""")
+    _assert_matches_reference(housekeeping.network, housekeeping.state, rover)
+
+
+def test_forward_search_instantiates_each_task_once(monkeypatch):
+    # seven unordered tasks, none executable: a permutation search would
+    # instantiate the first task of each of the 5040 orderings
+    p = Atom("p")
+    domain = make_domain("blocked", [Operator("need", (), (Literal(p),), (), ())], [])
+    d = net([LabelledTask(str(i), Task("need")) for i in range(7)])
+    calls = []
+    original = Operator.instantiate
+
+    def counting(self, task):
+        calls.append(task)
+        return original(self, task)
+
+    monkeypatch.setattr(Operator, "instantiate", counting)
+    assert completions(d, frozenset(), domain) == frozenset()
+    assert len(calls) <= 7
+
+
+def test_two_unordered_transmits_have_twenty_solutions(rover):
+    # the brute-force reference gives the same 20 sequences, in about 20 s
+    problem = _problem(rover, """\
+problem two
+state: didExp(loc1), didExp(loc2), lander(lan1)
+tasks:
+  A: transmitData(loc1)
+  B: transmitData(loc2)
+""")
+    solutions = solutions_bounded(problem.network, problem.state, rover, 4)
+    assert len(solutions) == 20
+
+
+LABELS = ("a", "b", "c", "d")
+label_sets = st.frozensets(st.sampled_from(LABELS), min_size=1, max_size=3)
+task_refs = st.one_of(
+    st.sampled_from(LABELS).map(LabelRef),
+    label_sets.map(FirstRef),
+    label_sets.map(LastRef),
+)
+literals = st.builds(Literal, st.sampled_from((Atom("p"), Atom("q"))), st.booleans())
+constraint_bodies = st.one_of(
+    st.builds(Ordering, task_refs, task_refs),
+    st.builds(Before, literals, task_refs),
+    st.builds(After, task_refs, literals),
+    st.builds(Between, task_refs, literals, task_refs),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(("mk", "rm", "chk", "nop")), min_size=4, max_size=4),
+    st.lists(st.builds(Constraint, constraint_bodies, st.booleans()), max_size=4),
+    st.frozensets(st.sampled_from((Atom("p"), Atom("q")))),
+)
+def test_forward_search_matches_brute_force_on_every_constraint_form(
+    tiny, symbols, constraints, state
+):
+    # negated orderings and first[]/last[] endpoints, which the corpus does
+    # not generate, on four tasks over the tiny domain
+    d = net(
+        [LabelledTask(l, Task(s)) for l, s in zip(LABELS, symbols)], constraints
+    )
+    assert completions(d, state, tiny) == oracle_reference.completions(d, state, tiny)

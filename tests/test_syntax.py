@@ -4,6 +4,7 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htnact.constraints import Between, Constraint, FirstRef
 from htnact.fixtures import fixture_text
@@ -12,6 +13,7 @@ from htnact.syntax import (
     parse_domain,
     parse_problem,
     parse_scenario,
+    parse_task,
     render_domain,
     render_problem,
     render_scenario,
@@ -173,6 +175,31 @@ def test_parser_never_raises_on_noise():
         parse_domain(text)
         parse_problem(text)
         parse_scenario(text)
+
+
+SOUP_TOKENS = (
+    "domain", "problem", "scenario", "operator", "method", "pre:", "add:",
+    "del:", "tasks:", "constraints:", "state:", "ord", "not", "before",
+    "after", "between", "first[", "last[", "]", "<", ":", "(", ")", ",", "!",
+    "#", "=", "-", "\n", "  ", "\t", " ", "0", "1", "12", "-3", "A", "X",
+    "loc1", "m1", "monitor", "move", "transmitData", "nop", "lowCharge",
+)
+# whole fixture lines, so that the soup also reaches the per-section parsers
+SOUP_LINES = tuple(
+    line + "\n"
+    for name in ("rover.htn", "rover.prob", "walkthrough.evt")
+    for line in fixture_text(name).splitlines()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_TOKENS + SOUP_LINES), max_size=60).map("".join))
+def test_parsers_never_raise_on_token_soup(rover, text):
+    parse_domain(text)
+    parse_task(text)
+    for domain in (None, rover):
+        parse_problem(text, domain)
+        parse_scenario(text, domain)
 
 
 def test_fixture_files_round_trip_via_renderer(rover):

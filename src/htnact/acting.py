@@ -16,7 +16,7 @@ the observation step of a dynamic trace, and is the one place a successor
 configuration is built.
 
 All values are immutable; the only mutable collaborator is the fresh-name
-generator confined to one run context.
+generator confined to one run context, built on first use.
 """
 from __future__ import annotations
 
@@ -119,20 +119,31 @@ class Configuration:
 
 @dataclass
 class RunContext:
-    """Mutable per-run collaborators: fresh names and the constant universe."""
+    """Mutable per-run collaborators: fresh names and the constant universe.
+
+    ``gen`` avoids exactly the names ``config`` mentions; it is built the
+    first time it is read, so a context that never draws a name never walks
+    ``config``.
+    """
 
     domain: Domain
-    gen: NameGenerator
     universe: tuple[Constant, ...]
+    config: "Configuration" = field(repr=False)
+
+    @cached_property
+    def gen(self) -> NameGenerator:
+        return NameGenerator(*_names_of_config(self.config))
 
     def for_config(self, config: "Configuration") -> "RunContext":
         """A context whose fresh names avoid exactly what ``config`` mentions.
 
         Branching explorations use this instead of sharing one generator:
         labels are fresh with respect to the configuration at hand, and the
-        constant universe stays the run-wide one.
+        constant universe stays the run-wide one.  The generator is built on
+        first use: only a reduction draws names, so a node with no primary
+        non-primitive task never builds one.
         """
-        return make_context(self.domain, config, universe=self.universe)
+        return RunContext(self.domain, self.universe, config)
 
     def absorb(self, choice: "Choice") -> None:
         """Commit the names a chosen reduction introduced to the generator.
@@ -176,19 +187,15 @@ def _names_of_config(config: "Configuration") -> tuple[set, set]:
     return labels, variables
 
 
-def make_context(
-    domain: Domain, config: Configuration, universe: Optional[tuple] = None
-) -> RunContext:
-    gen = NameGenerator(*_names_of_config(config))
-    if universe is None:
-        universe = tuple(
-            sorted(
-                constants_of(config.network)
-                | constants_of(config.state)
-                | domain.constants
-            )
+def make_context(domain: Domain, config: Configuration) -> RunContext:
+    universe = tuple(
+        sorted(
+            constants_of(config.network)
+            | constants_of(config.state)
+            | domain.constants
         )
-    return RunContext(domain, gen, universe)
+    )
+    return RunContext(domain, universe, config)
 
 
 class _Described:
@@ -559,20 +566,42 @@ def exec_via_reduction(cfg: Configuration, ctx: RunContext) -> tuple[Choice, ...
     return tuple(choices)
 
 
+def _progresses(lt: LabelledTask, can_act, domain: Domain) -> bool:
+    """The one test behind "blocked": a primary task makes progress when it is
+    an action for which ``can_act(label)`` holds, or a non-primitive task with
+    a relevant method.  A couple is blocked when none of its primary members
+    makes progress."""
+    if domain.is_primitive(lt.task.symbol):
+        return can_act(lt.label)
+    return has_relevant_method(lt.task, domain)
+
+
+def _none_progresses(
+    members, d: TaskNetwork, state: frozenset, ctx: RunContext
+) -> bool:
+    """No task of ``members`` makes progress, applicability computed here at
+    most once per action.  Members are tried in label order, so which checks
+    run does not depend on string hashing."""
+    def can_act(label: str) -> bool:
+        return is_applicable(label, d, state, ctx) is not None
+
+    return not any(
+        _progresses(lt, can_act, ctx.domain)
+        for lt in sorted(members, key=labelled_task_key)
+    )
+
+
 def is_blocked(
     pursued: frozenset, d: TaskNetwork, state: frozenset, ctx: RunContext
 ) -> bool:
-    """Is every primary member of ``pursued`` unable to make progress?"""
-    members = {lt for lt in primary_tasks(d, ctx.domain) if lt in pursued}
+    """Is every primary member of ``pursued`` unable to make progress?
+
+    Applicability is computed here, at most once per primary action.
+    """
+    members = primary_tasks(d, ctx.domain) & pursued
     if not members:
         raise ValueError("pursued set shares no primary task with the network")
-    for lt in members:
-        if ctx.domain.is_primitive(lt.task.symbol):
-            if is_applicable(lt.label, d, state, ctx) is not None:
-                return False
-        elif has_relevant_method(lt.task, ctx.domain):
-            return False
-    return True
+    return _none_progresses(members, d, state, ctx)
 
 
 def replace_tasks(pursued: frozenset, body: TaskNetwork, d: TaskNetwork) -> TaskNetwork:
@@ -674,18 +703,31 @@ def replacement_choice(
     )
 
 
-def exec_via_replacement(cfg: Configuration, ctx: RunContext) -> tuple[Choice, ...]:
-    choices = []
-    primary_labels = frozenset(
-        lt.label for lt in primary_tasks(cfg.network, cfg.domain)
+def exec_via_replacement(
+    cfg: Configuration, ctx: RunContext, actions: Optional[tuple[Choice, ...]] = None
+) -> tuple[Choice, ...]:
+    """Replacements of blocked couples with alternatives left.
+
+    Which primary actions can act is read off ``actions``, the choices
+    ``exec_via_action`` offers at ``cfg``: ``exec_all`` passes its own, and
+    when none are given they are computed here the same way.
+    """
+    if actions is None:
+        actions = exec_via_action(cfg, ctx)
+    can_act = frozenset(choice.label for choice in actions).__contains__
+    primary = primary_tasks(cfg.network, cfg.domain)
+    primary_labels = frozenset(lt.label for lt in primary)
+    progressing = frozenset(
+        lt.label for lt in primary if _progresses(lt, can_act, cfg.domain)
     )
+    choices = []
     smallest = None
     for couple in cfg.sorted_couples():
         if not couple.alternatives:
             continue
-        if not (couple.labels & primary_labels):
+        if couple.labels.isdisjoint(primary_labels):
             continue
-        if not is_blocked(couple.pursued, cfg.network, cfg.state, ctx):
+        if not couple.labels.isdisjoint(progressing):
             continue
         if smallest is None:
             smallest = smallest_replaceable(cfg.couples)
@@ -700,10 +742,11 @@ def exec_all(
     """Every execution possible from ``cfg``: actions, reductions, replacements."""
     if not cfg.network.tasks:
         return ()
+    actions = exec_via_action(cfg, ctx, all_bindings)
     return (
-        exec_via_action(cfg, ctx, all_bindings)
+        actions
         + exec_via_reduction(cfg, ctx)
-        + exec_via_replacement(cfg, ctx)
+        + exec_via_replacement(cfg, ctx, actions)
     )
 
 
@@ -783,12 +826,19 @@ def is_successful(cfg: Configuration) -> bool:
 
 
 def is_trace_blocked(cfg: Configuration, ctx: RunContext) -> bool:
-    """Every couple meeting a primary task is blocked with nothing left to try."""
-    primary_labels = frozenset(
-        lt.label for lt in primary_tasks(cfg.network, cfg.domain)
-    )
-    # sorted, so that which couples get checked does not depend on string hashing
-    meeting = [c for c in cfg.sorted_couples() if c.labels & primary_labels]
-    if any(c.alternatives for c in meeting):
-        return False
-    return all(is_blocked(c.pursued, cfg.network, cfg.state, ctx) for c in meeting)
+    """Every couple meeting a primary task is blocked with nothing left to try.
+
+    Applicability is computed here, not taken from the choices at ``cfg``, at
+    most once per primary action: the couples are all blocked exactly when
+    none of the primary tasks they pursue can make progress.
+    """
+    primary = primary_tasks(cfg.network, cfg.domain)
+    primary_labels = frozenset(lt.label for lt in primary)
+    pursued: set[str] = set()
+    for couple in cfg.couples:
+        met = couple.labels & primary_labels
+        if met and couple.alternatives:
+            return False
+        pursued |= met
+    members = [lt for lt in primary if lt.label in pursued]
+    return _none_progresses(members, cfg.network, cfg.state, ctx)

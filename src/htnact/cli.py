@@ -144,6 +144,8 @@ def _interactive_events(domain) -> EventSource:
 
 
 def cmd_act(args) -> int:
+    if args.max_steps < 1:
+        raise InputError("--max-steps must be at least 1")
     domain = _load_domain(args.domain)
     problem = _load_problem(args.problem, domain)
     strategy = _make_strategy(args.strategy, args.seed)
@@ -238,6 +240,8 @@ def _parse_target(text: str) -> tuple[Task, ...]:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        raise InputError("--count must be at least 1")
     suite = args.suite
     result: SuiteResult
     if suite in ("equivalence", "extendability", "elimination"):

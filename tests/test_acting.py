@@ -482,9 +482,12 @@ def test_exec_all_empty_when_fully_blocked(rover):
     assert is_trace_blocked(cfg, ctx)
 
 
-# Counts is_blocked calls over a plain run and an agent run of rover with two
-# chained transmitData tasks; printed as "<plain> <plain + agent>".
+# Counts is_blocked and applicability calls over a plain run and an agent run
+# of rover with two chained transmitData tasks; printed as
+# "<plain> <plain + agent>".
 BLOCKED_CALLS_SCRIPT = r"""
+from collections import Counter
+
 from htnact import acting
 from htnact.acting import initial_configuration
 from htnact.agent import ScriptedEvents, run_agent
@@ -492,15 +495,19 @@ from htnact.fixtures import fixture_text
 from htnact.syntax import parse_domain, parse_problem, parse_scenario
 from htnact.trace import DefaultStrategy, run
 
-calls = 0
-real = acting.is_blocked
+calls = Counter()
 
-def counted(*args):
-    global calls
-    calls += 1
-    return real(*args)
+def counted(name):
+    real = getattr(acting, name)
 
-acting.is_blocked = counted
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    setattr(acting, name, wrapper)
+
+counted("is_blocked")
+counted("applicable_substitutions")
 domain = parse_domain(fixture_text("rover.htn"), "rover").value
 problem = parse_problem(
     "problem two\nstate: didExp(loc1), didExp(loc2), lander(lan1)\n"
@@ -509,12 +516,12 @@ problem = parse_problem(
     domain,
 ).value
 run(initial_configuration(problem.network, problem.state, domain), DefaultStrategy())
-plain = calls
+plain = sorted(calls.items())
 scenario = parse_scenario(
     "scenario two\n0: A1: transmitData(loc1)\n8: A2: transmitData(loc2)\n", domain
 ).value
 run_agent(problem.state, domain, ScriptedEvents(dict(scenario.schedule)), DefaultStrategy())
-print(plain, calls)
+print(plain, sorted(calls.items()))
 """
 
 

@@ -1,0 +1,236 @@
+"""Blocked couples and the cost of one configuration node.
+
+``exec_via_replacement`` reads which actions can act off the action choices
+at the node, and ``is_blocked``/``is_trace_blocked`` share its one test of
+progress.  The references below are the per-couple loop those functions
+replaced; every configuration explored from corpus cases and from both rover
+problems must get the same answers from both.
+"""
+from __future__ import annotations
+
+from htnact import acting
+from htnact import trace as trace_module
+from htnact.acting import (
+    apply,
+    exec_all,
+    exec_via_action,
+    exec_via_replacement,
+    initial_configuration,
+    is_applicable,
+    is_blocked,
+    is_successful,
+    is_trace_blocked,
+    make_context,
+    primary_tasks,
+    replacement_choice,
+    smallest_replaceable,
+)
+from htnact.corpus import corpus
+from htnact.reduction import has_relevant_method
+from htnact.syntax import parse_domain, parse_problem
+from htnact.trace import (
+    DefaultStrategy,
+    canonical_key,
+    run,
+    successful_action_sequences,
+)
+
+
+def reference_is_blocked(pursued, d, state, ctx) -> bool:
+    members = {lt for lt in primary_tasks(d, ctx.domain) if lt in pursued}
+    if not members:
+        raise ValueError("pursued set shares no primary task with the network")
+    for lt in members:
+        if ctx.domain.is_primitive(lt.task.symbol):
+            if is_applicable(lt.label, d, state, ctx) is not None:
+                return False
+        elif has_relevant_method(lt.task, ctx.domain):
+            return False
+    return True
+
+
+def meeting_couples(cfg):
+    primary_labels = {lt.label for lt in primary_tasks(cfg.network, cfg.domain)}
+    return [c for c in cfg.sorted_couples() if c.labels & primary_labels]
+
+
+def reference_replacements(cfg, ctx) -> tuple:
+    choices = []
+    for couple in meeting_couples(cfg):
+        if not couple.alternatives:
+            continue
+        if not reference_is_blocked(couple.pursued, cfg.network, cfg.state, ctx):
+            continue
+        smallest = smallest_replaceable(cfg.couples)
+        for body in couple.alternatives:
+            choices.append(replacement_choice(cfg, couple, body, smallest))
+    return tuple(choices)
+
+
+def reference_is_trace_blocked(cfg, ctx) -> bool:
+    meeting = meeting_couples(cfg)
+    if any(c.alternatives for c in meeting):
+        return False
+    return all(
+        reference_is_blocked(c.pursued, cfg.network, cfg.state, ctx) for c in meeting
+    )
+
+
+def explored(cfg0, limit: int = 200):
+    """Up to ``limit`` distinct configurations reachable from ``cfg0``."""
+    ctx = make_context(cfg0.domain, cfg0)
+    seen = {canonical_key(cfg0)}
+    stack, out = [cfg0], []
+    while stack and len(out) < limit:
+        cfg = stack.pop()
+        out.append(cfg)
+        for choice in exec_all(cfg, ctx.for_config(cfg), all_bindings=True):
+            successor = apply(cfg, choice).config
+            key = canonical_key(successor)
+            if key not in seen:
+                seen.add(key)
+                stack.append(successor)
+    return out
+
+
+def starts(rover, rover_problem, rover_nocali):
+    yield initial_configuration(rover_problem.network, rover_problem.state, rover)
+    yield initial_configuration(rover_nocali.network, rover_nocali.state, rover)
+    for case in corpus(100, 0):
+        yield initial_configuration(case.network, case.state, case.domain)
+
+
+def test_blocked_checks_agree_with_the_per_couple_reference(
+    rover, rover_problem, rover_nocali
+):
+    nodes = replaced = trace_blocked = 0
+    for cfg0 in starts(rover, rover_problem, rover_nocali):
+        ctx = make_context(cfg0.domain, cfg0)
+        for cfg in explored(cfg0):
+            if is_successful(cfg):
+                continue
+            nodes += 1
+            node_ctx = ctx.for_config(cfg)
+            expected = reference_replacements(cfg, node_ctx)
+            assert exec_via_replacement(cfg, node_ctx) == expected
+            actions = exec_via_action(cfg, node_ctx, all_bindings=True)
+            assert exec_via_replacement(cfg, node_ctx, actions) == expected
+            expected_blocked = reference_is_trace_blocked(cfg, node_ctx)
+            assert is_trace_blocked(cfg, node_ctx) == expected_blocked
+            for couple in meeting_couples(cfg):
+                args = (couple.pursued, cfg.network, cfg.state, node_ctx)
+                assert is_blocked(*args) == reference_is_blocked(*args)
+            replaced += bool(expected)
+            trace_blocked += expected_blocked
+    assert nodes > 1000 and replaced > 200 and trace_blocked > 100
+
+
+# -- counting guards ------------------------------------------------------------
+
+COUNTER_DOMAIN = """\
+domain counter
+
+operator dec(X, Y)
+  pre: cnt(X), next(X, Y)
+  add: cnt(Y)
+  del: cnt(X)
+
+operator a
+  pre:
+  add:
+  del:
+
+operator b
+  pre:
+  add:
+  del:
+
+method m1 loop
+  tasks:
+    1: dec(X, Y)
+    2: loop
+    3: a
+  constraints:
+    ord 1 < 2
+    ord 2 < 3
+
+method m2 loop
+  tasks:
+    4: b
+    5: a
+  constraints:
+    ord 4 < 5
+"""
+
+
+def counter_problem(depth: int):
+    domain = parse_domain(COUNTER_DOMAIN, "counter").value
+    facts = ["cnt(c0)"] + [f"next(c{i}, c{i + 1})" for i in range(depth)]
+    text = f"problem deep\nstate: {', '.join(facts)}\ntasks:\n  L: loop\n"
+    return parse_problem(text, domain).value, domain
+
+
+def test_exec_all_checks_each_primary_action_once(monkeypatch):
+    problem, domain = counter_problem(10)
+    cfg0 = initial_configuration(problem.network, problem.state, domain)
+    trace = run(cfg0, DefaultStrategy())
+    assert is_successful(trace.final)
+    assert max(len(s.config.couples) for s in trace.steps) > 10
+
+    calls = []
+    real = acting.applicable_substitutions
+
+    def counted(label, *args, **kwargs):
+        calls.append(label)
+        return real(label, *args, **kwargs)
+
+    monkeypatch.setattr(acting, "applicable_substitutions", counted)
+    for step in trace.steps:
+        cfg = step.config
+        ctx = make_context(domain, cfg)
+        calls.clear()
+        exec_all(cfg, ctx)
+        actions = {
+            lt.label
+            for lt in primary_tasks(cfg.network, domain)
+            if domain.is_primitive(lt.task.symbol)
+        }
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= actions
+
+
+def test_explorer_builds_names_only_where_a_reduction_may_draw_them(
+    monkeypatch, rover, rover_nocali
+):
+    built = []
+    real = acting._names_of_config
+
+    def recorded(config):
+        built.append(config)
+        return real(config)
+
+    monkeypatch.setattr(acting, "_names_of_config", recorded)
+    nodes = []
+    real_exec_all = acting.exec_all
+
+    def counted_exec_all(cfg, *args, **kwargs):
+        nodes.append(cfg)
+        return real_exec_all(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(trace_module, "exec_all", counted_exec_all)
+    cfg0 = initial_configuration(rover_nocali.network, rover_nocali.state, rover)
+    assert successful_action_sequences(cfg0, make_context(rover, cfg0))
+    assert built and len(built) < len(nodes)
+    for cfg in built:
+        assert any(
+            rover.is_nonprimitive(lt.task.symbol)
+            for lt in primary_tasks(cfg.network, rover)
+        )
+
+
+def test_a_context_builds_the_names_of_its_configuration_once(rover, rover_nocali):
+    cfg0 = initial_configuration(rover_nocali.network, rover_nocali.state, rover)
+    ctx = make_context(rover, cfg0)
+    assert "gen" not in vars(ctx)
+    assert ctx.gen is ctx.gen
+    assert ctx.gen.label("A") == "A_2"

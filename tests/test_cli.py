@@ -130,6 +130,23 @@ def test_plan_depth_zero_is_an_input_error(capsys):
     assert main(["plan", ROVER, PROB_NOCALI, "--depth", "0"]) == 4
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_act_non_positive_max_steps_is_an_input_error(capsys, steps):
+    assert main(["act", ROVER, PROB, "--max-steps", steps]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: --max-steps must be at least 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_verify_non_positive_count_is_an_input_error(capsys, count):
+    code = main(["verify", "--suite", "equivalence", "--count", count])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: --count must be at least 1\n"
+    assert "PASS" not in captured.out
+
+
 def test_verify_acting_only(capsys):
     code = main(["verify", ROVER, PROB_NOCALI, "--suite", "acting-only"])
     assert code == 0

@@ -87,6 +87,22 @@ class ReductionCouple:
     def labels(self) -> frozenset[str]:
         return frozenset(lt.label for lt in self.pursued)
 
+    @cached_property
+    def sorted_members(self) -> tuple[tuple[str, str], ...]:
+        """``(label, task text)`` of each pursued task, sorted by task text and
+        then label, once per couple: the order ``canonical_key`` renames in."""
+        return tuple(
+            (lt.label, lt.task.text)
+            for lt in sorted(
+                self.pursued, key=lambda lt: (lt.task.text, label_key(lt.label))
+            )
+        )
+
+    @cached_property
+    def alternatives_key(self) -> str:
+        """The alternatives' ``Body.key_fragment`` texts, joined once."""
+        return " ".join(body.key_fragment for body in self.alternatives)
+
     def sort_key(self) -> tuple:
         return (self.origin is not None, label_key(self.origin or ""))
 

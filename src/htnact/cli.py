@@ -173,7 +173,7 @@ def cmd_act(args) -> int:
                 strict=args.strict_observations,
                 warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
             )
-        except ObservationError as exc:
+        except (ObservationError, TraceError) as exc:
             raise InputError(str(exc)) from None
         trace = outcome.dtrace
         meta["iterations"] = str(outcome.iterations)

@@ -147,6 +147,11 @@ class Constraint:
             out |= ref_labels(ref)
         return frozenset(out)
 
+    @cached_property
+    def sorted_labels(self) -> tuple[str, ...]:
+        """``labels()`` in ``label_key`` order, sorted once per object."""
+        return tuple(sorted(self.labels(), key=label_key))
+
     def rewrite_refs(self, fn) -> "Constraint":
         b = self.body
         if isinstance(b, Ordering):
@@ -161,8 +166,13 @@ class Constraint:
             return self
         return Constraint(new, self.negated)
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """``str(self)``, rendered once per object."""
         return f"not {self.body}" if self.negated else str(self.body)
+
+    def __str__(self) -> str:
+        return self.text
 
 
 def render_formula(formula: Iterable[Constraint]) -> str:
@@ -210,21 +220,26 @@ def label_renamer() -> Callable[[str], str]:
 def network_fingerprint(
     network: TaskNetwork, rename: Optional[Callable[[str], str]] = None
 ) -> str:
-    """A label-renaming-invariant form of ``network``.
+    """``network`` with its labels renamed to ``#k``.
 
-    Labels are renamed in a deterministic traversal order: the tasks sorted by
-    task and then label, then the labels of each constraint not met yet.
-    Networks that differ only in the names their fresh labels happened to get
-    share a fingerprint as long as those names sort alike; distinct structures
-    never do.  Passing ``rename`` continues one renaming across several
-    networks.
+    Labels are numbered in a deterministic traversal order: the tasks sorted
+    by task text and then label, then the labels of each constraint, taking
+    the constraints in the order of their text and each one's labels in
+    ``label_key`` order.  Distinct structures never share a fingerprint.
+    Networks that differ only by a renaming of their labels share one when
+    the renaming keeps that order, not otherwise: tasks with the same text
+    are told apart by label order, and a constraint's text names its labels.
+    Passing ``rename`` continues one renaming across several networks.
+
+    Task and constraint texts and each constraint's sorted labels are cached
+    on those values, so a call sorts and renames but renders nothing again.
     """
     rename = rename or label_renamer()
-    tasks = sorted(network.tasks, key=lambda lt: (str(lt.task), label_key(lt.label)))
-    pieces = [f"{rename(lt.label)}:{lt.task}" for lt in tasks]
-    formula = sorted(network.formula, key=str)
+    tasks = sorted(network.tasks, key=lambda lt: (lt.task.text, label_key(lt.label)))
+    pieces = [f"{rename(lt.label)}:{lt.task.text}" for lt in tasks]
+    formula = sorted(network.formula, key=lambda c: c.text)
     for c in formula:
-        for label in sorted(c.labels(), key=label_key):
+        for label in c.sorted_labels:
             rename(label)
     rendered = sorted(_renamed_constraint(c, rename) for c in formula)
     return " ".join(pieces) + " | " + " & ".join(rendered)
@@ -240,7 +255,7 @@ def _renamed_constraint(c: Constraint, rename: Callable[[str], str]) -> str:
     parts = [type(c.body).__name__] + [ref_str(ref) for ref in c.refs()]
     literal = getattr(c.body, "literal", None)
     if literal is not None:
-        parts.append(str(literal))
+        parts.append(literal.text)
     if c.negated:
         parts.append("~")
     return " ".join(parts)

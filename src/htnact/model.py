@@ -8,6 +8,7 @@ constant, so the two namespaces never collide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 EQUALITY_SYMBOL = "="
@@ -47,10 +48,15 @@ class Atom:
     def is_ground(self) -> bool:
         return not any(isinstance(a, Variable) for a in self.args)
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """``str(self)``, rendered once per object."""
         if not self.args:
             return self.symbol
         return f"{self.symbol}({', '.join(map(str, self.args))})"
+
+    def __str__(self) -> str:
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,13 @@ class Literal:
     def is_ground(self) -> bool:
         return self.atom.is_ground
 
+    @cached_property
+    def text(self) -> str:
+        """``str(self)``, rendered once per object."""
+        return self.atom.text if self.positive else f"!{self.atom.text}"
+
     def __str__(self) -> str:
-        return str(self.atom) if self.positive else f"!{self.atom}"
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -90,10 +101,15 @@ class Task:
     def is_ground(self) -> bool:
         return not any(isinstance(a, Variable) for a in self.args)
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """``str(self)``, rendered once per object."""
         if not self.args:
             return self.symbol
         return f"{self.symbol}({', '.join(map(str, self.args))})"
+
+    def __str__(self) -> str:
+        return self.text
 
 
 @dataclass(frozen=True)

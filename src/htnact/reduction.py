@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .constraints import (
     After,
@@ -13,6 +14,7 @@ from .constraints import (
     LastRef,
     Ordering,
     TaskNetwork,
+    network_fingerprint,
     rewrite_labels,
 )
 from .domain import Domain, fresh_rename
@@ -39,6 +41,16 @@ class Body:
 
     def sort_key(self) -> tuple:
         return (self.index, str(self.network))
+
+    @cached_property
+    def key_fragment(self) -> str:
+        """This body's part of a canonical configuration key, built once.
+
+        The network is fingerprinted under a renaming of its own: a body's
+        labels are fresh and its constraints mention no label outside it, so
+        no other part of a configuration shares a label with it.
+        """
+        return f"{self.index}<{network_fingerprint(self.network)}>"
 
 
 def has_relevant_method(task: Task, domain: Domain) -> bool:

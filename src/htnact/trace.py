@@ -465,33 +465,41 @@ class SearchBudgetExceeded(Exception):
 
 
 def canonical_key(cfg: Configuration) -> str:
-    """A renaming-invariant fingerprint of a configuration (minus bindings).
+    """A fingerprint of a configuration (minus bindings) for memoising search.
 
     Extends ``network_fingerprint`` of the network with the state and the
-    couples, under one renaming, so configurations that differ only by the
-    names their fresh labels happened to get collapse to one key.  Distinct
-    structures always produce distinct keys.
+    couples, under one renaming of the network's and the couples' labels.
+    Each untried alternative body adds its own ``Body.key_fragment``, whose
+    renaming is local: body labels are fresh and meet no other part of the
+    configuration, which every execution keeps.  Distinct structures always
+    produce distinct keys.
+
+    The key is invariant only under renamings that keep label order, not
+    under every renaming: couples are taken in ``label_key`` order of their
+    origins, and tasks or constraints that differ only in their labels are
+    numbered in label order.  Two configurations that differ by another
+    renaming may get different keys, which costs the explorers a memo hit
+    but never a result.  Invariance under every renaming needs a canonical
+    labelling and is open work (ROADMAP.md).
+
+    Per call, only the network and the couples' members are renamed.  The
+    rest is cached on immutable values, once per object: the texts of tasks,
+    atoms, literals and constraints (``model``, ``constraints``), each
+    constraint's sorted labels, each couple's sorted members and joined
+    alternatives (``acting.ReductionCouple``), and each body's fragment
+    (``reduction.Body``).
     """
     rename = label_renamer()
     pieces = [
         network_fingerprint(cfg.network, rename),
-        "@" + " ".join(sorted(map(str, cfg.state))),
+        "@" + " ".join(sorted(atom.text for atom in cfg.state)),
     ]
     for couple in cfg.sorted_couples():
         origin = rename(couple.origin) if couple.origin else "top"
         members = " ".join(
-            sorted(
-                f"{rename(lt.label)}:{lt.task}"
-                for lt in sorted(
-                    couple.pursued, key=lambda t: (str(t.task), label_key(t.label))
-                )
-            )
+            sorted(f"{rename(label)}:{text}" for label, text in couple.sorted_members)
         )
-        alts = " ".join(
-            f"{body.index}<{network_fingerprint(body.network, rename)}>"
-            for body in couple.alternatives
-        )
-        pieces.append(f"[{origin}: {members} ! {alts}]")
+        pieces.append(f"[{origin}: {members} ! {couple.alternatives_key}]")
     return "\n".join(pieces)
 
 

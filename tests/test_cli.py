@@ -117,6 +117,21 @@ def test_act_missing_file_exits_4():
     assert main(["act", "nowhere.htn", PROB_NOCALI]) == 4
 
 
+def test_act_agent_script_mismatch_exits_4(tmp_path, capsys):
+    # the agent walkthrough script is written for rover_nocali.prob; on the
+    # calibrated problem its "replace 6 with m4" matches no execution
+    out = tmp_path / "trace.txt"
+    code = main(
+        ["act", ROVER, PROB, EVT, "--strategy", f"script:{AGENT_CHOICES}",
+         "--out", str(out)]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error: directive replace 6 with m4 matches no execution" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_plan_lists_the_solution(capsys):
     code = main(["plan", ROVER, PROB_NOCALI, "--depth", "4"])
     assert code == 0

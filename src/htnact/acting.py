@@ -15,8 +15,9 @@ configuration as light ``Choice`` values; ``apply`` performs one choice, or
 the observation step of a dynamic trace, and is the one place a successor
 configuration is built.
 
-All values are immutable; the only mutable collaborator is the fresh-name
-generator confined to one run context, built on first use.
+All values are immutable; the only mutable collaborators are the fresh-name
+generator, built on first use, and the applicability memo, both confined to
+one run context.
 """
 from __future__ import annotations
 
@@ -135,16 +136,26 @@ class Configuration:
 
 @dataclass
 class RunContext:
-    """Mutable per-run collaborators: fresh names and the constant universe.
+    """Mutable per-run collaborators: fresh names, the constant universe and
+    the applicability memo.
 
     ``gen`` avoids exactly the names ``config`` mentions; it is built the
     first time it is read, so a context that never draws a name never walks
     ``config``.
+
+    ``applicable`` memoises ``applicable_substitutions`` under the key
+    ``(task, extracted literals, state, limit)``; with the domain and the
+    universe, which every context of one lineage shares, the key decides the
+    result.  ``make_context`` starts an empty memo, ``for_config`` passes the
+    same one on, so a search grounds a task once per state and literals, and
+    ``extend_universe`` starts a fresh one.  The memo is dropped with the
+    last context of its lineage: nothing is shared between searches.
     """
 
     domain: Domain
     universe: tuple[Constant, ...]
     config: "Configuration" = field(repr=False)
+    applicable: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def gen(self) -> NameGenerator:
@@ -155,11 +166,11 @@ class RunContext:
 
         Branching explorations use this instead of sharing one generator:
         labels are fresh with respect to the configuration at hand, and the
-        constant universe stays the run-wide one.  The generator is built on
-        first use: only a reduction draws names, so a node with no primary
-        non-primitive task never builds one.
+        constant universe and the applicability memo stay the run-wide ones.
+        The generator is built on first use: only a reduction draws names, so
+        a node with no primary non-primitive task never builds one.
         """
-        return RunContext(self.domain, self.universe, config)
+        return RunContext(self.domain, self.universe, config, self.applicable)
 
     def absorb(self, choice: "Choice") -> None:
         """Commit the names a chosen reduction introduced to the generator.
@@ -180,8 +191,11 @@ class RunContext:
             self.gen.reserve_variable(variable.name)
 
     def extend_universe(self, constants) -> None:
+        """Add ``constants`` to the universe and start a fresh memo: residual
+        variables now range over more constants."""
         merged = set(self.universe) | set(constants)
         self.universe = tuple(sorted(merged))
+        self.applicable = {}
 
 
 def initial_configuration(
@@ -386,75 +400,81 @@ def applicable_substitutions(
     (including any left in the task's own arguments) range over the constant
     universe.  Enumeration order is deterministic, so the first result is the
     canonical binding.
+
+    Results are memoised in ``ctx.applicable`` under ``(task, extracted
+    literals, state, limit)``, for as long as the context lineage of one
+    search lives; ``RunContext.extend_universe`` resets the memo.
     """
-    lt = d.task_of(label)
-    op = ctx.domain.operator_for(lt.task)
-    pre, _, _ = op.instantiate(lt.task)
-    literals = sorted(
-        set(pre) | set(extracted_literals(label, d)), key=str
-    )
+    task = d.task_of(label).task
+    key = (task, extracted_literals(label, d), state, limit)
+    found = ctx.applicable.get(key)
+    if found is None:
+        found = ctx.applicable[key] = _ground(task, key[1], state, ctx, limit)
+    return found
+
+
+def _ground(
+    task: Task,
+    extracted: frozenset,
+    state: frozenset,
+    ctx: RunContext,
+    limit: Optional[int],
+) -> tuple[Substitution, ...]:
+    """``applicable_substitutions`` computed afresh."""
+    pre, _, _ = ctx.domain.operator_for(task).instantiate(task)
+    literals = sorted(set(pre) | extracted, key=str)
     positives = [l for l in literals if l.positive]
     negatives = [l for l in literals if not l.positive]
-    atoms = sorted(state, key=str)
+    terms = itertools.chain(task.args, *(l.atom.args for l in literals))
+    variables = sorted(
+        {t for t in terms if isinstance(t, Variable)}, key=lambda v: v.name
+    )
     results: list[Substitution] = []
     seen: set[Substitution] = set()
-
-    def emit(binding: dict) -> bool:
-        theta = Substitution(binding)
-        for lit in negatives:
-            if not holds(lit.substitute(theta), state):
-                return False
-        if theta in seen:
-            return False
-        seen.add(theta)
-        results.append(theta)
-        return limit is not None and len(results) >= limit
-
-    def ground_residuals(binding: dict) -> bool:
-        free = sorted(
-            {
-                v
-                for v in variables_of(lt.task) | variables_of(tuple(literals))
-                if not isinstance(binding.get(v, v), Constant)
-            },
-            key=lambda v: v.name,
-        )
-        if not free:
-            return emit(binding)
+    for binding in _positive_matches(positives, 0, {}, sorted(state, key=str), state):
+        free = [v for v in variables if not isinstance(binding.get(v, v), Constant)]
         for values in itertools.product(ctx.universe, repeat=len(free)):
             extended = dict(binding)
             extended.update(zip(free, values))
-            if emit(extended):
-                return True
-        return False
-
-    def solve(index: int, binding: dict) -> bool:
-        if index == len(positives):
-            return ground_residuals(binding)
-        literal = positives[index].substitute(Substitution(binding))
-        if literal.is_ground:
-            if holds(literal, state):
-                return solve(index + 1, binding)
-            return False
-        if literal.atom.symbol == "=" and len(literal.atom.args) == 2:
-            left, right = literal.atom.args
-            if isinstance(left, Variable) and isinstance(right, Constant):
-                extended = dict(binding)
-                extended[left] = right
-                return solve(index + 1, extended)
-            if isinstance(right, Variable) and isinstance(left, Constant):
-                extended = dict(binding)
-                extended[right] = left
-                return solve(index + 1, extended)
-            return False
-        for atom in atoms:
-            unified = _unify_literal(literal, atom, binding)
-            if unified is not None and solve(index + 1, unified):
-                return True
-        return False
-
-    solve(0, {})
+            theta = Substitution(extended)
+            if theta in seen or not all(
+                holds(lit.substitute(theta), state) for lit in negatives
+            ):
+                continue
+            seen.add(theta)
+            results.append(theta)
+            if limit is not None and len(results) >= limit:
+                return tuple(results)
     return tuple(results)
+
+
+def _positive_matches(
+    positives: list, index: int, binding: dict, atoms: list, state: frozenset
+):
+    """Bindings, depth first, under which ``positives[index:]`` all hold in
+    ``state``; ``atoms`` is the state in a fixed order."""
+    if index == len(positives):
+        yield binding
+        return
+    literal = positives[index].substitute(Substitution(binding))
+    if literal.is_ground:
+        if holds(literal, state):
+            yield from _positive_matches(positives, index + 1, binding, atoms, state)
+        return
+    if literal.atom.symbol == "=" and len(literal.atom.args) == 2:
+        left, right = literal.atom.args
+        if isinstance(left, Variable) and isinstance(right, Constant):
+            binding = {**binding, left: right}
+        elif isinstance(right, Variable) and isinstance(left, Constant):
+            binding = {**binding, right: left}
+        else:
+            return
+        yield from _positive_matches(positives, index + 1, binding, atoms, state)
+        return
+    for atom in atoms:
+        unified = _unify_literal(literal, atom, binding)
+        if unified is not None:
+            yield from _positive_matches(positives, index + 1, unified, atoms, state)
 
 
 def is_applicable(

@@ -242,6 +242,8 @@ def _parse_target(text: str) -> tuple[Task, ...]:
 def cmd_verify(args) -> int:
     if args.count < 1:
         raise InputError("--count must be at least 1")
+    if args.depth < 1:
+        raise InputError("--depth must be at least 1")
     suite = args.suite
     result: SuiteResult
     if suite in ("equivalence", "extendability", "elimination"):

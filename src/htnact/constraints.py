@@ -17,9 +17,11 @@ from .model import (
     LabelledTask,
     Literal,
     Substitution,
+    Variable,
     label_key,
     labelled_task_key,
     substitute,
+    variables_of,
 )
 
 
@@ -196,6 +198,11 @@ class TaskNetwork:
     @cached_property
     def labels(self) -> frozenset[str]:
         return frozenset(lt.label for lt in self.tasks)
+
+    @cached_property
+    def variables(self) -> frozenset[Variable]:
+        """Every variable of the tasks and the formula, collected once."""
+        return variables_of((self.tasks, self.formula))
 
     def task_of(self, label: str) -> LabelledTask:
         for lt in self.tasks:

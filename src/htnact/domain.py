@@ -129,7 +129,7 @@ def fresh_rename(
     label_map = {lab: gen.label(lab) for lab in sorted(body.labels)}
     var_map = {
         v: gen.variable(v.name)
-        for v in sorted(variables_of(body))
+        for v in sorted(body.variables)
         if v not in keep
     }
     theta = Substitution(var_map)

@@ -40,7 +40,6 @@ from .model import (
     Substitution,
     Task,
     constants_of,
-    variables_of,
 )
 from .reduction import reduce_task, relevant_method_bodies
 
@@ -53,7 +52,7 @@ def constant_universe(network: TaskNetwork, state: frozenset, domain: Domain) ->
 def _groundings(
     network: TaskNetwork, universe: tuple[Constant, ...]
 ) -> Iterable[Substitution]:
-    free = sorted(variables_of(network), key=lambda v: v.name)
+    free = sorted(network.variables, key=lambda v: v.name)
     if not free:
         yield Substitution()
         return

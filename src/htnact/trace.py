@@ -550,7 +550,10 @@ def successful_action_sequences(
         memo[key] = frozenset(sequences)
         return memo[key]
 
-    return explore(cfg0)
+    try:
+        return explore(cfg0)
+    finally:
+        del explore  # the closure holds itself: free the search on return
 
 
 def iter_successful_traces(
@@ -594,8 +597,11 @@ def iter_successful_traces(
                     continue
             yield from walk(steps + [apply(cfg, choice)], extended)
 
-    for found in walk([Step(INITIAL, cfg0)], ()):
-        yield Trace(list(found), ctx)
+    try:
+        for found in walk([Step(INITIAL, cfg0)], ()):
+            yield Trace(list(found), ctx)
+    finally:
+        del walk  # the closure holds itself: free the search on return
 
 
 def sample_traces(
@@ -628,5 +634,8 @@ def sample_traces(
             if len(collected) >= count:
                 return
 
-    walk([Step(INITIAL, cfg0)])
+    try:
+        walk([Step(INITIAL, cfg0)])
+    finally:
+        del walk  # the closure holds itself: free the search on return
     return collected

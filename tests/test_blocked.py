@@ -4,13 +4,18 @@
 at the node, and ``is_blocked``/``is_trace_blocked`` share its one test of
 progress.  The references below are the per-couple loop those functions
 replaced; every configuration explored from corpus cases and from both rover
-problems must get the same answers from both.
+problems must get the same answers from both.  The same configurations check
+the per-search applicability memo against a fresh computation, and a search
+must leave no reference cycle behind once it returns.
 """
 from __future__ import annotations
+
+import gc
 
 from htnact import acting
 from htnact import trace as trace_module
 from htnact.acting import (
+    applicable_substitutions,
     apply,
     exec_all,
     exec_via_action,
@@ -25,15 +30,20 @@ from htnact.acting import (
     replacement_choice,
     smallest_replaceable,
 )
+from htnact.agent import observe
 from htnact.corpus import corpus
+from htnact.model import Constant, Task, labelled_task_key
 from htnact.reduction import has_relevant_method
 from htnact.syntax import parse_domain, parse_problem
 from htnact.trace import (
     DefaultStrategy,
     canonical_key,
+    iter_successful_traces,
     run,
+    sample_traces,
     successful_action_sequences,
 )
+from htnact.verify import check_extendability
 
 
 def reference_is_blocked(pursued, d, state, ctx) -> bool:
@@ -234,3 +244,74 @@ def test_a_context_builds_the_names_of_its_configuration_once(rover, rover_nocal
     assert "gen" not in vars(ctx)
     assert ctx.gen is ctx.gen
     assert ctx.gen.label("A") == "A_2"
+
+
+# -- the applicability memo -------------------------------------------------------
+
+def primary_actions(cfg):
+    return [
+        lt.label
+        for lt in sorted(primary_tasks(cfg.network, cfg.domain), key=labelled_task_key)
+        if cfg.domain.is_primitive(lt.task.symbol)
+    ]
+
+
+def test_memoised_applicability_equals_a_fresh_computation(
+    rover, rover_problem, rover_nocali
+):
+    calls = entries = 0
+    for cfg0 in starts(rover, rover_problem, rover_nocali):
+        ctx = make_context(cfg0.domain, cfg0)
+        for cfg in explored(cfg0):
+            node_ctx = ctx.for_config(cfg)
+            for label in primary_actions(cfg):
+                args = (label, cfg.network, cfg.state)
+                for limit in (None, 1):
+                    fresh = make_context(cfg0.domain, cfg0)
+                    assert applicable_substitutions(
+                        *args, node_ctx, limit
+                    ) == applicable_substitutions(*args, fresh, limit)
+                    calls += 1
+        entries += len(ctx.applicable)
+    assert calls > 3000 and entries < calls / 2
+
+
+RESIDUAL_DOMAIN = """\
+domain residual
+
+operator go(X)
+  pre: !at(X)
+  add: at(X)
+  del:
+"""
+
+
+def test_a_larger_universe_grounds_residual_variables_afresh():
+    domain = parse_domain(RESIDUAL_DOMAIN, "residual").value
+    problem = parse_problem(
+        "problem open\nstate: at(home)\ntasks:\n  1: go(Z)\n", domain
+    ).value
+    cfg = initial_configuration(problem.network, problem.state, domain)
+    ctx = make_context(domain, cfg)
+    assert applicable_substitutions("1", cfg.network, cfg.state, ctx, None) == ()
+    observed, _ = observe(cfg, [(None, Task("go", (Constant("far"),)))], ctx)
+    found = applicable_substitutions("1", observed.network, observed.state, ctx, None)
+    assert [str(theta) for theta in found] == ["{Z/far}"]
+
+
+def test_searches_leave_no_reference_cycles(rover, rover_problem):
+    cfg0 = initial_configuration(rover_problem.network, rover_problem.state, rover)
+    gc.collect()
+    gc.disable()
+    try:
+        assert successful_action_sequences(cfg0, make_context(rover, cfg0))
+        assert sum(1 for _ in iter_successful_traces(cfg0, make_context(rover, cfg0)))
+        assert sample_traces(cfg0, make_context(rover, cfg0), 3)
+        assert check_extendability(rover_problem.network, rover_problem.state, rover) is None
+        ctx = make_context(rover, cfg0)
+        for label in primary_actions(cfg0):
+            applicable_substitutions(label, cfg0.network, cfg0.state, ctx, None)
+        del ctx
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -162,6 +162,21 @@ def test_verify_non_positive_count_is_an_input_error(capsys, count):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "equivalence", "--count", "2"],
+        ["verify", ROVER, PROB_NOCALI, "--suite", "acting-only"],
+    ],
+)
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_verify_depth_below_one_is_an_input_error(capsys, argv, depth):
+    assert main(argv + ["--depth", depth]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: --depth must be at least 1\n"
+    assert captured.out == ""
+
+
 def test_verify_acting_only(capsys):
     code = main(["verify", ROVER, PROB_NOCALI, "--suite", "acting-only"])
     assert code == 0

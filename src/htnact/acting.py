@@ -207,14 +207,16 @@ def initial_configuration(
 
 def _names_of_config(config: "Configuration") -> tuple[set, set]:
     labels: set[str] = set(config.network.labels)
-    values: list = [config.network]
+    variables = set(config.network.variables)
+    pursued = []
     for couple in config.couples:
         labels |= couple.labels
-        values.append(couple)
+        pursued.append(couple.pursued)
         for body in couple.alternatives:
             labels |= body.network.labels
-    variables = {v.name for v in variables_of(tuple(values))}
-    return labels, variables
+            variables |= body.network.variables
+    variables |= variables_of(tuple(pursued))
+    return labels, {v.name for v in variables}
 
 
 def make_context(domain: Domain, config: Configuration) -> RunContext:

@@ -17,8 +17,6 @@ from .acting import (
     ReductionCouple,
     RunContext,
     Step,
-    apply,
-    exec_all,
     initial_configuration,
     is_successful,
     is_trace_blocked,
@@ -29,7 +27,7 @@ from .constraints import TaskNetwork
 from .domain import Domain, NOP_SYMBOL
 from .model import LabelledTask, Task, constants_of
 from .reduction import has_relevant_method
-from .trace import Strategy, Trace
+from .trace import Strategy, Trace, strategy_step
 
 NOP_LABEL = "0"
 
@@ -187,18 +185,8 @@ def sra_step(
     config2, observed = observe(config, batch, ctx, strict=strict, warn=warn)
     if observed:
         dtrace.steps.append(Step(OBSERVATION, config2, observed=observed))
-    if is_successful(config2) or is_trace_blocked(config2, ctx):
-        return config2
-    choices = exec_all(config2, ctx)
-    if not choices:
-        return config2
-    chosen = strategy.choose(dtrace.steps, choices)
-    if chosen is None:
-        return config2
-    ctx.absorb(chosen)
-    step = apply(config2, chosen)
-    dtrace.steps.append(step)
-    return step.config
+    step = strategy_step(config2, strategy, dtrace, ctx)
+    return config2 if step is None else step.config
 
 
 def run_agent(

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 for a successful run, 2 for a blocked
-one, 3 when a step or iteration budget ran out, 4 for unreadable or invalid
-inputs, 5 for a failed verification suite.
+one, 3 when a step, iteration or search budget ran out, 4 for unreadable or
+invalid inputs, 5 for a failed verification suite.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .trace import (
     DefaultStrategy,
     RandomStrategy,
     ScriptedStrategy,
+    SearchBudgetExceeded,
     Strategy,
     TraceError,
     parse_directives,
@@ -359,6 +360,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SearchBudgetExceeded as exc:
+        print(f"budget: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -3,14 +3,25 @@
 A trace is a sequence of configurations produced by the execution semantics,
 optionally interleaved with observation steps (d-traces).  This module also
 provides the strategies that resolve the semantics' nondeterminism by picking
-one of the choices ``exec_all`` offers, exhaustive searchers used by the
-verification suites, and the constructive rewriting that eliminates
-complete-replacement steps from a trace while preserving the actions
-performed.  Every step, whether run, replayed, explored or rewritten, is
-built by ``acting.apply`` from a choice.
+one of the choices ``exec_all`` offers (``strategy_step``, shared by ``run``
+and the agent loop), the exhaustive searches used by the verification
+suites, and the constructive rewriting that eliminates complete-replacement
+steps from a trace while preserving the actions performed.  Every step,
+whether run, replayed, explored or rewritten, is built by ``acting.apply``
+from a choice.
+
+The searches are two depth-first walks with explicit stacks, so search depth
+costs no Python stack: ``maximal_traces``, filtered by
+``iter_successful_traces`` and ``sample_traces``, and ``reachable``, which
+enters each ``canonical_key`` once and which ``successful_action_sequences``
+and ``verify.check_extendability`` consume.  Both count each expanded
+configuration against ``SEARCH_NODES`` and raise ``SearchBudgetExceeded``
+past it, never returning a partial result.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import re
 from dataclasses import dataclass, replace as dc_replace
@@ -226,6 +237,26 @@ def start_trace(network: TaskNetwork, state: frozenset, domain) -> Trace:
     return Trace([Step(INITIAL, cfg)], ctx)
 
 
+def strategy_step(
+    cfg: Configuration, strategy: Strategy, trace: Trace, ctx: RunContext
+) -> Optional[Step]:
+    """Perform the execution ``strategy`` chooses from ``cfg`` and append it
+    to ``trace``; None when ``cfg`` is successful or blocked, nothing can
+    execute, or the strategy declines."""
+    if is_successful(cfg) or is_trace_blocked(cfg, ctx):
+        return None
+    choices = exec_all(cfg, ctx)
+    if not choices:
+        return None
+    chosen = strategy.choose(trace.steps, choices)
+    if chosen is None:
+        return None
+    ctx.absorb(chosen)
+    step = apply(cfg, chosen)
+    trace.steps.append(step)
+    return step
+
+
 def run(
     cfg0: Configuration, strategy: Strategy, budget: int = DEFAULT_BUDGET
 ) -> Trace:
@@ -235,16 +266,8 @@ def run(
     ctx = make_context(cfg0.domain, cfg0)
     trace = Trace([Step(INITIAL, cfg0)], ctx)
     for _ in range(budget):
-        if is_successful(trace.final) or is_trace_blocked(trace.final, ctx):
+        if strategy_step(trace.final, strategy, trace, ctx) is None:
             return trace
-        choices = exec_all(trace.final, ctx)
-        if not choices:
-            return trace
-        chosen = strategy.choose(trace.steps, choices)
-        if chosen is None:
-            return trace
-        ctx.absorb(chosen)
-        trace.steps.append(apply(trace.final, chosen))
     trace.budget_exhausted = not (
         is_successful(trace.final) or is_trace_blocked(trace.final, ctx)
     )
@@ -460,8 +483,11 @@ def _check_junction(
 
 # -- exhaustive exploration ------------------------------------------------------
 
+SEARCH_NODES = 200_000
+
+
 class SearchBudgetExceeded(Exception):
-    pass
+    """A search expanded more than ``SEARCH_NODES`` configurations."""
 
 
 def canonical_key(cfg: Configuration) -> str:
@@ -503,10 +529,76 @@ def canonical_key(cfg: Configuration) -> str:
     return "\n".join(pieces)
 
 
-def _allowed(choice: Choice, allow_partial: bool, allow_complete: bool) -> bool:
+def _allowed(allow_partial: bool, allow_complete: bool, choice: Choice) -> bool:
     if choice.kind != REPLACEMENT:
         return True
     return allow_complete if choice.complete else allow_partial
+
+
+def _expand(cfg: Configuration, ctx: RunContext, nodes, follow) -> tuple[Choice, ...]:
+    """Count ``cfg`` against the budget; return its executions ``follow`` accepts."""
+    if next(nodes) > SEARCH_NODES:
+        raise SearchBudgetExceeded(f"more than {SEARCH_NODES} configurations")
+    return tuple(filter(follow, exec_all(cfg, ctx.for_config(cfg), all_bindings=True)))
+
+
+def maximal_traces(
+    cfg0: Configuration, ctx: RunContext, follow=lambda path, choice: True
+) -> Iterator[Trace]:
+    """Every maximal trace from ``cfg0``, depth-first in ``exec_all`` order.
+
+    ``follow(path, choice)`` decides whether the steps ``path`` go on with
+    ``choice`` out of their last configuration; a trace is maximal where it
+    can take none.  A successful configuration is a leaf, never expanded.
+    """
+    nodes = itertools.count(1)
+    path = [Step(INITIAL, cfg0)]
+    keep = functools.partial(follow, path)  # the path grows and shrinks in place
+    untried: list[Iterator[Choice]] = []  # one per configuration on the path
+    while True:
+        cfg = path[-1].config
+        choices = () if is_successful(cfg) else _expand(cfg, ctx, nodes, keep)
+        if not choices:
+            yield Trace(list(path), ctx)
+        untried.append(iter(choices))
+        while (choice := next(untried[-1], None)) is None:
+            untried.pop()
+            path.pop()
+            if not path:
+                return
+        path.append(apply(path[-1].config, choice))
+
+
+def reachable(
+    cfg0: Configuration, ctx: RunContext, follow=lambda choice: True
+) -> Iterator[tuple[Configuration, str, tuple[Choice, ...], tuple]]:
+    """Each configuration reachable from ``cfg0``, once per ``canonical_key``.
+
+    Yields ``(cfg, key, choices, successors)`` in depth-first post-order:
+    ``choices`` are the executions from ``cfg`` that ``follow(choice)``
+    accepts and ``successors`` the keys they lead to, each yielded before
+    unless it is an ancestor still open.  A successful configuration is a
+    leaf: it is never entered or keyed, and its key reads None.
+    """
+    if is_successful(cfg0):
+        return
+    nodes = itertools.count(1)
+    key0 = canonical_key(cfg0)
+    seen = {key0}
+    stack = [(cfg0, key0, _expand(cfg0, ctx, nodes, follow), [])]
+    while stack:
+        cfg, key, choices, successors = stack[-1]
+        for choice in choices[len(successors):]:
+            nxt = apply(cfg, choice).config
+            nxt_key = None if is_successful(nxt) else canonical_key(nxt)
+            successors.append(nxt_key)
+            if nxt_key is not None and nxt_key not in seen:
+                seen.add(nxt_key)
+                stack.append((nxt, nxt_key, _expand(nxt, ctx, nodes, follow), []))
+                break
+        else:
+            stack.pop()
+            yield cfg, key, choices, tuple(successors)
 
 
 def successful_action_sequences(
@@ -514,33 +606,22 @@ def successful_action_sequences(
     ctx: RunContext,
     allow_partial: bool = True,
     allow_complete: bool = True,
-    max_nodes: int = 200_000,
 ) -> frozenset:
     """Action sequences of every successful trace reachable from ``cfg0``.
 
     Explores all executions (all ground bindings included), optionally
-    skipping partial- or complete-replacement edges.  Memoized on canonical
-    configuration form.
+    skipping partial- or complete-replacement edges, and folds each
+    configuration's sequences from its successors' in ``reachable`` order.
     """
-    memo: dict[str, frozenset] = {}
-    visited = 0
-
-    def explore(cfg: Configuration) -> frozenset:
-        nonlocal visited
-        if is_successful(cfg):
-            return frozenset({()})
-        key = canonical_key(cfg)
-        if key in memo:
-            return memo[key]
-        visited += 1
-        if visited > max_nodes:
-            raise SearchBudgetExceeded(f"more than {max_nodes} configurations")
-        memo[key] = frozenset()  # cycle guard; configurations never recur
+    # None keys a successful configuration; an ancestor still open (none
+    # recurs on a path) has no entry and contributes nothing
+    memo: dict[Optional[str], frozenset] = {None: frozenset({()})}
+    key = None
+    follow = functools.partial(_allowed, allow_partial, allow_complete)
+    for _, key, choices, successors in reachable(cfg0, ctx, follow):
         sequences = set()
-        for choice in exec_all(cfg, ctx.for_config(cfg), all_bindings=True):
-            if not _allowed(choice, allow_partial, allow_complete):
-                continue
-            suffixes = explore(apply(cfg, choice).config)
+        for choice, successor in zip(choices, successors):
+            suffixes = memo.get(successor, frozenset())
             if choice.kind == ACTION:
                 # bindings ground the task at execution time, so the head is
                 # final and the suffix set is label- and binding-free
@@ -548,12 +629,7 @@ def successful_action_sequences(
             else:
                 sequences |= suffixes
         memo[key] = frozenset(sequences)
-        return memo[key]
-
-    try:
-        return explore(cfg0)
-    finally:
-        del explore  # the closure holds itself: free the search on return
+    return memo[key]
 
 
 def iter_successful_traces(
@@ -562,7 +638,6 @@ def iter_successful_traces(
     allow_partial: bool = True,
     allow_complete: bool = True,
     action_target: Optional[tuple[Task, ...]] = None,
-    max_nodes: int = 200_000,
 ) -> Iterator[Trace]:
     """All successful traces from ``cfg0``, depth-first.
 
@@ -570,38 +645,20 @@ def iter_successful_traces(
     prefix of the target are pruned, and only traces performing exactly the
     target are yielded.
     """
-    visited = 0
 
-    def prefix_ok(actions: tuple[Task, ...]) -> bool:
-        if action_target is None:
+    def follow(path: list[Step], choice: Choice) -> bool:
+        if not _allowed(allow_partial, allow_complete, choice):
+            return False
+        if action_target is None or choice.kind != ACTION:
             return True
-        return actions == action_target[: len(actions)]
+        done = sum(1 for step in path if step.kind == ACTION)
+        return done < len(action_target) and action_target[done] == choice.task
 
-    def walk(steps: list[Step], actions: tuple[Task, ...]) -> Iterator[list[Step]]:
-        nonlocal visited
-        visited += 1
-        if visited > max_nodes:
-            raise SearchBudgetExceeded(f"more than {max_nodes} configurations")
-        cfg = steps[-1].config
-        if is_successful(cfg):
-            if action_target is None or actions == action_target:
-                yield steps
-            return
-        for choice in exec_all(cfg, ctx.for_config(cfg), all_bindings=True):
-            if not _allowed(choice, allow_partial, allow_complete):
-                continue
-            extended = actions
-            if choice.kind == ACTION:
-                extended = actions + (choice.task,)
-                if not prefix_ok(extended):
-                    continue
-            yield from walk(steps + [apply(cfg, choice)], extended)
-
-    try:
-        for found in walk([Step(INITIAL, cfg0)], ()):
-            yield Trace(list(found), ctx)
-    finally:
-        del walk  # the closure holds itself: free the search on return
+    for trace in maximal_traces(cfg0, ctx, follow):
+        if is_successful(trace.final) and (
+            action_target is None or trace.actions_performed() == action_target
+        ):
+            yield trace
 
 
 def sample_traces(
@@ -609,33 +666,7 @@ def sample_traces(
     ctx: RunContext,
     count: int,
     require: Optional[Callable[[Trace], bool]] = None,
-    max_nodes: int = 100_000,
 ) -> list[Trace]:
-    """Depth-first sample of maximal traces, optionally filtered."""
-    collected: list[Trace] = []
-    visited = 0
-
-    def walk(steps: list[Step]) -> None:
-        nonlocal visited
-        if len(collected) >= count:
-            return
-        visited += 1
-        if visited > max_nodes:
-            return
-        cfg = steps[-1].config
-        nexts = exec_all(cfg, ctx.for_config(cfg), all_bindings=True)
-        if not nexts:
-            trace = Trace(list(steps), ctx)
-            if require is None or require(trace):
-                collected.append(trace)
-            return
-        for choice in nexts:
-            walk(steps + [apply(cfg, choice)])
-            if len(collected) >= count:
-                return
-
-    try:
-        walk([Step(INITIAL, cfg0)])
-    finally:
-        del walk  # the closure holds itself: free the search on return
-    return collected
+    """The first ``count`` maximal traces, depth-first, that pass ``require``."""
+    kept = (t for t in maximal_traces(cfg0, ctx) if require is None or require(t))
+    return list(itertools.islice(kept, count))

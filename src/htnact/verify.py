@@ -10,14 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .acting import (
-    apply,
-    exec_all,
-    initial_configuration,
-    is_successful,
-    is_trace_blocked,
-    make_context,
-)
+from .acting import initial_configuration, is_trace_blocked, make_context
 from .agent import ScriptedEvents, dtrace_to_trace, run_agent
 from .constraints import TaskNetwork
 from .corpus import CorpusCase
@@ -27,12 +20,11 @@ from .oracle import solutions_bounded
 from .trace import (
     DefaultStrategy,
     REPLACEMENT,
-    SearchBudgetExceeded,
     Trace,
     TraceError,
-    canonical_key,
     eliminate_complete_replacements,
     iter_successful_traces,
+    reachable,
     sample_traces,
     successful_action_sequences,
     validate_trace,
@@ -60,13 +52,13 @@ def _render_sequence(actions: Iterable[Task]) -> str:
 
 
 def acting_solution_set(
-    network: TaskNetwork, state: frozenset, domain: Domain, max_nodes: int = 200_000
+    network: TaskNetwork, state: frozenset, domain: Domain
 ) -> frozenset:
     """Action sequences of all successful partial-replacement-free traces."""
     cfg = initial_configuration(network, state, domain)
     ctx = make_context(domain, cfg)
     return successful_action_sequences(
-        cfg, ctx, allow_partial=False, allow_complete=True, max_nodes=max_nodes
+        cfg, ctx, allow_partial=False, allow_complete=True
     )
 
 
@@ -100,30 +92,19 @@ def suite_equivalence(cases: Iterable[CorpusCase], depth: int = 4) -> SuiteResul
 
 
 def check_extendability(
-    network: TaskNetwork, state: frozenset, domain: Domain, max_nodes: int = 100_000
+    network: TaskNetwork, state: frozenset, domain: Domain
 ) -> Optional[str]:
-    """Over every reachable configuration: no executions iff successful/blocked."""
+    """Over every reachable configuration: no executions iff successful/blocked.
+
+    A successful configuration has no executions, so ``reachable`` skips it.
+    """
     cfg0 = initial_configuration(network, state, domain)
     ctx = make_context(domain, cfg0)
-    seen = {canonical_key(cfg0)}
-    stack = [cfg0]
-    visited = 0
-    while stack:
-        cfg = stack.pop()
-        visited += 1
-        if visited > max_nodes:
-            raise SearchBudgetExceeded(f"more than {max_nodes} configurations")
-        choices = exec_all(cfg, ctx.for_config(cfg), all_bindings=True)
-        terminal = is_successful(cfg) or is_trace_blocked(cfg, ctx)
+    for cfg, _, choices, _ in reachable(cfg0, ctx):
+        terminal = is_trace_blocked(cfg, ctx)
         if bool(choices) == terminal:
             kind = "terminal" if terminal else "open"
             return f"{kind} configuration with {len(choices)} executions: {cfg.network}"
-        for choice in choices:
-            successor = apply(cfg, choice).config
-            key = canonical_key(successor)
-            if key not in seen:
-                seen.add(key)
-                stack.append(successor)
     return None
 
 
@@ -195,13 +176,12 @@ def find_acting_only_witness(
     state: frozenset,
     domain: Domain,
     depth: int = 4,
-    max_nodes: int = 200_000,
 ) -> Optional[Trace]:
     """A successful trace whose performed actions are not a planned solution."""
     planned = solutions_bounded(network, state, domain, depth)
     cfg0 = initial_configuration(network, state, domain)
     ctx = make_context(domain, cfg0)
-    for trace in iter_successful_traces(cfg0, ctx, max_nodes=max_nodes):
+    for trace in iter_successful_traces(cfg0, ctx):
         if trace.actions_performed() not in planned:
             return trace
     return None
@@ -228,7 +208,6 @@ def check_unavoidable_jump(
     state: frozenset,
     domain: Domain,
     target: tuple[Task, ...],
-    max_nodes: int = 300_000,
 ) -> tuple[int, int]:
     """(matching traces, matching traces containing a jump) for the target plan.
 
@@ -239,11 +218,7 @@ def check_unavoidable_jump(
     ctx = make_context(domain, cfg0)
     total = jumps = 0
     for trace in iter_successful_traces(
-        cfg0,
-        ctx,
-        allow_complete=False,
-        action_target=target,
-        max_nodes=max_nodes,
+        cfg0, ctx, allow_complete=False, action_target=target
     ):
         total += 1
         if not trace.jump_free():

@@ -6,11 +6,17 @@ progress.  The references below are the per-couple loop those functions
 replaced; every configuration explored from corpus cases and from both rover
 problems must get the same answers from both.  The same configurations check
 the per-search applicability memo against a fresh computation, and a search
-must leave no reference cycle behind once it returns.
+must leave no reference cycle behind once it returns.  The searches take no
+Python stack for their depth, and one that reaches the node budget raises
+instead of returning part of its result.
 """
 from __future__ import annotations
 
 import gc
+import inspect
+import sys
+
+import pytest
 
 from htnact import acting
 from htnact import trace as trace_module
@@ -37,6 +43,7 @@ from htnact.reduction import has_relevant_method
 from htnact.syntax import parse_domain, parse_problem
 from htnact.trace import (
     DefaultStrategy,
+    SearchBudgetExceeded,
     canonical_key,
     iter_successful_traces,
     run,
@@ -315,3 +322,32 @@ def test_searches_leave_no_reference_cycles(rover, rover_problem):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- search depth and the node budget ---------------------------------------------
+
+def test_explorers_need_no_python_stack_for_search_depth():
+    problem, domain = counter_problem(12)
+    cfg0 = initial_configuration(problem.network, problem.state, domain)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        sequences = successful_action_sequences(cfg0, make_context(domain, cfg0))
+        traces = list(iter_successful_traces(cfg0, make_context(domain, cfg0)))
+        sampled = sample_traces(cfg0, make_context(domain, cfg0), 5)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sequences) == 25
+    assert {t.actions_performed() for t in traces} == sequences
+    assert len(sampled) == 5
+    assert max(len(t) for t in traces) > 40
+
+
+def test_a_sample_stops_at_the_budget_instead_of_returning_a_part(
+    monkeypatch, rover, rover_problem
+):
+    cfg0 = initial_configuration(rover_problem.network, rover_problem.state, rover)
+    assert len(sample_traces(cfg0, make_context(rover, cfg0), 50)) == 27
+    monkeypatch.setattr(trace_module, "SEARCH_NODES", 20)
+    with pytest.raises(SearchBudgetExceeded, match="more than 20 configurations"):
+        sample_traces(cfg0, make_context(rover, cfg0), 50)

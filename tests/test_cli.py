@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from htnact import trace as trace_module
 from htnact.cli import main
 from htnact.fixtures import fixture_path
 
@@ -217,6 +218,22 @@ def test_verify_dtrace_on_walkthrough(capsys):
     )
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "extendability", "--count", "3"],
+        ["verify", "--suite", "elimination", "--count", "3"],
+        ["verify", ROVER, PROB_NOCALI, "--suite", "acting-only"],
+    ],
+)
+def test_verify_stopped_by_the_search_budget_exits_3(monkeypatch, capsys, argv):
+    monkeypatch.setattr(trace_module, "SEARCH_NODES", 5)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "budget: more than 5 configurations\n"
+    assert captured.out == ""
 
 
 def test_verify_failure_exits_5(capsys):

@@ -53,7 +53,6 @@ from .model import (
     label_key,
     labelled_task_key,
     substitute,
-    variables_of,
 )
 from .reduction import Body, has_relevant_method, reduce_task, relevant_method_bodies
 
@@ -104,16 +103,20 @@ class ReductionCouple:
         """The alternatives' ``Body.key_fragment`` texts, joined once."""
         return " ".join(body.key_fragment for body in self.alternatives)
 
+    @cached_property
+    def members_text(self) -> str:
+        """The pursued tasks' texts in label order, rendered once per couple."""
+        return " ".join(
+            lt.text for lt in sorted(self.pursued, key=labelled_task_key)
+        )
+
     def sort_key(self) -> tuple:
         return (self.origin is not None, label_key(self.origin or ""))
 
     def __str__(self) -> str:
-        tasks = " ".join(
-            str(lt) for lt in sorted(self.pursued, key=labelled_task_key)
-        )
         alts = ",".join(b.method for b in self.alternatives)
         origin = self.origin or "top"
-        return f"<{origin}: {tasks} | {alts or '-'}>"
+        return f"<{origin}: {self.members_text} | {alts or '-'}>"
 
 
 def ordered_alternatives(bodies) -> tuple[Body, ...]:
@@ -183,12 +186,11 @@ class RunContext:
         """
         if choice.kind != REDUCTION:
             return
-        bodies = (choice.body,) + choice.alternatives
-        for body in bodies:
+        for body in (choice.body,) + choice.alternatives:
             for label in body.network.labels:
                 self.gen.reserve_label(label)
-        for variable in variables_of(bodies):
-            self.gen.reserve_variable(variable.name)
+            for variable in body.network.variables:
+                self.gen.reserve_variable(variable.name)
 
     def extend_universe(self, constants) -> None:
         """Add ``constants`` to the universe and start a fresh memo: residual
@@ -208,14 +210,12 @@ def initial_configuration(
 def _names_of_config(config: "Configuration") -> tuple[set, set]:
     labels: set[str] = set(config.network.labels)
     variables = set(config.network.variables)
-    pursued = []
     for couple in config.couples:
         labels |= couple.labels
-        pursued.append(couple.pursued)
+        variables.update(*(lt.variables for lt in couple.pursued))
         for body in couple.alternatives:
             labels |= body.network.labels
             variables |= body.network.variables
-    variables |= variables_of(tuple(pursued))
     return labels, {v.name for v in variables}
 
 

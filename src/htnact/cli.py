@@ -119,7 +119,10 @@ def _make_strategy(spec: str, seed: int) -> Strategy:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -147,6 +150,8 @@ def _interactive_events(domain) -> EventSource:
 def cmd_act(args) -> int:
     if args.max_steps < 1:
         raise InputError("--max-steps must be at least 1")
+    if args.max_iterations < 1:
+        raise InputError("--max-iterations must be at least 1")
     domain = _load_domain(args.domain)
     problem = _load_problem(args.problem, domain)
     strategy = _make_strategy(args.strategy, args.seed)

@@ -169,6 +169,13 @@ class Constraint:
         return Constraint(new, self.negated)
 
     @cached_property
+    def variables(self) -> frozenset[Variable]:
+        """``variables_of(self)``, collected once per object: task references
+        hold labels only, so the variables are the literal's."""
+        literal = getattr(self.body, "literal", None)
+        return frozenset() if literal is None else variables_of(literal)
+
+    @cached_property
     def text(self) -> str:
         """``str(self)``, rendered once per object."""
         return f"not {self.body}" if self.negated else str(self.body)
@@ -201,8 +208,12 @@ class TaskNetwork:
 
     @cached_property
     def variables(self) -> frozenset[Variable]:
-        """Every variable of the tasks and the formula, collected once."""
-        return variables_of((self.tasks, self.formula))
+        """Every variable of the tasks and the formula, collected once from the
+        members' own cached ``variables``."""
+        return frozenset().union(
+            *(lt.variables for lt in self.tasks),
+            *(c.variables for c in self.formula),
+        )
 
     def task_of(self, label: str) -> LabelledTask:
         for lt in self.tasks:

@@ -23,7 +23,7 @@ def _render_state(state) -> str:
 
 def _render_config(config: Configuration, indent: str) -> list[str]:
     lines = []
-    tasks = " ".join(str(lt) for lt in config.network.sorted_tasks()) or "-"
+    tasks = " ".join(lt.text for lt in config.network.sorted_tasks()) or "-"
     lines.append(f"{indent}tasks: {tasks}")
     constraints = sorted(str(c) for c in config.network.formula)
     lines.append(f"{indent}constraints: {'; '.join(constraints) or '-'}")
@@ -33,11 +33,10 @@ def _render_config(config: Configuration, indent: str) -> list[str]:
     lines.append(f"{indent}couples:")
     for couple in config.sorted_couples():
         origin = couple.origin or "top"
-        members = " ".join(
-            str(lt) for lt in sorted(couple.pursued, key=labelled_task_key)
-        )
         alts = " ".join(b.method for b in couple.alternatives) or "-"
-        lines.append(f"{indent}  {origin}: [{members}] untried: {alts}")
+        lines.append(
+            f"{indent}  {origin}: [{couple.members_text}] untried: {alts}"
+        )
     return lines
 
 

@@ -102,6 +102,11 @@ class Task:
         return not any(isinstance(a, Variable) for a in self.args)
 
     @cached_property
+    def variables(self) -> frozenset[Variable]:
+        """``variables_of(self)``, collected once per object."""
+        return frozenset(a for a in self.args if isinstance(a, Variable))
+
+    @cached_property
     def text(self) -> str:
         """``str(self)``, rendered once per object."""
         if not self.args:
@@ -123,8 +128,18 @@ class LabelledTask:
         task = self.task.substitute(theta)
         return self if task is self.task else LabelledTask(self.label, task)
 
+    @cached_property
+    def variables(self) -> frozenset[Variable]:
+        """``variables_of(self)``: the task's, shared with it."""
+        return self.task.variables
+
+    @cached_property
+    def text(self) -> str:
+        """``str(self)``, rendered once per object."""
+        return f"{self.label}:{self.task.text}"
+
     def __str__(self) -> str:
-        return f"{self.label}:{self.task}"
+        return self.text
 
 
 def label_key(label: str) -> tuple[int, str]:
@@ -147,7 +162,7 @@ class Substitution(Mapping[Variable, Term]):
     twice equals applying it once.
     """
 
-    __slots__ = ("_map", "_hash")
+    __slots__ = ("_map", "_hash", "_domain")
 
     def __init__(self, mapping: Optional[Mapping[Variable, Term]] = None):
         resolved: dict[Variable, Term] = {}
@@ -162,11 +177,19 @@ class Substitution(Mapping[Variable, Term]):
                 resolved[var] = term
         object.__setattr__(self, "_map", resolved)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_domain", None)
 
     def term(self, t: Term) -> Term:
         if isinstance(t, Variable):
             return self._map.get(t, t)
         return t
+
+    @property
+    def domain(self) -> frozenset[Variable]:
+        """The variables this substitution binds, collected once."""
+        if self._domain is None:
+            object.__setattr__(self, "_domain", frozenset(self._map))
+        return self._domain
 
     def get(self, key, default=None):
         return self._map.get(key, default)
@@ -223,16 +246,31 @@ def substitute(value, theta: Substitution):
     frozenset or object whose parts all come back unchanged is returned as
     the same object rather than rebuilt.  Every ``substitute`` method keeps
     the same guarantee.
+
+    Of a tuple or frozenset, a member that caches its ``variables`` (a task,
+    labelled task, constraint or network) is rebuilt only when those meet
+    the variables ``theta`` binds.  Every other such member is kept as the
+    same object without a call into it, and a frozenset is assembled as
+    ``(value - old) | new`` over the members that changed, so the kept ones
+    are not hashed again.
     """
     if not theta or isinstance(value, Constant) or value is None:
         return value
     if isinstance(value, Variable):
         return theta.term(value)
     if isinstance(value, (tuple, frozenset)):
-        members = [substitute(v, theta) for v in value]
-        if all(new is old for new, old in zip(members, value)):
+        bound = theta.domain
+        old = [
+            m for m in value
+            if (mentioned := getattr(m, "variables", None)) is None
+            or not mentioned.isdisjoint(bound)
+        ]
+        changed = {m: n for m in old if (n := substitute(m, theta)) is not m}
+        if not changed:
             return value
-        return tuple(members) if isinstance(value, tuple) else frozenset(members)
+        if isinstance(value, tuple):
+            return tuple(changed.get(m, m) for m in value)
+        return value.difference(changed).union(changed.values())
     sub = getattr(value, "substitute", None)
     if sub is not None:
         return sub(theta)

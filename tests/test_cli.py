@@ -154,6 +154,33 @@ def test_act_non_positive_max_steps_is_an_input_error(capsys, steps):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("iterations", ["0", "-2"])
+def test_act_non_positive_max_iterations_is_an_input_error(capsys, iterations):
+    code = main(["act", ROVER, PROB_NOCALI, EVT, "--max-iterations", iterations])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: --max-iterations must be at least 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", ROVER, PROB_NOCALI],
+        ["act", ROVER, PROB_NOCALI, EVT, "--strategy", f"script:{AGENT_CHOICES}"],
+        ["plan", ROVER, PROB_NOCALI],
+    ],
+)
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "trace.txt"
+    assert main(argv + ["--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_verify_non_positive_count_is_an_input_error(capsys, count):
     code = main(["verify", "--suite", "equivalence", "--count", count])

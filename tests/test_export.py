@@ -7,6 +7,7 @@ from htnact.constraints import TaskNetwork
 from htnact.export import render_trace
 from htnact.model import LabelledTask, Task
 from htnact.trace import DefaultStrategy, ScriptedStrategy, parse_directives, run
+from test_blocked import counter_problem
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,6 +23,16 @@ def test_walkthrough_export_matches_golden(rover, rover_nocali, walkthrough_scri
     rendered = render_trace(trace, "rover", meta)
     golden = (DATA / "walkthrough_trace.txt").read_text()
     assert rendered == golden
+
+
+def test_counter_recursion_export_matches_golden():
+    """Nested couples, ``last[...]`` expressions and binding lines, six deep."""
+    problem, domain = counter_problem(6)
+    cfg = initial_configuration(problem.network, problem.state, domain)
+    trace = run(cfg, DefaultStrategy())
+    meta = {"problem": "deep", "strategy": "default"}
+    rendered = render_trace(trace, "counter", meta)
+    assert rendered == (DATA / "counter_trace.txt").read_text()
 
 
 def test_export_is_deterministic(rover, rover_nocali, walkthrough_script):

@@ -1,8 +1,21 @@
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass, replace as dc_replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from htnact import model
+from htnact.acting import (
+    ACTION,
+    ReductionCouple,
+    apply,
+    exec_all,
+    initial_configuration,
+    make_context,
+)
+from htnact.constraints import Constraint, TaskNetwork
+from htnact.corpus import corpus
 from htnact.model import (
     Atom,
     Constant,
@@ -17,6 +30,8 @@ from htnact.model import (
     substitute,
     variables_of,
 )
+from htnact.trace import DefaultStrategy, reachable, run
+from test_blocked import counter_problem
 
 X, Y, L = Variable("X"), Variable("Y"), Variable("L")
 loc1, lan1, a = Constant("loc1"), Constant("lan1"), Constant("a")
@@ -140,3 +155,172 @@ def test_substitution_rebuilds_only_what_it_changes():
     got = substitute(frozenset({moved, kept}), Substitution({X: lan1}))
     assert got == frozenset({LabelledTask("1", Task("move", (lan1, loc1))), kept})
     assert any(lt is kept for lt in got)
+
+
+# -- member-level substitution ---------------------------------------------------
+
+def rebuilt(value, theta: Substitution):
+    """``value`` under ``theta``, every part built anew from its fields."""
+    if isinstance(value, Variable):
+        return theta.term(value)
+    if isinstance(value, (tuple, frozenset)):
+        return type(value)(rebuilt(v, theta) for v in value)
+    if is_dataclass(value):
+        return type(value)(*(rebuilt(getattr(value, f.name), theta) for f in fields(value)))
+    return value  # constants, labels, symbols, flags and indices
+
+
+def check_substitution(value, theta: Substitution) -> None:
+    """``substitute`` agrees with ``rebuilt``, and of a tuple or frozenset it
+    keeps exactly the members that mention no variable ``theta`` binds."""
+    got = substitute(value, theta)
+    assert got == rebuilt(value, theta)
+    bound = set(theta)
+    if not variables_of(value) & bound:
+        assert got is value
+    elif isinstance(value, (tuple, frozenset)):
+        kept = {id(m) for m in got}
+        for member in value:
+            assert (id(member) in kept) == (not variables_of(member) & bound)
+
+
+def check_bindings(cfg, ctx) -> int:
+    """``check_substitution`` on ``cfg``'s network and couples under the
+    binding of each action it offers, and under the binding of each of its
+    variables to a constant; returns how many bindings were tried."""
+    bindings = [
+        choice.binding
+        for choice in exec_all(cfg, ctx.for_config(cfg), all_bindings=True)
+        if choice.kind == ACTION and choice.binding
+    ]
+    bindings += [
+        Substitution({v: Constant("k")})
+        for v in sorted(variables_of((cfg.network, cfg.couples)))
+    ]
+    for theta in bindings:
+        for value in (cfg.network, cfg.network.tasks, cfg.network.formula, cfg.couples):
+            check_substitution(value, theta)
+        for couple in cfg.couples:
+            check_substitution(couple, theta)
+            check_substitution(couple.pursued, theta)
+            check_substitution(couple.alternatives, theta)
+    return len(bindings)
+
+
+def test_substitution_matches_a_rebuild_along_a_deep_recursion():
+    problem, domain = counter_problem(12)
+    cfg0 = initial_configuration(problem.network, problem.state, domain)
+    trace = run(cfg0, DefaultStrategy())
+    ctx = make_context(domain, cfg0)
+    tried = sum(check_bindings(step.config, ctx) for step in trace.steps)
+    assert tried > 12 * 3  # each dec's binding, and X and Y of each level
+
+
+def test_substitution_matches_a_rebuild_at_every_explored_configuration(
+    rover, rover_problem, rover_nocali
+):
+    starts = [
+        initial_configuration(p.network, p.state, rover)
+        for p in (rover_problem, rover_nocali)
+    ]
+    starts += [
+        initial_configuration(case.network, case.state, case.domain)
+        for case in corpus(100, 0)
+    ]
+    tried = 0
+    for cfg0 in starts:
+        ctx = make_context(cfg0.domain, cfg0)
+        for cfg, *_ in reachable(cfg0, ctx):
+            tried += check_bindings(cfg, ctx)
+    assert tried > 60
+
+
+def rendered_task(task: Task) -> str:
+    if not task.args:
+        return task.symbol
+    return f"{task.symbol}({', '.join(t.name for t in task.args)})"
+
+
+def fresh_parts(value) -> dict:
+    """Each cached ``variables``/``text`` part of ``value``, computed afresh."""
+    if isinstance(value, Task):
+        return {"variables": variables_of(value), "text": rendered_task(value)}
+    if isinstance(value, LabelledTask):
+        return {
+            "variables": variables_of(value),
+            "text": f"{value.label}:{rendered_task(value.task)}",
+        }
+    if isinstance(value, Constraint):
+        return {"variables": variables_of(value)}
+    if isinstance(value, TaskNetwork):
+        return {"variables": variables_of((value.tasks, value.formula))}
+    assert isinstance(value, ReductionCouple)
+    members = sorted(value.pursued, key=lambda lt: (len(lt.label), lt.label))
+    return {
+        "members_text": " ".join(
+            f"{lt.label}:{rendered_task(lt.task)}" for lt in members
+        )
+    }
+
+
+def test_cached_variables_and_texts_match_afresh_and_stay_out_of_identity(
+    rover, rover_problem
+):
+    problem, domain = counter_problem(6)
+    configs = [
+        step.config
+        for p, d in ((problem, domain), (rover_problem, rover))
+        for step in run(initial_configuration(p.network, p.state, d), DefaultStrategy()).steps
+    ]
+    values: list = []
+    for cfg in configs:
+        net = cfg.network
+        values += [net, *net.tasks, *(lt.task for lt in net.tasks), *net.formula]
+        values += [*cfg.couples, *(lt for c in cfg.couples for lt in c.pursued)]
+        for body in (b for c in cfg.couples for b in c.alternatives):
+            values += [body.network, *body.network.tasks, *body.network.formula]
+    assert {type(v) for v in values} == {
+        TaskNetwork, LabelledTask, Task, Constraint, ReductionCouple
+    }
+    assert any(c.variables for c in values if isinstance(c, Constraint))
+    for value in values:
+        parts = fresh_parts(value)
+        fresh = dc_replace(value)  # equal fields, nothing cached yet
+        assert not set(parts) & set(vars(fresh))
+        assert {name: getattr(value, name) for name in parts} == parts
+        assert set(parts) <= set(vars(value))
+        assert fresh == value and hash(fresh) == hash(value)
+        assert repr(fresh) == repr(value)
+        assert not set(parts) & {f.name for f in fields(value)}
+    couple = next(v for v in values if isinstance(v, ReductionCouple) and v.pursued)
+    assert f": {couple.members_text} |" in str(couple)
+
+
+def test_an_action_substitutes_only_the_members_its_binding_names(monkeypatch):
+    problem, domain = counter_problem(12)
+    cfg0 = initial_configuration(problem.network, problem.state, domain)
+    steps = run(cfg0, DefaultStrategy()).steps
+    index = max(
+        i for i, s in enumerate(steps) if s.kind == ACTION and s.task.symbol == "dec"
+    )
+    before = steps[index - 1].config
+    ctx = make_context(domain, before)
+    (choice,) = [
+        c for c in exec_all(before, ctx, all_bindings=True)
+        if c.kind == ACTION and c.label == steps[index].label
+    ]
+    members = len(before.network.tasks) + sum(len(c.pursued) for c in before.couples)
+    assert len(before.couples) > 12 and members > 100
+
+    called = []
+    real = model.LabelledTask.substitute
+
+    def counted(self, theta):
+        called.append(self)
+        return real(self, theta)
+
+    monkeypatch.setattr(model.LabelledTask, "substitute", counted)
+    step = apply(before, choice)
+    bound = set(choice.binding)
+    assert called and all(variables_of(lt) & bound for lt in called)
+    assert step.config == steps[index].config

@@ -547,25 +547,33 @@ def action_result(
     _, add, delete = op.instantiate(ground_task)
     new_state = frozenset((state - frozenset(delete)) | frozenset(add))
 
-    survivors = []
+    # set algebra on the network's own sets hashes only the members it
+    # drops or rewrites
+    realised = realised_constraints(label, d)
+    dropped = set(realised)
+    rewritten = []
     live_after = d.labels - {label}
-    for c in d.formula - realised_constraints(label, d):
-        c = c.rewrite_refs(lambda ref: _strip_from_last(ref, label))
+    for old in d.formula - realised:
+        c = old.rewrite_refs(lambda ref: _strip_from_last(ref, label))
         b = c.body
         if isinstance(b, Between):
             end = b.end
             if (isinstance(end, LabelRef) and end.label == label) or (
                 isinstance(end, FirstRef) and label in end.labels
             ):
+                dropped.add(old)
                 continue  # right endpoint reached first: holds trivially
             if c.negated and _executed_ref(b.start, live_after):
                 escaped = holds(b.literal.negated().substitute(theta), new_state)
                 if escaped:
+                    dropped.add(old)
                     continue
-        survivors.append(c)
+        if c is not old:
+            dropped.add(old)
+            rewritten.append(c)
 
-    tasks = frozenset(t for t in d.tasks if t.label != label)
-    network = substitute(TaskNetwork(tasks, frozenset(survivors)), theta)
+    formula = (d.formula - dropped) | frozenset(rewritten)
+    network = substitute(TaskNetwork(d.tasks - {lt}, formula), theta)
     return network, new_state, substitute(couples, theta)
 
 

@@ -155,18 +155,22 @@ class Constraint:
         return tuple(sorted(self.labels(), key=label_key))
 
     def rewrite_refs(self, fn) -> "Constraint":
+        """``self`` with ``fn`` applied to each reference; ``self`` itself
+        when ``fn`` hands every reference back unchanged."""
+        refs = self.refs()
+        new = tuple(map(fn, refs))
+        if all(n is r for n, r in zip(new, refs)):
+            return self
         b = self.body
         if isinstance(b, Ordering):
-            new: ConstraintBody = Ordering(fn(b.before), fn(b.after))
+            body: ConstraintBody = Ordering(*new)
         elif isinstance(b, Before):
-            new = Before(b.literal, fn(b.ref))
+            body = Before(b.literal, *new)
         elif isinstance(b, After):
-            new = After(fn(b.ref), b.literal)
+            body = After(*new, b.literal)
         else:
-            new = Between(fn(b.start), b.literal, fn(b.end))
-        if new == b:
-            return self
-        return Constraint(new, self.negated)
+            body = Between(new[0], b.literal, new[1])
+        return Constraint(body, self.negated)
 
     @cached_property
     def variables(self) -> frozenset[Variable]:

@@ -136,11 +136,10 @@ def fresh_rename(
 
     def rename_ref(ref):
         if isinstance(ref, LabelRef):
-            return LabelRef(label_map.get(ref.label, ref.label))
+            label = label_map.get(ref.label, ref.label)
+            return ref if label == ref.label else LabelRef(label)
         labels = frozenset(label_map.get(l, l) for l in ref.labels)
-        if isinstance(ref, FirstRef):
-            return FirstRef(labels)
-        return LastRef(labels)
+        return ref if labels == ref.labels else type(ref)(labels)
 
     tasks = frozenset(
         LabelledTask(label_map[lt.label], lt.task.substitute(theta))

@@ -6,41 +6,49 @@ every constraint, evaluated positionally over the simulated state sequence.
 The solution set is the union of the completions of every network reachable
 by a bounded number of reductions.
 
-Completions are found by depth-first progression, per grounding of the
-network's variables: a task is placed once every task guaranteed to precede
-it is placed and its precondition holds in the state the placed prefix
-reaches, so orderings that share a prefix share its simulation.  Every full
-ordering is then checked against every constraint.  The pruning only drops
-orderings that a guaranteed precedence or a precondition already rules out,
-so the result is exactly the set of every grounding times every permutation
-that simulates and satisfies the formula; that makes this module the ground
-truth the acting semantics is verified against.
+Completions are found by progression over task indices, per grounding of the
+network's variables.  A task is placed when its precondition holds in the
+state the placed prefix reaches.  Each constraint is compiled once per network
+into label bit masks and decided at the placement that settles it.  A task
+reference's before-time is reached with its label, ``first[S]`` with the
+first member of ``S`` placed and ``last[S]`` with the last; then:
+
+* an ordering is decided when either side is first reached, and is false when
+  both are reached by the same placement;
+* ``before`` is checked on the state at its reference, ``after`` on the state
+  right after it;
+* a positive ``between`` checks each state as it enters the window;
+* a negated ``between`` sets an escaped bit when ``!literal`` holds in a
+  window state, and fails if its end is reached with the bit unset; an empty
+  window always passes.
+
+A branch is dropped at the first failed check, so what is left of the search
+from a node depends only on the placed tasks, the current state and the
+escaped bits of the windows still open.  The suffix set of each such node is
+memoised and folded into its predecessors', so orders that meet share their
+suffixes.  Each check decides exactly what the positional evaluation of the
+full ordering decides, so the result is the set of every grounding times
+every permutation that simulates and satisfies the formula; that makes this
+module the ground truth the acting semantics is verified against.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .constraints import (
     After,
     Before,
-    Between,
     FirstRef,
-    LabelRef,
-    LastRef,
     Ordering,
     TaskNetwork,
+    TaskRef,
     holds,
     network_fingerprint,
-    ordering_edges,
+    ref_labels,
 )
 from .domain import Domain, run_generator
-from .model import (
-    Constant,
-    Substitution,
-    Task,
-    constants_of,
-)
+from .model import Constant, Substitution, Task, constants_of
 from .reduction import reduce_task, relevant_method_bodies
 
 
@@ -60,53 +68,168 @@ def _groundings(
         yield Substitution(dict(zip(free, values)))
 
 
-def _start_position(ref, position: dict) -> int:
-    """Index of the state reached once the referenced task has been done."""
-    if isinstance(ref, LabelRef):
-        return position[ref.label] + 1
-    if isinstance(ref, LastRef):
-        return max(position[l] for l in ref.labels) + 1
-    return min(position[l] for l in ref.labels) + 1
+# A compiled task reference is (mask, first): the bits of its labels, and
+# whether it is reached with its first member placed rather than its last.
+_Ref = tuple[int, bool]
 
 
-def _before_position(ref, position: dict) -> int:
-    """Index of the state just before the referenced task is done."""
-    if isinstance(ref, LabelRef):
-        return position[ref.label]
-    if isinstance(ref, FirstRef):
-        return min(position[l] for l in ref.labels)
-    return max(position[l] for l in ref.labels)
+def _reached(ref: _Ref, placed: int) -> bool:
+    mask, first = ref
+    return placed & mask != 0 if first else placed & mask == mask
 
 
-def _ordering_holds(body, position: dict) -> bool:
-    return _before_position(body.before, position) < _before_position(
-        body.after, position
-    )
+def _newly(ref: _Ref, placed: int, after: int) -> bool:
+    return _reached(ref, after) and not _reached(ref, placed)
 
 
-def _satisfied(constraint, position: dict, states: list) -> bool:
-    body = constraint.body
-    if isinstance(body, Before):
-        value = holds(body.literal, states[_before_position(body.ref, position)])
-        return not value if constraint.negated else value
-    if isinstance(body, After):
-        value = holds(body.literal, states[_start_position(body.ref, position)])
-        return not value if constraint.negated else value
-    if isinstance(body, Between):
-        start = _start_position(body.start, position)
-        end = _before_position(body.end, position)
-        window = states[start : end + 1]
-        if not constraint.negated:
-            return all(holds(body.literal, s) for s in window)
-        # Escape semantics: the negated literal must be observed in some state
-        # of the window; an empty window (endpoint done first) never traps.
-        if not window:
-            return True
-        return any(holds(body.literal.negated(), s) for s in window)
-    if isinstance(body, Ordering):  # pragma: no cover - orderings are prefiltered
-        value = _ordering_holds(body, position)
-        return not value if constraint.negated else value
-    raise TypeError(type(body))
+_BEFORE, _AFTER, _CLOSE = range(3)
+
+
+class _Plan:
+    """A network's constraints compiled once for the search of every grounding.
+
+    ``orders[i]`` and ``checks[i]`` hold the constraints that placing task
+    ``i`` can settle, each keyed by the reference whose reaching settles it.
+    Ground tasks are numbered across groundings in order of first meeting,
+    and each is instantiated once; completions are folded as tuples of these
+    numbers, which hash without calling into the task dataclasses.
+    """
+
+    def __init__(self, network: TaskNetwork, domain: Domain):
+        self.tasks = network.sorted_tasks()
+        self.domain = domain
+        self.numbers: dict[Task, int] = {}
+        # (task, precondition, add set, delete set) per ground task number
+        self.ground: list[tuple] = []
+        bits = {lt.label: 1 << i for i, lt in enumerate(self.tasks)}
+
+        def ref(r: TaskRef) -> _Ref:
+            mask = 0
+            for label in ref_labels(r):
+                mask |= bits[label]
+            return mask, isinstance(r, FirstRef)
+
+        n = len(self.tasks)
+        # (trigger, other, strict): the placement that newly reaches
+        # ``trigger`` needs ``other`` reached before it, or by it too
+        self.orders: list[list] = [[] for _ in range(n)]
+        # (trigger, kind, a, b): _BEFORE/_AFTER with literal index ``a`` and
+        # the negation flag ``b``; _CLOSE with start reference ``a`` and the
+        # escaped bit ``b`` of a negated between
+        self.checks: list[list] = [[] for _ in range(n)]
+        # (start, end, literal index, escaped bit, or 0 for a positive between)
+        self.windows: list[tuple] = []
+        self.literals: list = []
+
+        def on(trigger: _Ref, table: list, entry: tuple) -> None:
+            for i in range(n):
+                if trigger[0] >> i & 1:
+                    table[i].append(entry)
+
+        escapes = 0
+        for c in network.formula:
+            body = c.body
+            if isinstance(body, Ordering):
+                left, right = ref(body.before), ref(body.after)
+                if c.negated:
+                    on(left, self.orders, (left, right, False))
+                else:
+                    on(right, self.orders, (right, left, True))
+                continue
+            k = len(self.literals)
+            self.literals.append(body.literal)
+            if isinstance(body, Before):
+                r = ref(body.ref)
+                on(r, self.checks, (r, _BEFORE, k, c.negated))
+            elif isinstance(body, After):
+                r = ref(body.ref)
+                on(r, self.checks, (r, _AFTER, k, c.negated))
+            else:
+                start, end = ref(body.start), ref(body.end)
+                bit = 0
+                if c.negated:
+                    bit = 1 << escapes
+                    escapes += 1
+                    on(end, self.checks, (end, _CLOSE, start, bit))
+                self.windows.append((start, end, k, bit))
+
+    def number(self, task: Task) -> int:
+        """The number of ground ``task``, instantiated on first sight."""
+        k = self.numbers.get(task)
+        if k is None:
+            k = self.numbers[task] = len(self.ground)
+            pre, add, delete = self.domain.operator_for(task).instantiate(task)
+            self.ground.append((task, pre, frozenset(add), frozenset(delete)))
+        return k
+
+    def sequences(self, theta: Substitution, state: frozenset) -> frozenset:
+        """Every completion of the grounding ``theta``, as ground task numbers."""
+        ids = [self.number(lt.task.substitute(theta)) for lt in self.tasks]
+        effects = [self.ground[k][1:] for k in ids]
+        literals = [l.substitute(theta) for l in self.literals]
+        orders, checks, windows = self.orders, self.checks, self.windows
+
+        def place(i: int, placed: int, current: frozenset, escaped: int):
+            after = placed | 1 << i
+            for trigger, other, strict in orders[i]:
+                if _newly(trigger, placed, after) and not _reached(
+                    other, placed if strict else after
+                ):
+                    return None
+            pre, add, delete = effects[i]
+            if not all(holds(l, current) for l in pre):
+                return None
+            following = (current - delete) | add
+            for trigger, kind, a, b in checks[i]:
+                if not _newly(trigger, placed, after):
+                    continue
+                if kind == _BEFORE:
+                    if holds(literals[a], current) == b:
+                        return None
+                elif kind == _AFTER:
+                    if holds(literals[a], following) == b:
+                        return None
+                else:
+                    if _reached(a, placed) and not escaped & b:
+                        return None
+                    escaped &= ~b
+            for start, end, k, bit in windows:
+                if _reached(start, after) and not _reached(end, after):
+                    if holds(literals[k], following):
+                        continue
+                    if not bit:
+                        return None
+                    escaped |= bit
+            return after, following, escaped
+
+        full = (1 << len(ids)) - 1
+        root = (0, state, 0)
+        # (node, None) expands a node and (node, edges) folds it; every child
+        # places one more task, so it is memoised before its parent folds
+        memo: dict[tuple, frozenset] = {}
+        stack: list = [(root, None)]
+        while stack:
+            node, edges = stack.pop()
+            if edges is not None:
+                memo[node] = frozenset(
+                    (ids[i],) + s for i, child in edges for s in memo[child]
+                )
+                continue
+            if node in memo:
+                continue
+            placed = node[0]
+            if placed == full:
+                memo[node] = frozenset({()})
+                continue
+            edges = []
+            for i in range(len(ids)):
+                if not placed >> i & 1:
+                    child = place(i, *node)
+                    if child is not None:
+                        edges.append((i, child))
+            stack.append((node, edges))
+            stack.extend((child, None) for _, child in edges if child not in memo)
+        return memo[root]
 
 
 def completions(
@@ -122,55 +245,11 @@ def completions(
         return frozenset()
     if universe is None:
         universe = constant_universe(network, state, domain)
-    base_tasks = network.sorted_tasks()
-    index = {lt.label: i for i, lt in enumerate(base_tasks)}
-    predecessors = [0] * len(base_tasks)
-    for a, b in ordering_edges(network.formula):
-        predecessors[index[b]] |= 1 << index[a]
-    found: set[tuple[Task, ...]] = set()
+    plan = _Plan(network, domain)
+    found: set[tuple[int, ...]] = set()
     for theta in _groundings(network, universe):
-        tasks = [lt.substitute(theta).task for lt in base_tasks]
-        formula = [c.substitute(theta) for c in network.formula]
-        orderings = [c for c in formula if isinstance(c.body, Ordering)]
-        others = [c for c in formula if not isinstance(c.body, Ordering)]
-        effects = [domain.operator_for(t).instantiate(t) for t in tasks]
-        for order, states in _executable_orders(effects, predecessors, state):
-            position = {base_tasks[i].label: k for k, i in enumerate(order)}
-            if all(
-                (not c.negated) == _ordering_holds(c.body, position)
-                for c in orderings
-            ) and all(_satisfied(c, position, states) for c in others):
-                found.add(tuple(tasks[i] for i in order))
-    return frozenset(found)
-
-
-def _executable_orders(
-    effects: list[tuple], predecessors: list[int], state: frozenset
-) -> Iterator[tuple[tuple[int, ...], tuple]]:
-    """Every executable order of the tasks that respects ``predecessors``.
-
-    ``effects[i]`` holds task ``i``'s instantiated precondition, add and
-    delete lists.  Task ``i`` is placed once every task in the bit mask
-    ``predecessors[i]`` is placed and its precondition holds in the state the
-    placed prefix reaches.  Yields each full order, as task indices, with its
-    state sequence s0..sk; orders that share a prefix share its states.
-    """
-    full = (1 << len(effects)) - 1
-    stack: list = [((), 0, (state,))]
-    while stack:
-        order, placed, states = stack.pop()
-        if placed == full:
-            yield order, states
-            continue
-        current = states[-1]
-        for i in range(len(effects)):
-            bit = 1 << i
-            if placed & bit or predecessors[i] & ~placed:
-                continue
-            pre, add, delete = effects[i]
-            if all(holds(l, current) for l in pre):
-                after = (current - frozenset(delete)) | frozenset(add)
-                stack.append((order + (i,), placed | bit, states + (after,)))
+        found |= plan.sequences(theta, state)
+    return frozenset(tuple(plan.ground[k][0] for k in s) for s in found)
 
 
 def reachable_networks(

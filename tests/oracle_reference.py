@@ -1,25 +1,92 @@
 """Brute-force completions: the differential reference for ``htnact.oracle``.
 
 Every grounding times every permutation of the tasks, each ordering checked
-and simulated from the initial state on its own.  Exponential in the number
-of tasks, and obviously right: the forward search in ``htnact.oracle`` must
-return exactly these sets.
+and simulated from the initial state on its own, then every constraint
+evaluated positionally over the whole state sequence.  Exponential in the
+number of tasks, and obviously right: the forward search in ``htnact.oracle``
+must return exactly these sets.  The grounding and the positional evaluation
+are this module's own, so a fault in the oracle's constraint semantics cannot
+cancel out.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterable, Optional
 
-from htnact.constraints import Ordering, TaskNetwork, holds
-from htnact.domain import Domain
-from htnact.model import Constant, LabelledTask, Task
-from htnact.oracle import (
-    _groundings,
-    _ordering_holds,
-    _satisfied,
-    constant_universe,
-    reachable_networks,
+from htnact.constraints import (
+    After,
+    Before,
+    Between,
+    FirstRef,
+    LabelRef,
+    LastRef,
+    Ordering,
+    TaskNetwork,
+    holds,
 )
+from htnact.domain import Domain
+from htnact.model import Constant, LabelledTask, Substitution, Task
+from htnact.oracle import constant_universe, reachable_networks
+
+
+def _groundings(
+    network: TaskNetwork, universe: tuple[Constant, ...]
+) -> Iterable[Substitution]:
+    free = sorted(network.variables, key=lambda v: v.name)
+    if not free:
+        yield Substitution()
+        return
+    for values in itertools.product(universe, repeat=len(free)):
+        yield Substitution(dict(zip(free, values)))
+
+
+def _start_position(ref, position: dict) -> int:
+    """Index of the state reached once the referenced task has been done."""
+    if isinstance(ref, LabelRef):
+        return position[ref.label] + 1
+    if isinstance(ref, LastRef):
+        return max(position[l] for l in ref.labels) + 1
+    return min(position[l] for l in ref.labels) + 1
+
+
+def _before_position(ref, position: dict) -> int:
+    """Index of the state just before the referenced task is done."""
+    if isinstance(ref, LabelRef):
+        return position[ref.label]
+    if isinstance(ref, FirstRef):
+        return min(position[l] for l in ref.labels)
+    return max(position[l] for l in ref.labels)
+
+
+def _ordering_holds(body, position: dict) -> bool:
+    return _before_position(body.before, position) < _before_position(
+        body.after, position
+    )
+
+
+def _satisfied(constraint, position: dict, states: list) -> bool:
+    body = constraint.body
+    if isinstance(body, Before):
+        value = holds(body.literal, states[_before_position(body.ref, position)])
+        return not value if constraint.negated else value
+    if isinstance(body, After):
+        value = holds(body.literal, states[_start_position(body.ref, position)])
+        return not value if constraint.negated else value
+    if isinstance(body, Between):
+        start = _start_position(body.start, position)
+        end = _before_position(body.end, position)
+        window = states[start : end + 1]
+        if not constraint.negated:
+            return all(holds(body.literal, s) for s in window)
+        # Escape semantics: the negated literal must be observed in some state
+        # of the window; an empty window (endpoint done first) never traps.
+        if not window:
+            return True
+        return any(holds(body.literal.negated(), s) for s in window)
+    if isinstance(body, Ordering):  # pragma: no cover - orderings are prefiltered
+        value = _ordering_holds(body, position)
+        return not value if constraint.negated else value
+    raise TypeError(type(body))
 
 
 def completions(

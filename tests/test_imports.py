@@ -9,18 +9,31 @@ import htnact
 PACKAGE = Path(htnact.__file__).parent
 
 
+def _private_imports(path: Path) -> list[str]:
+    """``name:line alias`` for each ``_``-prefixed name imported from htnact."""
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if not (node.level or (node.module or "").startswith("htnact")):
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                offenders.append(f"{path.name}:{node.lineno} {alias.name}")
+    return offenders
+
+
 def test_no_module_imports_private_names_of_another():
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            if not (node.level or (node.module or "").startswith("htnact")):
-                continue
-            for alias in node.names:
-                if alias.name.startswith("_"):
-                    offenders.append(f"{path.name}:{node.lineno} {alias.name}")
+        offenders += _private_imports(path)
     assert offenders == []
+
+
+def test_oracle_reference_imports_no_private_names():
+    """The differential reference keeps its own constraint semantics, so a
+    fault in the oracle's cannot cancel out."""
+    assert _private_imports(Path(__file__).parent / "oracle_reference.py") == []
 
 
 def test_every_traced_function_exists():

@@ -35,12 +35,14 @@ def net(tasks, constraints=()):
 
 @pytest.fixture(scope="module")
 def tiny():
-    """Two effects-bearing actions and one refinable task."""
+    """Effects-bearing actions, two distinct no-ops and one refinable task."""
     p, q = Atom("p"), Atom("q")
     operators = [
         Operator("mk", (), (), (p,), ()),
         Operator("rm", (), (), (), (p,)),
         Operator("chk", (), (Literal(p),), (q,), ()),
+        Operator("tick"),
+        Operator("tock"),
     ]
     body = net(
         [LabelledTask("1", Task("mk")), LabelledTask("2", Task("chk"))],
@@ -273,7 +275,32 @@ tasks:
     assert len(solutions) == 20
 
 
-LABELS = ("a", "b", "c", "d")
+def test_negated_between_remembers_its_escape():
+    # two prefixes can reach the same placed tasks and state while only one
+    # of them saw !p inside the window: the search must keep them apart
+    p = Atom("p")
+    domain = make_domain("escape", [
+        Operator("go"),
+        Operator("stop"),
+        Operator("mk", (), (), (p,), ()),
+        Operator("rm", (), (), (), (p,)),
+    ], [])
+    d = net(
+        [
+            LabelledTask("s", Task("go")),
+            LabelledTask("x", Task("mk")),
+            LabelledTask("y", Task("rm")),
+            LabelledTask("e", Task("stop")),
+        ],
+        [Constraint(Between(LabelRef("s"), Literal(p), LabelRef("e")), negated=True)],
+    )
+    for state, count in ((frozenset(), 22), (frozenset({p}), 19)):
+        expected = oracle_reference.completions(d, state, domain)
+        assert len(expected) == count
+        assert completions(d, state, domain) == expected
+
+
+LABELS = ("a", "b", "c", "d", "e")
 label_sets = st.frozensets(st.sampled_from(LABELS), min_size=1, max_size=3)
 task_refs = st.one_of(
     st.sampled_from(LABELS).map(LabelRef),
@@ -291,7 +318,11 @@ constraint_bodies = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.sampled_from(("mk", "rm", "chk", "nop")), min_size=4, max_size=4),
+    st.lists(
+        st.sampled_from(("mk", "rm", "chk", "nop", "tick", "tock")),
+        min_size=5,
+        max_size=5,
+    ),
     st.lists(st.builds(Constraint, constraint_bodies, st.booleans()), max_size=4),
     st.frozensets(st.sampled_from((Atom("p"), Atom("q")))),
 )
@@ -299,7 +330,8 @@ def test_forward_search_matches_brute_force_on_every_constraint_form(
     tiny, symbols, constraints, state
 ):
     # negated orderings and first[]/last[] endpoints, which the corpus does
-    # not generate, on four tasks over the tiny domain
+    # not generate, on five tasks over the tiny domain; the distinct no-ops
+    # keep orders that differ only in which no-op ran apart
     d = net(
         [LabelledTask(l, Task(s)) for l, s in zip(LABELS, symbols)], constraints
     )

@@ -102,7 +102,6 @@ from .trace import (
     eliminate_complete_replacements,
     parse_directives,
     run,
-    start_trace,
     validate_trace,
 )
 

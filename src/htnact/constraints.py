@@ -129,6 +129,15 @@ class Constraint:
     body: ConstraintBody
     negated: bool = False
 
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, computed once per object and
+        kept beside the cached properties, outside ``__eq__`` and ``repr``."""
+        cached = self.__dict__
+        value = cached.get("_hash")
+        if value is None:
+            value = cached["_hash"] = hash((self.body, self.negated))
+        return value
+
     def substitute(self, theta: Substitution) -> "Constraint":
         body = self.body.substitute(theta)
         return self if body is self.body else Constraint(body, self.negated)

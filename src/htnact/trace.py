@@ -17,6 +17,56 @@ enters each ``canonical_key`` once and which ``successful_action_sequences``
 and ``verify.check_extendability`` consume.  Both count each expanded
 configuration against ``SEARCH_NODES`` and raise ``SearchBudgetExceeded``
 past it, never returning a partial result.
+
+Exhaustive acting fixes the order of reductions.  A reduction performs no
+action, so it never shows in the sequences ``successful_action_sequences``
+returns, and that search expands an ample set (Peled, "All from one, one for
+all", CAV 1993; Godefroid, LNCS 1032, 1996): where some primary task ``t``
+can be reduced and each of its relevant bodies has tasks and constrains only
+them, a node follows only the reductions of the smallest such label, with
+all of ``t``'s methods, and drops its actions, its other reductions and its
+replacements.  No sequence
+is lost, because every successful trace from the node reduces ``t`` at some
+step, and that step can move to the front:
+
+* Only a reduction removes ``t``.  An action removes a primitive task, and a
+  replacement only the tasks of a blocked couple; a couple that pursues
+  ``t`` is never blocked, since ``t`` is primary and has a relevant method
+  (``acting._progresses``).  So no ancestor couple of ``t`` is replaced
+  before ``t`` is reduced.
+* ``t`` stays reducible until then.  No execution adds an ordering that
+  puts a task before ``t``, and ``reduction.has_relevant_method`` reads no
+  state; method heads are distinct variables, so a binding that
+  instantiates ``t`` leaves every method relevant, with the body the
+  binding instantiates.
+* The reduction commutes with each earlier action.  It rewrites only the
+  references to ``t``, into ``first[]``/``last[]`` over the body's fresh
+  labels, and adds constraints on those labels only.  A non-empty body keeps
+  every reference it rewrites unexecuted, so an action has the same
+  primacy, extracted literals, bindings, realised constraints and result
+  before the reduction and after it.  Both conditions can fail: ``last[]``
+  of no label, and a label no live task holds, read as done, and bind the
+  next action at once; a task with such a body is not reduced first.
+* It commutes with each earlier replacement, of a couple ``X`` that does not
+  pursue ``t``.  The reduction changes neither ``X``'s members nor its
+  alternatives nor whether they progress.  It keeps ``t`` and the body out
+  of ``X``, so the ``complete`` flag (all of ``X``'s labels in the network)
+  is unchanged.  The couples that pursued ``t``, and the new one, pursue a
+  non-empty body whose labels no other couple holds, so no couple starts or
+  stops undercutting ``X`` and the jump flag is unchanged too.
+  ``replace_tasks`` redirects ``X``'s labels in ``first[]``/``last[]`` and
+  drops the constraints on them, the reduction rewrites ``t``'s; the label
+  sets are disjoint, so both orders give the same formula and couples.
+
+So both orders reach the same configuration up to fresh names, perform the
+same actions and replace with the same ``complete`` flags, which is all
+``allow_partial`` and ``allow_complete`` filter on.  The fold gives an
+ancestor still open on the walk's stack no sequences, so a narrowed node
+must not rely on one: when a successor in its ample set has a key still open
+on the stack, the node expands in full (the cycle proviso).  The walks that
+must see every configuration or trace keep the full expansion:
+``maximal_traces`` and its filters, which the jump and acting-only suites
+use, and ``reachable`` as ``verify.check_extendability`` calls it.
 """
 from __future__ import annotations
 
@@ -41,7 +91,6 @@ from .acting import (
     apply,
     exec_all,
     extracted_literals,
-    initial_configuration,
     is_blocked,
     is_successful,
     is_trace_blocked,
@@ -51,7 +100,7 @@ from .acting import (
     replacement_choice,
     smallest_replaceable,
 )
-from .constraints import TaskNetwork, label_renamer, network_fingerprint, satisfies
+from .constraints import label_renamer, network_fingerprint, satisfies
 from .model import Substitution, Task, label_key, substitute
 from .reduction import Body
 
@@ -229,12 +278,6 @@ class ScriptedStrategy(Strategy):
 # -- running -------------------------------------------------------------------
 
 DEFAULT_BUDGET = 10_000
-
-
-def start_trace(network: TaskNetwork, state: frozenset, domain) -> Trace:
-    cfg = initial_configuration(network, state, domain)
-    ctx = make_context(domain, cfg)
-    return Trace([Step(INITIAL, cfg)], ctx)
 
 
 def strategy_step(
@@ -569,36 +612,78 @@ def maximal_traces(
         path.append(apply(path[-1].config, choice))
 
 
+def _successor(cfg: Configuration, choice: Choice) -> tuple[Configuration, Optional[str]]:
+    nxt = apply(cfg, choice).config
+    return nxt, None if is_successful(nxt) else canonical_key(nxt)
+
+
 def reachable(
-    cfg0: Configuration, ctx: RunContext, follow=lambda choice: True
+    cfg0: Configuration,
+    ctx: RunContext,
+    follow=lambda choice: True,
+    narrow=lambda choices: choices,
 ) -> Iterator[tuple[Configuration, str, tuple[Choice, ...], tuple]]:
     """Each configuration reachable from ``cfg0``, once per ``canonical_key``.
 
     Yields ``(cfg, key, choices, successors)`` in depth-first post-order:
     ``choices`` are the executions from ``cfg`` that ``follow(choice)``
-    accepts and ``successors`` the keys they lead to, each yielded before
-    unless it is an ancestor still open.  A successful configuration is a
-    leaf: it is never entered or keyed, and its key reads None.
+    accepts and ``narrow`` keeps, and ``successors`` the keys they lead to,
+    each yielded before unless it is an ancestor still open.  A node whose
+    narrowed choices lead to a key still open on the walk's stack keeps all
+    its choices (the cycle proviso).  A successful configuration is a leaf:
+    it is never entered or keyed, and its key reads None.
     """
     if is_successful(cfg0):
         return
     nodes = itertools.count(1)
-    key0 = canonical_key(cfg0)
-    seen = {key0}
-    stack = [(cfg0, key0, _expand(cfg0, ctx, nodes, follow), [])]
+    seen: set[str] = set()
+    opened: set[str] = set()  # the keys on the stack
+    stack = []
+
+    def enter(cfg: Configuration, key: str) -> None:
+        seen.add(key)
+        opened.add(key)
+        choices = _expand(cfg, ctx, nodes, follow)
+        kept = narrow(choices)
+        ahead = []  # a narrowed node's successors, built once, here for the proviso
+        if len(kept) < len(choices):
+            ahead = [_successor(cfg, choice) for choice in kept]
+        if any(nxt_key in opened for _, nxt_key in ahead):
+            kept, ahead = choices, []
+        stack.append((cfg, key, kept, iter(ahead), []))
+
+    enter(cfg0, canonical_key(cfg0))
     while stack:
-        cfg, key, choices, successors = stack[-1]
+        cfg, key, choices, ahead, successors = stack[-1]
         for choice in choices[len(successors):]:
-            nxt = apply(cfg, choice).config
-            nxt_key = None if is_successful(nxt) else canonical_key(nxt)
+            nxt, nxt_key = next(ahead, None) or _successor(cfg, choice)
             successors.append(nxt_key)
             if nxt_key is not None and nxt_key not in seen:
-                seen.add(nxt_key)
-                stack.append((nxt, nxt_key, _expand(nxt, ctx, nodes, follow), []))
+                enter(nxt, nxt_key)
                 break
         else:
             stack.pop()
+            opened.discard(key)
             yield cfg, key, choices, tuple(successors)
+
+
+def _commutes(body: Body) -> bool:
+    """Does reducing to ``body`` commute with the steps before it?  Yes when
+    it has tasks and its constraints name no other labels (module docstring)."""
+    labels = body.network.labels
+    return bool(labels) and all(c.labels() <= labels for c in body.network.formula)
+
+
+def _ample(choices: tuple[Choice, ...]) -> tuple[Choice, ...]:
+    """The reductions of the smallest-label task all of whose bodies
+    commute, or all of ``choices`` when no task qualifies.
+    ``exec_via_reduction`` offers reductions in label order."""
+    reductions = (choice for choice in choices if choice.kind == REDUCTION)
+    for _, group in itertools.groupby(reductions, key=lambda choice: choice.label):
+        group = tuple(group)
+        if all(_commutes(choice.body) for choice in group):
+            return group
+    return choices
 
 
 def successful_action_sequences(
@@ -609,16 +694,18 @@ def successful_action_sequences(
 ) -> frozenset:
     """Action sequences of every successful trace reachable from ``cfg0``.
 
-    Explores all executions (all ground bindings included), optionally
-    skipping partial- or complete-replacement edges, and folds each
-    configuration's sequences from its successors' in ``reachable`` order.
+    Explores the executions (all ground bindings included), optionally
+    skipping partial- or complete-replacement edges, with the reductions of
+    one task in place of every other choice wherever one qualifies (module
+    docstring), and folds each configuration's sequences from its
+    successors' in ``reachable`` order.
     """
-    # None keys a successful configuration; an ancestor still open (none
-    # recurs on a path) has no entry and contributes nothing
+    # None keys a successful configuration; an ancestor still open has no
+    # entry and contributes nothing
     memo: dict[Optional[str], frozenset] = {None: frozenset({()})}
     key = None
     follow = functools.partial(_allowed, allow_partial, allow_complete)
-    for _, key, choices, successors in reachable(cfg0, ctx, follow):
+    for _, key, choices, successors in reachable(cfg0, ctx, follow, _ample):
         sequences = set()
         for choice, successor in zip(choices, successors):
             suffixes = memo.get(successor, frozenset())

@@ -51,6 +51,7 @@ from htnact.trace import (
     successful_action_sequences,
 )
 from htnact.verify import check_extendability
+from search_reference import reference_action_sequences
 
 
 def reference_is_blocked(pursued, d, state, ctx) -> bool:
@@ -185,6 +186,44 @@ def counter_problem(depth: int):
     facts = ["cnt(c0)"] + [f"next(c{i}, c{i + 1})" for i in range(depth)]
     text = f"problem deep\nstate: {', '.join(facts)}\ntasks:\n  L: loop\n"
     return parse_problem(text, domain).value, domain
+
+
+UNBOUNDED_DOMAIN = COUNTER_DOMAIN.replace(
+    "    1: dec(X, Y)\n", "    1: a\n"
+)
+
+
+def test_counter_domains_give_the_reference_sets():
+    sizes = {True: [], False: []}
+    for depth in range(5):
+        problem, domain = counter_problem(depth)
+        cfg0 = initial_configuration(problem.network, problem.state, domain)
+        for allow_partial in (True, False):
+            narrowed = successful_action_sequences(
+                cfg0, make_context(domain, cfg0), allow_partial=allow_partial
+            )
+            assert narrowed == reference_action_sequences(
+                cfg0, make_context(domain, cfg0), allow_partial=allow_partial
+            )
+            sizes[allow_partial].append(len(narrowed))
+    assert sizes == {True: [1, 3, 5, 7, 9], False: [1, 2, 3, 4, 5]}
+
+
+def test_an_unbounded_recursion_stops_at_the_node_budget(monkeypatch):
+    """Without a counter, ``loop`` reduces forever and every reduction adds a
+    couple, so no key recurs: the search must stop at the budget, and its
+    depth must cost no Python stack."""
+    domain = parse_domain(UNBOUNDED_DOMAIN, "unbounded").value
+    problem = parse_problem("problem open\nstate:\ntasks:\n  L: loop\n", domain).value
+    cfg0 = initial_configuration(problem.network, problem.state, domain)
+    monkeypatch.setattr(trace_module, "SEARCH_NODES", 100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        with pytest.raises(SearchBudgetExceeded, match="more than 100"):
+            successful_action_sequences(cfg0, make_context(domain, cfg0))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_exec_all_checks_each_primary_action_once(monkeypatch):

@@ -36,6 +36,12 @@ def test_oracle_reference_imports_no_private_names():
     assert _private_imports(Path(__file__).parent / "oracle_reference.py") == []
 
 
+def test_search_reference_imports_no_private_names():
+    """The unreduced fold keeps its own replacement filter and folds over the
+    public walk, so a narrowing hidden in a private helper cannot reach it."""
+    assert _private_imports(Path(__file__).parent / "search_reference.py") == []
+
+
 def test_every_traced_function_exists():
     """perfbench/tracing.py wraps its TARGETS by name; a renamed function
     must fail here rather than in the benchmark's traced run."""

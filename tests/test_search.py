@@ -1,0 +1,212 @@
+"""Exhaustive acting with the order of reductions fixed.
+
+``successful_action_sequences`` follows only the reductions of one task where
+the ``trace`` module docstring allows it; ``search_reference`` folds over
+every execution.  The two must give the same sets, and the narrowed search
+must expand fewer configurations where tasks can be reduced independently.
+"""
+from __future__ import annotations
+
+import pytest
+
+from htnact import trace as trace_module
+from htnact.acting import (
+    ACTION,
+    REDUCTION,
+    REPLACEMENT,
+    initial_configuration,
+    make_context,
+)
+from htnact.constraints import label_renamer, network_fingerprint
+from htnact.corpus import corpus
+from htnact.syntax import parse_domain, parse_problem
+from htnact.trace import reachable, successful_action_sequences
+from search_reference import reference_action_sequences
+
+
+def transmits(rover, count: int):
+    """``count`` unordered ``transmitData`` tasks, each with its experiment done."""
+    locations = [f"loc{i}" for i in range(1, count + 1)]
+    facts = ["raw", "cali", *(f"didExp({loc})" for loc in locations), "lander(lan1)"]
+    tasks = "".join(
+        f"  {chr(ord('A') + i)}: transmitData({loc})\n" for i, loc in enumerate(locations)
+    )
+    text = f"problem transmits\nstate: {', '.join(facts)}\ntasks:\n{tasks}"
+    return parse_problem(text, rover).value
+
+
+def both(problem, domain, **flags):
+    cfg0 = initial_configuration(problem.network, problem.state, domain)
+    narrowed = successful_action_sequences(cfg0, make_context(domain, cfg0), **flags)
+    reference = reference_action_sequences(cfg0, make_context(domain, cfg0), **flags)
+    return narrowed, reference
+
+
+@pytest.mark.parametrize("allow_partial", [True, False])
+def test_narrowed_search_equals_the_reference_on_rover(
+    rover, rover_problem, rover_nocali, allow_partial
+):
+    problems = [rover_problem, rover_nocali]
+    if not allow_partial:  # with partial replacements, the node count test below
+        problems.append(transmits(rover, 2))
+    for problem in problems:
+        narrowed, reference = both(problem, rover, allow_partial=allow_partial)
+        assert narrowed == reference and narrowed
+
+
+def test_narrowed_search_equals_the_reference_on_a_corpus_slice():
+    found = 0
+    for case in corpus(40, 0):
+        for allow_partial in (True, False):
+            narrowed, reference = both(
+                case, case.domain, allow_partial=allow_partial
+            )
+            assert narrowed == reference
+            found += bool(narrowed)
+    assert found > 20
+
+
+def test_two_transmits_expand_fewer_nodes(monkeypatch, rover):
+    problem = transmits(rover, 2)
+    cfg0 = initial_configuration(problem.network, problem.state, rover)
+    nodes = []
+    real_exec_all = trace_module.exec_all
+
+    def counted_exec_all(*args, **kwargs):
+        nodes.append(1)
+        return real_exec_all(*args, **kwargs)
+
+    monkeypatch.setattr(trace_module, "exec_all", counted_exec_all)
+    narrowed = successful_action_sequences(cfg0, make_context(rover, cfg0))
+    narrowed_nodes = len(nodes)
+    nodes.clear()
+    reference = reference_action_sequences(cfg0, make_context(rover, cfg0))
+    assert narrowed == reference and len(narrowed) == 20
+    assert narrowed_nodes < len(nodes) / 2
+
+
+# -- where the order of reductions cannot be fixed -------------------------------
+
+EMPTY_BODY_DOMAIN = """\
+domain skip
+
+operator a
+  pre:
+  add: p
+  del:
+
+method m1 tt
+  tasks:
+"""
+
+
+def test_a_task_with_an_empty_body_is_not_reduced_first():
+    """Reducing ``T`` to nothing makes ``after T p`` bind the next action at
+    once; reduced after ``a``, it binds nothing.  So ``T`` may not be
+    reduced ahead of ``a``, and the search expands the node in full."""
+    domain = parse_domain(EMPTY_BODY_DOMAIN, "skip").value
+    problem = parse_problem(
+        "problem skip\nstate:\ntasks:\n  T: tt\n  A: a\nconstraints:\n  after T p\n",
+        domain,
+    ).value
+    narrowed, reference = both(problem, domain)
+    assert [[str(task) for task in seq] for seq in narrowed] == [["a"]]
+    assert narrowed == reference
+
+
+OUTSIDE_LABEL_DOMAIN = """\
+domain outside
+
+operator a
+  pre:
+  add: p
+  del:
+
+operator b
+  pre:
+  add:
+  del:
+
+method m1 tt
+  tasks:
+    1: b
+  constraints:
+    after 9 p
+"""
+
+
+def test_a_task_whose_body_names_an_outside_label_is_not_reduced_first():
+    """No task of the body holds label 9, so once ``T`` is reduced
+    ``after 9 p`` reads as done and binds the next action: ``b`` cannot
+    start until ``a`` has made ``p`` true."""
+    domain = parse_domain(OUTSIDE_LABEL_DOMAIN, "outside").value
+    text = "problem outside\nstate:\ntasks:\n  T: tt\n  A: a\n"
+    problem = parse_problem(text, domain).value
+    narrowed, reference = both(problem, domain)
+    assert [[str(task) for task in seq] for seq in narrowed] == [["a", "b"]]
+    assert narrowed == reference
+
+
+LOOP_DOMAIN = """\
+domain loop
+
+operator a
+  pre:
+  add:
+  del:
+
+operator b
+  pre:
+  add:
+  del:
+
+method m1 tt
+  tasks:
+    1: uu
+
+method m2 uu
+  tasks:
+    1: tt
+
+method m3 uu
+  tasks:
+    1: b
+"""
+
+
+def network_and_state_key(cfg) -> str:
+    """A key that forgets the couples.  Without replacements only the network
+    and the state decide the sequences, and under this key reducing ``tt``
+    and then ``uu`` returns to the key the walk started from."""
+    atoms = " ".join(sorted(atom.text for atom in cfg.state))
+    return f"{network_fingerprint(cfg.network, label_renamer())}@{atoms}"
+
+
+def test_the_cycle_proviso_expands_a_node_whose_reduction_recurs(monkeypatch):
+    monkeypatch.setattr(trace_module, "canonical_key", network_and_state_key)
+    domain = parse_domain(LOOP_DOMAIN, "loop").value
+    text = "problem loop\nstate:\ntasks:\n  T: tt\n  A: a\n"
+    problem = parse_problem(text, domain).value
+    cfg0 = initial_configuration(problem.network, problem.state, domain)
+    flags = dict(allow_partial=False, allow_complete=False)
+
+    # the start and the node after reducing tt; at the second, uu's reduction
+    # with m2 leads back to the start, which is still open
+    expanded = {
+        str(cfg.network): {choice.kind for choice in choices}
+        for cfg, _, choices, _ in reachable(
+            cfg0,
+            make_context(domain, cfg0),
+            lambda choice: choice.kind != REPLACEMENT,
+            trace_module._ample,
+        )
+    }
+    assert expanded[str(cfg0.network)] == {REDUCTION}
+    recurring = [
+        kinds for network, kinds in expanded.items() if "uu" in network and "a" in network
+    ]
+    assert recurring == [{REDUCTION, ACTION}]
+
+    narrowed, reference = both(problem, domain, **flags)
+    assert sorted(" ".join(map(str, seq)) for seq in narrowed) == ["a b", "b a"]
+    assert narrowed == reference

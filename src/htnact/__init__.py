@@ -36,6 +36,7 @@ from .acting import (
     relevant_constraints,
     replace_tasks,
     smallest_replaceable,
+    top_couple,
     update_couples,
 )
 from .agent import (
@@ -46,7 +47,6 @@ from .agent import (
     observe,
     run_agent,
     sra_step,
-    top_couple,
 )
 from .constraints import (
     After,

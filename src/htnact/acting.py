@@ -136,6 +136,11 @@ class Configuration:
     def sorted_couples(self) -> list[ReductionCouple]:
         return sorted(self.couples, key=ReductionCouple.sort_key)
 
+    @cached_property
+    def primary(self) -> frozenset:
+        """``primary_tasks`` of the network, computed once per configuration."""
+        return primary_tasks(self.network, self.domain)
+
 
 @dataclass
 class RunContext:
@@ -161,8 +166,13 @@ class RunContext:
     applicable: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
+    def names(self) -> tuple[set, set]:
+        """The labels and variable names ``config`` mentions."""
+        return _names_of_config(self.config)
+
+    @cached_property
     def gen(self) -> NameGenerator:
-        return NameGenerator(*_names_of_config(self.config))
+        return NameGenerator(*self.names)
 
     def for_config(self, config: "Configuration") -> "RunContext":
         """A context whose fresh names avoid exactly what ``config`` mentions.
@@ -207,12 +217,23 @@ def initial_configuration(
     return Configuration(network, state, frozenset((top,)), domain)
 
 
+def top_couple(config: Configuration) -> ReductionCouple:
+    """The unique top-level couple: no origin and nothing left to try."""
+    tops = [c for c in config.couples if c.origin is None]
+    if len(tops) != 1:
+        raise ValueError(f"expected one top-level couple, found {len(tops)}")
+    if tops[0].alternatives:
+        raise ValueError("top-level couple has alternatives")
+    return tops[0]
+
+
 def _names_of_config(config: "Configuration") -> tuple[set, set]:
+    # a couple pursues network tasks and executed ones, which are ground, so
+    # its variables are the network's
     labels: set[str] = set(config.network.labels)
     variables = set(config.network.variables)
     for couple in config.couples:
         labels |= couple.labels
-        variables.update(*(lt.variables for lt in couple.pursued))
         for body in couple.alternatives:
             labels |= body.network.labels
             variables |= body.network.variables
@@ -579,14 +600,25 @@ def action_result(
 
 # -- the three kinds of execution ----------------------------------------------
 
+def _candidates(cfg: Configuration, label: Optional[str]) -> list[LabelledTask]:
+    """The primary tasks of ``cfg`` in label order, or only ``label``'s."""
+    if label is None:
+        return sorted(cfg.primary, key=labelled_task_key)
+    return [lt for lt in cfg.primary if lt.label == label]
+
+
 def exec_via_action(
-    cfg: Configuration, ctx: RunContext, all_bindings: bool = False
+    cfg: Configuration,
+    ctx: RunContext,
+    all_bindings: bool = False,
+    label: Optional[str] = None,
 ) -> tuple[Choice, ...]:
+    """Applicable primary actions, of ``label`` alone when it is given."""
     choices = []
-    for lt in sorted(primary_tasks(cfg.network, cfg.domain), key=labelled_task_key):
+    limit = None if all_bindings else 1
+    for lt in _candidates(cfg, label):
         if not cfg.domain.is_primitive(lt.task.symbol):
             continue
-        limit = None if all_bindings else 1
         for theta in applicable_substitutions(
             lt.label, cfg.network, cfg.state, ctx, limit=limit
         ):
@@ -596,9 +628,12 @@ def exec_via_action(
     return tuple(choices)
 
 
-def exec_via_reduction(cfg: Configuration, ctx: RunContext) -> tuple[Choice, ...]:
+def exec_via_reduction(
+    cfg: Configuration, ctx: RunContext, label: Optional[str] = None
+) -> tuple[Choice, ...]:
+    """Reductions of primary non-primitive tasks, of ``label`` alone if given."""
     choices = []
-    for lt in sorted(primary_tasks(cfg.network, cfg.domain), key=labelled_task_key):
+    for lt in _candidates(cfg, label):
         if not cfg.domain.is_nonprimitive(lt.task.symbol):
             continue
         # candidates rename against a fork; the chosen reduction's names are
@@ -761,25 +796,26 @@ def exec_via_replacement(
     if actions is None:
         actions = exec_via_action(cfg, ctx)
     can_act = frozenset(choice.label for choice in actions).__contains__
-    primary = primary_tasks(cfg.network, cfg.domain)
+    primary = cfg.primary
     primary_labels = frozenset(lt.label for lt in primary)
     progressing = frozenset(
         lt.label for lt in primary if _progresses(lt, can_act, cfg.domain)
     )
-    choices = []
-    smallest = None
-    for couple in cfg.sorted_couples():
-        if not couple.alternatives:
-            continue
-        if couple.labels.isdisjoint(primary_labels):
-            continue
-        if not couple.labels.isdisjoint(progressing):
-            continue
-        if smallest is None:
-            smallest = smallest_replaceable(cfg.couples)
-        for body in couple.alternatives:
-            choices.append(replacement_choice(cfg, couple, body, smallest))
-    return tuple(choices)
+    blocked = [
+        couple
+        for couple in cfg.couples
+        if couple.alternatives
+        and not couple.labels.isdisjoint(primary_labels)
+        and couple.labels.isdisjoint(progressing)
+    ]
+    if not blocked:
+        return ()
+    smallest = smallest_replaceable(cfg.couples)
+    return tuple(
+        replacement_choice(cfg, couple, body, smallest)
+        for couple in sorted(blocked, key=ReductionCouple.sort_key)
+        for body in couple.alternatives
+    )
 
 
 def exec_all(
@@ -811,8 +847,8 @@ def apply(cfg: Configuration, choice: Choice) -> Step:
 
     Every successor configuration is built here, for the three kinds of
     execution and for observations.  Legality is the caller's concern:
-    ``exec_*`` offer only legal choices, and replay checks a recorded one
-    before applying it.
+    ``exec_*`` offer only legal choices, and replay applies a recorded step
+    only once it has found it among them.
     """
     label, body = choice.label, choice.body
     removed = added = frozenset()
@@ -826,17 +862,17 @@ def apply(cfg: Configuration, choice: Choice) -> Step:
         removed = frozenset((label,))
     elif choice.kind == REDUCTION:
         target = cfg.network.task_of(label)
-        couples = {
-            dc_replace(c, pursued=(c.pursued - {target}) | body.network.tasks)
-            if target in c.pursued
-            else c
+        grown = {
+            c: dc_replace(c, pursued=(c.pursued - {target}) | body.network.tasks)
             for c in cfg.couples
+            if label in c.labels and target in c.pursued
         }
-        couples.add(ReductionCouple(label, body.network.tasks, choice.alternatives))
+        created = ReductionCouple(label, body.network.tasks, choice.alternatives)
         config = dc_replace(
             cfg,
             network=reduce_task(cfg.network, label, body.network),
-            couples=frozenset(couples),
+            # only the couples that change are hashed again
+            couples=cfg.couples.difference(grown).union(grown.values(), (created,)),
         )
         removed, added = frozenset((label,)), body.network.labels
     elif choice.kind == REPLACEMENT:
@@ -878,7 +914,7 @@ def is_trace_blocked(cfg: Configuration, ctx: RunContext) -> bool:
     most once per primary action: the couples are all blocked exactly when
     none of the primary tasks they pursue can make progress.
     """
-    primary = primary_tasks(cfg.network, cfg.domain)
+    primary = cfg.primary
     primary_labels = frozenset(lt.label for lt in primary)
     pursued: set[str] = set()
     for couple in cfg.couples:

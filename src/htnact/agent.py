@@ -14,13 +14,13 @@ from .acting import (
     INITIAL,
     OBSERVATION,
     Configuration,
-    ReductionCouple,
     RunContext,
     Step,
     initial_configuration,
     is_successful,
     is_trace_blocked,
     make_context,
+    top_couple,  # also public as htnact.agent.top_couple
     with_observed,
 )
 from .constraints import TaskNetwork
@@ -91,16 +91,6 @@ def initial_agent_configuration(state: frozenset, domain: Domain) -> Configurati
     nop = LabelledTask(NOP_LABEL, Task(NOP_SYMBOL))
     network = TaskNetwork(frozenset((nop,)), frozenset())
     return initial_configuration(network, state, domain)
-
-
-def top_couple(config: Configuration) -> ReductionCouple:
-    """The unique top-level couple: no origin and nothing left to try."""
-    tops = [c for c in config.couples if c.origin is None]
-    if len(tops) != 1:
-        raise ValueError(f"expected one top-level couple, found {len(tops)}")
-    if tops[0].alternatives:
-        raise ValueError("top-level couple has alternatives")
-    return tops[0]
 
 
 def check_observable(task: Task, domain: Domain) -> Optional[str]:

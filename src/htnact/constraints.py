@@ -21,7 +21,6 @@ from .model import (
     label_key,
     labelled_task_key,
     substitute,
-    variables_of,
 )
 
 
@@ -186,7 +185,9 @@ class Constraint:
         """``variables_of(self)``, collected once per object: task references
         hold labels only, so the variables are the literal's."""
         literal = getattr(self.body, "literal", None)
-        return frozenset() if literal is None else variables_of(literal)
+        if literal is None:
+            return frozenset()
+        return frozenset(a for a in literal.atom.args if isinstance(a, Variable))
 
     @cached_property
     def text(self) -> str:

@@ -23,6 +23,7 @@ from .constraints import (
     ref_labels,
 )
 from .model import (
+    EMPTY_SUBSTITUTION,
     Atom,
     Constant,
     LabelledTask,
@@ -119,12 +120,16 @@ def make_domain(name: str, operators: Iterable[Operator], methods: Iterable[Meth
 
 
 def fresh_rename(
-    body: TaskNetwork, gen: NameGenerator, keep: frozenset = frozenset()
+    body: TaskNetwork,
+    gen: NameGenerator,
+    keep: frozenset = frozenset(),
+    bound: Substitution = EMPTY_SUBSTITUTION,
 ) -> TaskNetwork:
     """An isomorphic copy of ``body`` with fresh labels and fresh variables.
 
-    Variables in ``keep`` (a method head's parameters, about to be bound by a
-    match) are left alone; everything else is standardized apart.
+    Variables in ``keep`` (a method head's parameters) are left alone, and
+    then ``bound`` (their match against a task) is applied to every member;
+    everything else is standardized apart.
     """
     label_map = {lab: gen.label(lab) for lab in sorted(body.labels)}
     var_map = {
@@ -142,11 +147,12 @@ def fresh_rename(
         return ref if labels == ref.labels else type(ref)(labels)
 
     tasks = frozenset(
-        LabelledTask(label_map[lt.label], lt.task.substitute(theta))
+        LabelledTask(label_map[lt.label], lt.task.substitute(theta).substitute(bound))
         for lt in body.tasks
     )
     formula = frozenset(
-        c.substitute(theta).rewrite_refs(rename_ref) for c in body.formula
+        c.substitute(theta).substitute(bound).rewrite_refs(rename_ref)
+        for c in body.formula
     )
     return TaskNetwork(tasks, formula)
 

@@ -18,7 +18,7 @@ from .constraints import (
     rewrite_labels,
 )
 from .domain import Domain, fresh_rename
-from .model import NameGenerator, Task, Variable, match_task, substitute
+from .model import NameGenerator, Task, Variable, match_task
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,10 @@ class Body:
             return self
         return Body(self.method, self.index, network)
 
-    def sort_key(self) -> tuple:
-        return (self.index, str(self.network))
+    def sort_key(self) -> int:
+        """The bodies a couple holds come from distinct methods, so the
+        declaring method's position orders them."""
+        return self.index
 
     @cached_property
     def key_fragment(self) -> str:
@@ -75,8 +77,8 @@ def relevant_method_bodies(task: Task, domain: Domain, gen: NameGenerator) -> tu
         head_vars = frozenset(
             a for a in method.head.args if isinstance(a, Variable)
         )
-        renamed = fresh_rename(method.body, gen, keep=head_vars)
-        bodies.append(Body(method.name, index, substitute(renamed, theta)))
+        renamed = fresh_rename(method.body, gen, keep=head_vars, bound=theta)
+        bodies.append(Body(method.name, index, renamed))
     return tuple(bodies)
 
 

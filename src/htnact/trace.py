@@ -90,18 +90,26 @@ from .acting import (
     Step,
     apply,
     exec_all,
-    extracted_literals,
-    is_blocked,
+    exec_via_action,
+    exec_via_reduction,
+    exec_via_replacement,
     is_successful,
     is_trace_blocked,
     make_context,
     ordered_alternatives,
-    primary_tasks,
-    replacement_choice,
-    smallest_replaceable,
+    top_couple,
 )
-from .constraints import label_renamer, network_fingerprint, satisfies
-from .model import Substitution, Task, label_key, substitute
+from .constraints import LabelRef, label_renamer, network_fingerprint
+from .domain import fresh_rename
+from .model import (
+    Constant,
+    LabelledTask,
+    NameGenerator,
+    Task,
+    label_key,
+    labelled_task_key,
+    substitute,
+)
 from .reduction import Body
 
 SUCCESSFUL = "successful"
@@ -284,10 +292,11 @@ def strategy_step(
     cfg: Configuration, strategy: Strategy, trace: Trace, ctx: RunContext
 ) -> Optional[Step]:
     """Perform the execution ``strategy`` chooses from ``cfg`` and append it
-    to ``trace``; None when ``cfg`` is successful or blocked, nothing can
-    execute, or the strategy declines."""
-    if is_successful(cfg) or is_trace_blocked(cfg, ctx):
-        return None
+    to ``trace``; None when nothing can execute or the strategy declines.
+
+    A successful or blocked ``cfg`` offers nothing: the top-level couple
+    pursues every task, so when no primary task can progress, every couple
+    that meets one has no alternatives left."""
     choices = exec_all(cfg, ctx)
     if not choices:
         return None
@@ -327,92 +336,179 @@ def _couple_by_origin(config: Configuration, origin: Optional[str]) -> Reduction
 
 
 def replay_step(prev: Configuration, recorded: Step, ctx: RunContext) -> Step:
-    """Recompute ``recorded`` from ``prev`` using the choice it documents.
+    """Apply the execution ``prev`` offers that ``recorded`` records.
 
-    Succeeds only when the choice is legal from ``prev``; the resulting step
-    is applied deterministically from the recorded label, binding and body,
-    so a valid trace replays to exactly its recorded configurations.
+    A step is legal exactly when ``prev`` offers it for its label: an action
+    with its binding (``exec_via_action``, every binding), a reduction with
+    its body and alternatives up to fresh names (``_recorded_reduction``), a
+    replacement with its body and flags (``exec_via_replacement``).  An
+    observation is applied as recorded.  ``ctx`` must know every name of
+    ``prev``, as a run's context does; it absorbs each replayed reduction, so
+    the bodies it offers carry the names a run recorded.
     """
-    primary = primary_tasks(prev.network, prev.domain)
-    label, body = recorded.label, recorded.body
+    label = recorded.label
+    if recorded.kind == OBSERVATION:
+        return apply(prev, Choice(OBSERVATION, observed=recorded.observed))
     if recorded.kind == ACTION:
-        lt = prev.network.task_of(label)
-        if lt not in primary:
-            raise TraceError(f"action {label} is not primary")
-        theta = recorded.binding or Substitution()
-        op = prev.domain.operator_for(lt.task)
-        pre, _, _ = op.instantiate(lt.task)
-        formula = [l.substitute(theta) for l in pre]
-        formula += [
-            l.substitute(theta) for l in extracted_literals(label, prev.network)
-        ]
-        if any(not l.is_ground for l in formula):
-            raise TraceError(f"binding for {label} is not ground")
-        if not satisfies(prev.state, formula):
-            raise TraceError(f"action {label} is not applicable")
-        choice = Choice(ACTION, label, lt.task.substitute(theta), binding=theta)
+        offered = exec_via_action(prev, ctx, all_bindings=True, label=label)
+        found = next((c for c in offered if c.binding == recorded.binding), None)
     elif recorded.kind == REDUCTION:
-        lt = prev.network.task_of(label)
-        if lt not in primary:
-            raise TraceError(f"reduced task {label} is not primary")
-        if not prev.domain.is_nonprimitive(lt.task.symbol):
-            raise TraceError(f"reduced task {label} is primitive")
-        new_couple = _couple_by_origin(recorded.config, label)
-        if new_couple.pursued != body.network.tasks:
-            raise TraceError(f"couple for {label} does not pursue the chosen body")
-        choice = Choice(
-            REDUCTION, label, lt.task, body=body, alternatives=new_couple.alternatives
-        )
+        offered = exec_via_reduction(prev, ctx, label)
+        found = _recorded_reduction(offered, recorded, ctx.for_config(prev).names)
+        if found is not None:
+            ctx.absorb(found)
     elif recorded.kind == REPLACEMENT:
-        couple = _couple_by_origin(prev, label)
-        if body not in couple.alternatives:
-            raise TraceError(
-                f"body {body.method} is not an untried alternative of {label}"
-            )
-        primary_labels = frozenset(lt.label for lt in primary)
-        if not (couple.labels & primary_labels):
-            raise TraceError(f"couple {label} meets no primary task")
-        if not is_blocked(couple.pursued, prev.network, prev.state, ctx):
-            raise TraceError(f"couple {label} is not blocked")
-        choice = replacement_choice(
-            prev, couple, body, smallest_replaceable(prev.couples)
-        )
-    elif recorded.kind == OBSERVATION:
-        choice = Choice(OBSERVATION, observed=recorded.observed)
+        offered = tuple(c for c in exec_via_replacement(prev, ctx) if c.label == label)
+        wanted = (recorded.body, recorded.complete, recorded.jump)
+        found = next((c for c in offered if (c.body, c.complete, c.jump) == wanted), None)
     else:
         raise TraceError(f"cannot replay step kind {recorded.kind}")
-    return apply(prev, choice)
+    if found is None:
+        described = "; ".join(c.describe() for c in offered) or "nothing"
+        raise TraceError(f"no offered execution matches (offered for {label}: {described})")
+    return apply(prev, found)
+
+
+def _recorded_reduction(
+    offered: tuple[Choice, ...], recorded: Step, taken: tuple[set, set]
+) -> Optional[Choice]:
+    """``recorded``'s reduction, when its body and the alternatives its new
+    couple keeps are an offered choice's up to a renaming of each body's own
+    names (``_renames``), and those names are fresh (``_fresh``)."""
+    kept = _couple_by_origin(recorded.config, recorded.label).alternatives
+    bodies = (recorded.body,) + kept
+    for choice in offered:
+        held = choice.task.variables
+        if (
+            len(choice.alternatives) == len(kept)
+            and all(
+                _renames(body, offered_body, held)
+                for body, offered_body in zip(bodies, (choice.body,) + choice.alternatives)
+            )
+            and _fresh(bodies, held, taken)
+        ):
+            return dc_replace(choice, body=recorded.body, alternatives=kept)
+    return None
+
+
+def _fresh(bodies: tuple[Body, ...], held: frozenset, taken: tuple[set, set]) -> bool:
+    """Do ``bodies`` name only labels and variables outside ``held`` that the
+    ``taken`` names of a configuration lack and no other of them names?"""
+    labels = [label for body in bodies for label in body.network.labels]
+    names = [v.name for body in bodies for v in body.network.variables - held]
+    return (
+        len(set(labels)) == len(labels)
+        and len(set(names)) == len(names)
+        and taken[0].isdisjoint(labels)
+        and taken[1].isdisjoint(names)
+    )
+
+
+def _renames(recorded: Body, offered: Body, held: frozenset) -> bool:
+    """Is ``recorded`` ``offered`` under an injective renaming of its labels
+    and of its variables outside ``held``?  Tasks are paired first, which
+    names every label, then constraints; a pairing is undone when a later
+    member cannot follow it, so set order never decides the answer."""
+    if recorded == offered:
+        return True
+    r, o = recorded.network, offered.network
+    if (recorded.method, recorded.index, len(r.tasks), len(r.formula), _outside(r)) != (
+        offered.method, offered.index, len(o.tasks), len(o.formula), _outside(o)
+    ):
+        return False
+    members = sorted(r.tasks, key=labelled_task_key) + sorted(r.formula, key=str)
+    targets = sorted(o.tasks, key=labelled_task_key) + sorted(o.formula, key=str)
+
+    tasks = len(r.tasks)
+
+    def extend(k: int, names: dict, used: frozenset) -> bool:
+        if k == len(members):
+            return True
+        for j in range(tasks) if k < tasks else range(tasks, len(targets)):
+            paired = dict(names)
+            if j not in used and _pair(members[k], targets[j], paired, held):
+                if extend(k + 1, paired, used | {j}):
+                    return True
+        return False
+
+    return extend(0, {}, frozenset())
+
+
+def _outside(network) -> frozenset:
+    """The labels ``network``'s constraints name beyond its tasks."""
+    return frozenset().union(*(c.labels() for c in network.formula)) - network.labels
+
+
+def _pair(member, target, names: dict, held: frozenset) -> bool:
+    """Extend ``names`` so that task or constraint ``member`` names ``target``:
+    a label, or a variable outside ``held``, names one of its own kind that
+    nothing else names; labels outside the body and other terms name
+    themselves."""
+    if isinstance(member, LabelledTask):
+        same = member.task.symbol == target.task.symbol
+        keys, values = (member.label, *member.task.args), (target.label, *target.task.args)
+    else:
+        rename = lambda label: names.get(label, label)  # noqa: E731
+        refs = tuple(
+            LabelRef(rename(ref.label)) if isinstance(ref, LabelRef)
+            else type(ref)(frozenset(map(rename, ref.labels)))
+            for ref in member.refs()
+        )
+        if (member.negated, type(member.body), refs) != (
+            target.negated, type(target.body), target.refs()
+        ):
+            return False
+        literal = getattr(member.body, "literal", None)
+        other = getattr(target.body, "literal", None)
+        if literal is None:
+            return True
+        same = (literal.positive, literal.atom.symbol) == (other.positive, other.atom.symbol)
+        keys, values = literal.atom.args, other.atom.args
+    if not same or len(keys) != len(values):
+        return False
+    for key, value in zip(keys, values):
+        if isinstance(key, Constant) or key in held:
+            if key != value:
+                return False
+        elif key in names:
+            if names[key] != value:
+                return False
+        elif type(value) is not type(key) or value in held or value in names.values():
+            return False
+        else:
+            names[key] = value
+    return True
 
 
 def validate_trace(trace: Trace) -> list[str]:
-    """Check every step against the execution semantics; return the problems."""
-    problems: list[str] = []
+    """Check every step against the execution semantics; return the problems.
+
+    The trace must start from an initial configuration whose one top-level
+    couple (``acting.top_couple``) pursues exactly the network's tasks, and
+    every later step must replay (``replay_step``) to exactly itself.
+    """
     first = trace.steps[0]
     if first.kind != INITIAL:
-        problems.append("trace does not start with an initial step")
-        return problems
-    expected_top = ReductionCouple(None, first.config.network.tasks)
-    tops = [c for c in first.config.couples if c.origin is None]
-    if len(tops) != 1 or tops[0].pursued != expected_top.pursued or tops[0].alternatives:
-        problems.append("initial couples are not a single top-level couple over the tasks")
+        return ["trace does not start with an initial step"]
+    problems: list[str] = []
+    try:
+        if top_couple(first.config).pursued != first.config.network.tasks:
+            problems.append("initial top-level couple does not pursue the network's tasks")
+    except ValueError as exc:
+        problems.append(f"initial configuration: {exc}")
     ctx = make_context(trace.initial.domain, trace.initial)
     for i in range(1, len(trace.steps)):
         prev = trace.steps[i - 1].config
         recorded = trace.steps[i]
         try:
-            redone = replay_step(prev, recorded, ctx)
+            if replay_step(prev, recorded, ctx) == recorded:
+                continue
+            problems.append(f"step {i} ({recorded.describe()}): recomputed step differs")
         except (TraceError, KeyError, ValueError) as exc:
             problems.append(f"step {i} ({recorded.describe()}): {exc}")
-            continue
-        if redone.config != recorded.config:
-            problems.append(
-                f"step {i} ({recorded.describe()}): recomputed configuration differs"
-            )
-        for flag in ("complete", "jump"):
-            if getattr(redone, flag) != getattr(recorded, flag):
-                problems.append(
-                    f"step {i} ({recorded.describe()}): {flag} flag differs"
-                )
+        # the next step starts from the recorded configuration; a context built
+        # for it knows all its names, whatever this step introduced
+        ctx = ctx.for_config(recorded.config)
     return problems
 
 
@@ -435,7 +531,7 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
     trace never grows.
     """
     steps = list(trace.steps)
-    ctx = make_context(trace.initial.domain, trace.initial)
+    run_ctx = make_context(trace.initial.domain, trace.initial)
     while True:
         m = _first_complete_replacement(steps)
         if m is None:
@@ -456,9 +552,11 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
                 f"no reduction of {origin} precedes its complete replacement"
             )
         incorrect = steps[i].body
+        ctx = run_ctx.for_config(steps[i - 1].config)
+        restored = _renamed_apart(incorrect, steps[i].task, steps, ctx)
         old_couple = _couple_by_origin(steps[i].config, origin)
         alternatives = ordered_alternatives(
-            [b for b in old_couple.alternatives if b != correct] + [incorrect]
+            [b for b in old_couple.alternatives if b != correct] + [restored]
         )
 
         subtree = set(incorrect.network.labels)
@@ -476,16 +574,42 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
         redirected = Choice(
             REDUCTION, origin, steps[i].task, body=correct, alternatives=alternatives
         )
+        ctx.absorb(redirected)
         new_steps = steps[:i] + [apply(steps[i - 1].config, redirected)]
         for j in range(i + 1, m):
             if j in skipped:
                 continue
-            new_steps.append(replay_step(new_steps[-1].config, steps[j], ctx))
-        _check_junction(new_steps[-1].config, steps[m].config, origin, incorrect)
+            new_steps.append(_rebuilt(new_steps[-1].config, steps[j], ctx))
+        _check_junction(new_steps[-1].config, steps[m].config, origin, restored)
         for j in range(m + 1, len(steps)):
-            new_steps.append(replay_step(new_steps[-1].config, steps[j], ctx))
+            new_steps.append(_rebuilt(new_steps[-1].config, steps[j], ctx))
         steps = new_steps
     return Trace(steps, trace.ctx, trace.budget_exhausted)
+
+
+def _rebuilt(prev: Configuration, step: Step, ctx: RunContext) -> Step:
+    """``step`` replayed in a rebuilt trace.  A replacement takes the flags
+    ``prev`` offers: the abandoned body, kept untried, can keep a couple
+    replaceable that the original had spent, so replacing above it jumps."""
+    if step.kind == REPLACEMENT:
+        for choice in exec_via_replacement(prev, ctx):
+            if (choice.label, choice.body) == (step.label, step.body):
+                return apply(prev, choice)
+    return replay_step(prev, step, ctx)
+
+
+def _renamed_apart(body: Body, task: Task, steps: list[Step], ctx: RunContext) -> Body:
+    """``body`` under names no configuration of ``steps`` mentions, ``task``'s
+    variables kept: the rebuilt trace keeps it untried where the original
+    dropped it, and a later reduction may reuse its old names."""
+    labels: set[str] = set()
+    variables: set[str] = set()
+    for step in steps:
+        step_labels, step_variables = ctx.for_config(step.config).names
+        labels |= step_labels
+        variables |= step_variables
+    gen = NameGenerator(labels, variables)
+    return dc_replace(body, network=fresh_rename(body.network, gen, keep=task.variables))
 
 
 def _check_junction(

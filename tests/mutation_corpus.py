@@ -1,0 +1,226 @@
+"""Valid traces and their one-step mutants: the corpus ``validate_trace`` is
+checked against.
+
+``sources()`` gives valid traces from plain, scripted, agent and sampled
+runs.  ``mutants(trace)`` forges one recorded step at a time, in every way a
+recorded step can be wrong: the mutant is the prefix up to that step, and
+its last configuration is what ``apply`` builds from the forged step, so only
+the legality of the step itself can give it away.
+"""
+from __future__ import annotations
+
+from dataclasses import replace as dc_replace
+
+from htnact.acting import (
+    ACTION,
+    OBSERVATION,
+    REDUCTION,
+    REPLACEMENT,
+    Choice,
+    Step,
+    apply,
+    initial_configuration,
+    make_context,
+    ordered_alternatives,
+)
+from htnact.agent import ScriptedEvents, dtrace_to_trace, run_agent
+from htnact.constraints import LabelRef, TaskNetwork
+from htnact.corpus import corpus
+from htnact.domain import fresh_rename
+from htnact.fixtures import fixture_text
+from htnact.model import Constant, LabelledTask, NameGenerator, Substitution, Task, Variable
+from htnact.reduction import Body
+from htnact.syntax import parse_domain, parse_problem, parse_scenario
+from htnact.trace import (
+    DefaultStrategy,
+    ScriptedStrategy,
+    Trace,
+    parse_directives,
+    run,
+    sample_traces,
+    validate_trace,
+)
+
+TWO_TRANSMITS = (
+    "problem two\nstate: didExp(loc1), didExp(loc2), lander(lan1)\n"
+    "tasks:\n  A1: transmitData(loc1)\n  A2: transmitData(loc2)\n"
+    "constraints:\n  ord A1 < A2\n"
+)
+TWO_ARRIVALS = "scenario two\n0: A1: transmitData(loc1)\n8: A2: transmitData(loc2)\n"
+# samples of 171 and 299 replace completely and partially, and 299 jumps
+CORPUS_SEEDS = (0, 2, 5, 171, 299)
+
+
+def sources() -> list[tuple[str, Trace]]:
+    """Valid traces, each under a name that says where it comes from."""
+    rover = parse_domain(fixture_text("rover.htn"), "rover").value
+    calibrated = parse_problem(fixture_text("rover.prob"), rover).value
+    uncalibrated = parse_problem(fixture_text("rover_nocali.prob"), rover).value
+    two = parse_problem(TWO_TRANSMITS, rover).value
+    walkthrough = parse_scenario(fixture_text("walkthrough.evt"), rover).value
+    arrivals = parse_scenario(TWO_ARRIVALS, rover).value
+
+    def plain(problem, strategy) -> Trace:
+        cfg = initial_configuration(problem.network, problem.state, rover)
+        return run(cfg, strategy)
+
+    def agent(problem, scenario, strategy) -> Trace:
+        events = ScriptedEvents(dict(scenario.schedule))
+        return run_agent(problem.state, rover, events, strategy).dtrace
+
+    script = parse_directives(fixture_text("walkthrough.choices"))
+    agent_script = parse_directives(fixture_text("agent_walkthrough.choices"))
+    walkthrough_dtrace = agent(uncalibrated, walkthrough, ScriptedStrategy(agent_script))
+    arrivals_dtrace = agent(two, arrivals, DefaultStrategy())
+    out = [
+        ("rover default", plain(calibrated, DefaultStrategy())),
+        ("rover walkthrough", plain(uncalibrated, ScriptedStrategy(script))),
+        ("two transmits", plain(two, DefaultStrategy())),
+        ("agent walkthrough d-trace", walkthrough_dtrace),
+        ("agent walkthrough folded", dtrace_to_trace(walkthrough_dtrace)),
+        ("two arrivals d-trace", arrivals_dtrace),
+        ("two arrivals folded", dtrace_to_trace(arrivals_dtrace)),
+    ]
+    for case in [c for seed in CORPUS_SEEDS for c in corpus(1, seed)]:
+        cfg = initial_configuration(case.network, case.state, case.domain)
+        for index, trace in enumerate(sample_traces(cfg, make_context(case.domain, cfg), 3)):
+            out.append((f"corpus {case.seed} sample {index}", trace))
+    return out
+
+
+def mutants(trace: Trace) -> list[tuple[str, int, Trace]]:
+    """``(kind, step index, prefix)`` for every forgery of every step."""
+    out = []
+    steps = trace.steps
+    names = _trace_names(trace)
+    others = _bodies(trace)
+    for i in range(1, len(steps)):
+        prev, step = steps[i - 1].config, steps[i]
+        for kind, forged in _forgeries(prev, step, names, others, steps):
+            out.append((kind, i, Trace(steps[:i] + [forged], trace.ctx)))
+    return out
+
+
+def problem_lists() -> list[tuple[str, str, int, list[str]]]:
+    """``validate_trace``'s problems for each source (kind "valid", index 0)
+    and for each of its mutants."""
+    out = []
+    for name, trace in sources():
+        out.append((name, "valid", 0, validate_trace(trace)))
+        for kind, index, mutant in mutants(trace):
+            out.append((name, kind, index, validate_trace(mutant)))
+    return out
+
+
+def _forgeries(prev, step: Step, names, others, steps):
+    if step.kind == ACTION:
+        yield from _action_forgeries(prev, step)
+    elif step.kind == REDUCTION:
+        yield from _reduction_forgeries(prev, step, names, others)
+    elif step.kind == REPLACEMENT:
+        yield "flipped complete flag", dc_replace(step, complete=not step.complete)
+        yield "flipped jump flag", dc_replace(step, jump=not step.jump)
+    elif step.kind == OBSERVATION:
+        elsewhere = [
+            s.observed for s in steps if s.kind == OBSERVATION and s.observed != step.observed
+        ]
+        swapped = elsewhere[0] if elsewhere else frozenset(
+            LabelledTask(lt.label + "x", lt.task) for lt in step.observed
+        )
+        yield "swapped observation", dc_replace(step, observed=swapped)
+
+
+def _action_forgeries(prev, step: Step):
+    def acted(binding: Substitution) -> Step:
+        task = prev.network.task_of(step.label).task
+        choice = Choice(ACTION, step.label, task.substitute(binding), binding=binding)
+        return apply(prev, choice)
+
+    extra = dict(step.binding.items_sorted())
+    extra[Variable("Unbound")] = Constant("lan1")
+    yield "wrong binding: extra variable", acted(Substitution(extra))
+    if step.binding:
+        (variable, _), *rest = step.binding.items_sorted()
+        outside = dict(rest)
+        outside[variable] = Constant("nowhere")
+        yield "wrong binding: value outside the universe", acted(Substitution(outside))
+    yield "forged action task", dc_replace(step, task=Task("forged", step.task.args))
+
+
+def _reduction_forgeries(prev, step: Step, names, others):
+    kept = next(c for c in step.config.couples if c.origin == step.label).alternatives
+
+    def reduced(body: Body, alternatives) -> Step:
+        choice = Choice(REDUCTION, step.label, step.task, body=body, alternatives=alternatives)
+        return apply(prev, choice)
+
+    forged = next((b for b in others if b.method != step.body.method), None)
+    if forged is not None:
+        yield "forged body", reduced(forged, kept)
+    held = step.task.variables & step.body.network.variables
+    if held:
+        unlinked = Substitution({min(held): Variable("Unlinked")})
+        yield "forged body: task variable unlinked", reduced(
+            step.body.substitute(unlinked), kept
+        )
+    network = step.body.network
+    stated = sorted((c for c in network.formula if hasattr(c.body, "literal")), key=str)
+    if stated:
+        flipped = dc_replace(stated[0], negated=not stated[0].negated)
+        formula = network.formula - {stated[0]} | {flipped}
+        negated = dc_replace(step.body, network=TaskNetwork(network.tasks, formula))
+        yield "forged body: constraint negated", reduced(negated, kept)
+    if kept:
+        yield "dropped alternative", reduced(step.body, kept[1:])
+    copy = fresh_rename(step.body.network, NameGenerator(*names), keep=step.task.variables)
+    added = ordered_alternatives(kept + (dc_replace(step.body, network=copy),))
+    yield "added alternative", reduced(step.body, added)
+    taken = sorted(prev.network.labels - {step.label}) or [step.label]
+    own = sorted(step.body.network.labels)
+    if own:
+        yield "reused label", reduced(renamed(step.body, {own[0]: taken[0]}), kept)
+    if own and kept and kept[0].network.labels:
+        first = sorted(kept[0].network.labels)[0]
+        shared = (renamed(kept[0], {first: own[0]}),) + kept[1:]
+        yield "label shared by two bodies", reduced(step.body, shared)
+
+
+def renamed(body: Body, labels: dict, variables: tuple = ()) -> Body:
+    """``body`` under the label renaming and the ``(old, new)`` variable-name
+    pairs given."""
+    theta = Substitution({Variable(a): Variable(b) for a, b in variables})
+    swap = lambda label: labels.get(label, label)  # noqa: E731
+
+    def ref(r):
+        if isinstance(r, LabelRef):
+            return LabelRef(swap(r.label))
+        return type(r)(frozenset(map(swap, r.labels)))
+
+    network = body.network.substitute(theta)
+    network = TaskNetwork(
+        frozenset(LabelledTask(swap(lt.label), lt.task) for lt in network.tasks),
+        frozenset(c.rewrite_refs(ref) for c in network.formula),
+    )
+    return dc_replace(body, network=network)
+
+
+def _bodies(trace: Trace) -> list[Body]:
+    """Every body the trace records, in step order."""
+    out = []
+    for step in trace.steps:
+        if step.body is not None:
+            out.append(step.body)
+        for couple in step.config.sorted_couples():
+            out.extend(couple.alternatives)
+    return out
+
+
+def _trace_names(trace: Trace) -> tuple[set, set]:
+    """Every label and variable name the trace's configurations mention."""
+    labels: set[str] = set()
+    variables: set[str] = set()
+    for step in trace.steps:
+        step_labels, step_variables = trace.ctx.for_config(step.config).names
+        labels |= step_labels
+        variables |= step_variables
+    return labels, variables

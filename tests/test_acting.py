@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import pytest
@@ -49,7 +50,7 @@ from htnact.model import (
     Task,
     Variable,
 )
-from htnact.trace import ScriptedStrategy, parse_directives, run
+from htnact.trace import ScriptedStrategy, Strategy, parse_directives, run
 
 loc1, lan1 = Constant("loc1"), Constant("lan1")
 L = Variable("L")
@@ -482,6 +483,26 @@ def test_exec_all_empty_when_fully_blocked(rover):
     assert is_trace_blocked(cfg, ctx)
 
 
+def test_a_run_stops_at_a_blocked_configuration_without_asking(rover):
+    class Refusing(Strategy):
+        def choose(self, trace, choices):
+            raise AssertionError("nothing should be offered")
+
+    d = net([LabelledTask("m", Task("monitor"))])
+    cfg = initial_configuration(d, frozenset({Atom("lowCharge")}), rover)
+    trace = run(cfg, Refusing())
+    assert len(trace) == 1
+    assert trace.classification() == "blocked" and not trace.budget_exhausted
+
+
+def test_primary_tasks_are_computed_once_per_configuration(after_two_reductions):
+    cfg = after_two_reductions
+    assert cfg.primary is cfg.primary
+    assert cfg.primary == primary_tasks(cfg.network, cfg.domain)
+    assert "primary" not in repr(cfg)
+    assert dc_replace(cfg) == cfg and "primary" not in vars(dc_replace(cfg))
+
+
 # Counts is_blocked and applicability calls over a plain run and an agent run
 # of rover with two chained transmitData tasks; printed as
 # "<plain> <plain + agent>".
@@ -608,7 +629,7 @@ def test_after_constraint_propagates_through_last_sets():
 
 def test_negated_between_discharges_when_escape_literal_holds():
     from htnact.constraints import Between
-    from htnact.trace import ScriptedStrategy, parse_directives, run
+    from htnact.trace import ScriptedStrategy, Strategy, parse_directives, run
 
     domain = _effects_domain()
     d = net(
@@ -639,7 +660,7 @@ def test_negated_between_discharges_when_escape_literal_holds():
 
 def test_negated_between_burdens_the_endpoint_when_never_escaped():
     from htnact.constraints import Between
-    from htnact.trace import ScriptedStrategy, parse_directives, run
+    from htnact.trace import ScriptedStrategy, Strategy, parse_directives, run
 
     domain = _effects_domain()
     d = net(

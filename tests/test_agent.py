@@ -47,6 +47,13 @@ def test_initial_top_couple(rover):
     assert top.alternatives == ()
 
 
+def test_top_couple_is_one_function_under_every_name():
+    import htnact
+    from htnact import acting, agent
+
+    assert htnact.top_couple is agent.top_couple is acting.top_couple
+
+
 def test_observe_adds_top_level_tasks(rover, rover_nocali):
     config, ctx, _ = fresh_agent(rover, rover_nocali.state)
     new_config, observed = observe(

@@ -292,6 +292,16 @@ def test_a_context_builds_the_names_of_its_configuration_once(rover, rover_nocal
     assert ctx.gen.label("A") == "A_2"
 
 
+def test_couples_mention_no_variable_the_network_lacks(rover, rover_problem, rover_nocali):
+    """A couple pursues network tasks and executed, ground ones, so a
+    context's names need not walk the pursued tasks for variables."""
+    for cfg0 in starts(rover, rover_problem, rover_nocali):
+        for cfg in explored(cfg0):
+            for couple in cfg.couples:
+                for lt in couple.pursued:
+                    assert lt.variables <= cfg.network.variables, (lt, cfg.network)
+
+
 # -- the applicability memo -------------------------------------------------------
 
 def primary_actions(cfg):

@@ -37,6 +37,7 @@ from .constraints import (
     TaskNetwork,
     holds,
     ref_labels,
+    rewrite_label_set,
 )
 from .domain import Domain
 from .model import (
@@ -234,6 +235,8 @@ def _names_of_config(config: "Configuration") -> tuple[set, set]:
     variables = set(config.network.variables)
     for couple in config.couples:
         labels |= couple.labels
+        if couple.origin is not None:
+            labels.add(couple.origin)
         for body in couple.alternatives:
             labels |= body.network.labels
             variables |= body.network.variables
@@ -694,24 +697,12 @@ def replace_tasks(pursued: frozenset, body: TaskNetwork, d: TaskNetwork) -> Task
     """
     pursued_labels = frozenset(lt.label for lt in pursued)
     present = frozenset(lt for lt in d.tasks if lt.label in pursued_labels)
-    present_labels = frozenset(lt.label for lt in present)
-    new_labels = body.labels
-
-    def redirect(ref):
-        if isinstance(ref, FirstRef) and ref.labels & present_labels:
-            return FirstRef((ref.labels - present_labels) | new_labels)
-        if isinstance(ref, LastRef) and ref.labels & present_labels:
-            return LastRef((ref.labels - present_labels) | new_labels)
-        return ref
-
-    kept = []
-    for c in d.formula:
-        c = c.rewrite_refs(redirect)
-        if c.labels() & pursued_labels:
-            continue
-        kept.append(c)
+    redirected = rewrite_label_set(
+        d.formula, frozenset(lt.label for lt in present), body.labels
+    )
+    kept = frozenset(c for c in redirected if not c.labels() & pursued_labels)
     tasks = (d.tasks - present) | body.tasks
-    return TaskNetwork(frozenset(tasks), frozenset(kept) | body.formula)
+    return TaskNetwork(frozenset(tasks), kept | body.formula)
 
 
 def update_couples(

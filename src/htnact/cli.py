@@ -21,13 +21,12 @@ from .agent import (
     run_agent,
 )
 from .corpus import CorpusCase, corpus
-from .domain import validate_domain
+from .domain import Domain, validate_domain
 from .export import render_trace
 from .model import Task
 from .oracle import solutions_bounded
 from .syntax import (
     Problem,
-    Scenario,
     parse_domain,
     parse_problem,
     parse_scenario,
@@ -74,36 +73,25 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _load_domain(path: str):
-    result = parse_domain(_read(path), Path(path).stem)
+def _load(path: str, parse, what: str, *extra):
+    """The value ``parse`` reads from the file at ``path``; InputError unless ok."""
+    result = parse(_read(path), *extra)
     for diag in result.diagnostics:
         print(f"{path}:{diag}", file=sys.stderr)
     if not result.ok:
-        raise InputError(f"{path}: domain did not parse")
-    report = validate_domain(result.value)
+        raise InputError(f"{path}: {what} did not parse")
+    return result.value
+
+
+def _load_domain_problem(args) -> tuple[Domain, Problem]:
+    """The validated domain and the problem that ``args`` name."""
+    domain = _load(args.domain, parse_domain, "domain", Path(args.domain).stem)
+    report = validate_domain(domain)
     if report.violations or report.warnings:
         print(report.render(), file=sys.stderr)
     if not report.ok:
-        raise InputError(f"{path}: domain is invalid")
-    return result.value
-
-
-def _load_problem(path: str, domain) -> Problem:
-    result = parse_problem(_read(path), domain)
-    for diag in result.diagnostics:
-        print(f"{path}:{diag}", file=sys.stderr)
-    if not result.ok:
-        raise InputError(f"{path}: problem did not parse")
-    return result.value
-
-
-def _load_scenario(path: str, domain) -> Scenario:
-    result = parse_scenario(_read(path), domain)
-    for diag in result.diagnostics:
-        print(f"{path}:{diag}", file=sys.stderr)
-    if not result.ok:
-        raise InputError(f"{path}: scenario did not parse")
-    return result.value
+        raise InputError(f"{args.domain}: domain is invalid")
+    return domain, _load(args.problem, parse_problem, "problem", domain)
 
 
 def _make_strategy(spec: str, seed: int) -> Strategy:
@@ -113,7 +101,10 @@ def _make_strategy(spec: str, seed: int) -> Strategy:
         return RandomStrategy(seed)
     if spec.startswith("script:"):
         path = spec.split(":", 1)[1]
-        return ScriptedStrategy(parse_directives(_read(path)))
+        try:
+            return ScriptedStrategy(parse_directives(_read(path)))
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     raise InputError(f"unknown strategy {spec!r}")
 
 
@@ -152,8 +143,7 @@ def cmd_act(args) -> int:
         raise InputError("--max-steps must be at least 1")
     if args.max_iterations < 1:
         raise InputError("--max-iterations must be at least 1")
-    domain = _load_domain(args.domain)
-    problem = _load_problem(args.problem, domain)
+    domain, problem = _load_domain_problem(args)
     strategy = _make_strategy(args.strategy, args.seed)
     meta = {
         "problem": problem.name,
@@ -165,7 +155,7 @@ def cmd_act(args) -> int:
         if args.interactive:
             events: EventSource = _interactive_events(domain)
         else:
-            scenario = _load_scenario(args.scenario, domain)
+            scenario = _load(args.scenario, parse_scenario, "scenario", domain)
             events = ScriptedEvents(dict(scenario.schedule))
             meta["scenario"] = scenario.name
         try:
@@ -221,8 +211,7 @@ def cmd_act(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    domain = _load_domain(args.domain)
-    problem = _load_problem(args.problem, domain)
+    domain, problem = _load_domain_problem(args)
     if args.depth < 1:
         raise InputError("--depth must be at least 1")
     solutions = solutions_bounded(
@@ -263,23 +252,20 @@ def cmd_verify(args) -> int:
     elif suite == "acting-only":
         if not args.domain or not args.problem:
             raise InputError("acting-only needs a domain and a problem")
-        domain = _load_domain(args.domain)
-        problem = _load_problem(args.problem, domain)
+        domain, problem = _load_domain_problem(args)
         result = suite_acting_only(
             problem.network, problem.state, domain, args.depth
         )
     elif suite == "jumps":
         if not args.domain or not args.problem or not args.target:
             raise InputError("jumps needs a domain, a problem and --target")
-        domain = _load_domain(args.domain)
-        problem = _load_problem(args.problem, domain)
+        domain, problem = _load_domain_problem(args)
         target = _parse_target(args.target)
         result = suite_jumps(problem.network, problem.state, domain, target)
     elif suite == "dtrace-soundness":
         if args.domain and args.problem and args.scenario:
-            domain = _load_domain(args.domain)
-            problem = _load_problem(args.problem, domain)
-            scenario = _load_scenario(args.scenario, domain)
+            domain, problem = _load_domain_problem(args)
+            scenario = _load(args.scenario, parse_scenario, "scenario", domain)
             case = CorpusCase(
                 0, domain, problem.network, problem.state, dict(scenario.schedule)
             )

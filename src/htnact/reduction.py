@@ -18,7 +18,7 @@ from .constraints import (
     rewrite_labels,
 )
 from .domain import Domain, fresh_rename
-from .model import NameGenerator, Task, Variable, match_task
+from .model import NameGenerator, Substitution, Task, match_task
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,19 @@ def relevant_method_bodies(task: Task, domain: Domain, gen: NameGenerator) -> tu
         raise ValueError(f"task {task} is primitive; it has no relevant methods")
     bodies = []
     for index, method in domain.methods_for(task.symbol):
-        theta = match_task(task, method.head)
+        head, body = method.head, method.body
+        theta = match_task(task, head)
         if theta is None:
             continue
-        head_vars = frozenset(
-            a for a in method.head.args if isinstance(a, Variable)
-        )
-        renamed = fresh_rename(method.body, gen, keep=head_vars, bound=theta)
+        if any(a in head.variables and a != h for h, a in zip(head.args, task.args)):
+            # A head variable reappears elsewhere in the task, so the binding
+            # would chain it into another: rename the head apart first.
+            for v in task.variables:
+                gen.reserve_variable(v.name)
+            apart = Substitution({v: gen.variable(v.name) for v in sorted(head.variables)})
+            head, body = head.substitute(apart), body.substitute(apart)
+            theta = match_task(task, head)
+        renamed = fresh_rename(body, gen, keep=head.variables, bound=theta)
         bodies.append(Body(method.name, index, renamed))
     return tuple(bodies)
 

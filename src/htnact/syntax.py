@@ -50,7 +50,8 @@ from .model import (
 
 IDENT = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
 _IDENT_RE = re.compile(IDENT)
-_TERM_LIST_RE = re.compile(rf"\s*{IDENT}\s*(?:,\s*{IDENT}\s*)*")
+# a task's label; ``[ \t]*`` because the cursor skips only spaces and tabs
+_LABEL_RE = re.compile(rf"[ \t]*({IDENT})[ \t]*:")
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,21 @@ class _Cursor:
         self.pos = m.end()
         return m.group(0)
 
+    def idents(self, close: str) -> Optional[list[str]]:
+        """Comma-separated identifiers up to ``close``, which is taken too."""
+        names: list[str] = []
+        if self.take(close):
+            return names
+        while True:
+            name = self.ident()
+            if name is None:
+                return None
+            names.append(name)
+            if self.take(close):
+                return names
+            if not self.expect(","):
+                return None
+
 
 def _term(name: str) -> Term:
     return Variable(name) if name[:1].isupper() else Constant(name)
@@ -141,18 +157,8 @@ def _term(name: str) -> Term:
 def _parse_args(cur: _Cursor) -> Optional[tuple[Term, ...]]:
     if not cur.take("("):
         return ()
-    args: list[Term] = []
-    if cur.take(")"):
-        return tuple(args)
-    while True:
-        name = cur.ident()
-        if name is None:
-            return None
-        args.append(_term(name))
-        if cur.take(")"):
-            return tuple(args)
-        if not cur.expect(","):
-            return None
+    names = cur.idents(")")
+    return None if names is None else tuple(map(_term, names))
 
 
 def _parse_atom(cur: _Cursor) -> Optional[Atom]:
@@ -207,73 +213,56 @@ def _parse_ref(cur: _Cursor) -> Optional[TaskRef]:
     cur.skip_ws()
     for keyword, maker in (("first[", FirstRef), ("last[", LastRef)):
         if cur.take(keyword):
-            labels: list[str] = []
-            if not cur.take("]"):
-                while True:
-                    name = cur.ident()
-                    if name is None:
-                        return None
-                    labels.append(name)
-                    if cur.take("]"):
-                        break
-                    if not cur.expect(","):
-                        return None
-            return maker(frozenset(labels))
+            labels = cur.idents("]")
+            return None if labels is None else maker(frozenset(labels))
     name = cur.ident()
     if name is None:
         return None
     return LabelRef(name)
 
 
+# each constraint form: its keyword, its body, and the body's parts in order
+# (``r`` a task reference, ``l`` a literal, ``<`` the token itself)
+_CONSTRAINT_FORMS = (
+    ("ord", Ordering, "r<r"),
+    ("before", Before, "lr"),
+    ("after", After, "rl"),
+    ("between", Between, "rlr"),
+)
+
+
 def parse_constraint_line(text: str, line: int, diagnostics: list[Diagnostic]) -> Optional[Constraint]:
     cur = _Cursor(text, line, diagnostics)
     negated = cur.take_word("not")
-    if cur.take_word("ord"):
-        before = _parse_ref(cur)
-        if before is None or not cur.expect("<"):
-            return None
-        after = _parse_ref(cur)
-        if after is None:
-            return None
-        body: object = Ordering(before, after)
-    elif cur.take_word("before"):
-        literal = _parse_literal(cur)
-        if literal is None:
-            return None
-        ref = _parse_ref(cur)
-        if ref is None:
-            return None
-        body = Before(literal, ref)
-    elif cur.take_word("after"):
-        ref = _parse_ref(cur)
-        if ref is None:
-            return None
-        literal = _parse_literal(cur)
-        if literal is None:
-            return None
-        body = After(ref, literal)
-    elif cur.take_word("between"):
-        start = _parse_ref(cur)
-        if start is None:
-            return None
-        literal = _parse_literal(cur)
-        if literal is None:
-            return None
-        end = _parse_ref(cur)
-        if end is None:
-            return None
-        body = Between(start, literal, end)
+    for keyword, form, parts in _CONSTRAINT_FORMS:
+        if cur.take_word(keyword):
+            break
     else:
         cur.error("expected ord, before, after or between")
         return None
+    args = []
+    for part in parts:
+        if part == "<":
+            if not cur.expect("<"):
+                return None
+            continue
+        arg = _parse_ref(cur) if part == "r" else _parse_literal(cur)
+        if arg is None:
+            return None
+        args.append(arg)
     if not cur.at_end():
         cur.error("trailing input after constraint")
         return None
-    return Constraint(body, negated)
+    return Constraint(form(*args), negated)
 
 
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].rstrip()
+def _lines(text: str):
+    """(number, text) of each line with text left once its comment and
+    surrounding blanks are removed."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            yield lineno, stripped
 
 
 def _literal_list(text: str, line: int, diagnostics: list[Diagnostic]) -> tuple[Literal, ...]:
@@ -305,6 +294,50 @@ def _atom_list(text: str, line: int, diagnostics: list[Diagnostic]) -> tuple[Ato
     return tuple(atoms)
 
 
+def _parse_labelled_task(
+    text: str, lineno: int, diagnostics: list[Diagnostic], labelled: bool = False
+) -> Optional[tuple[Optional[str], Task]]:
+    """``LABEL: task`` or, unless ``labelled``, a bare ``task``; None on error."""
+    cur = _Cursor(text, lineno, diagnostics)
+    label: Optional[str] = None
+    m = _LABEL_RE.match(text)
+    if m:
+        label = m.group(1)
+        cur.pos = m.end()
+    elif labelled:
+        if cur.ident() is not None:
+            cur.expect(":")
+        return None
+    task = _parse_task(cur)
+    if task is None:
+        return None
+    if not cur.at_end():
+        cur.error("trailing input after task")
+        return None
+    return label, task
+
+
+def _declares(domain: Domain, symbol: str) -> bool:
+    return domain.is_primitive(symbol) or domain.is_nonprimitive(symbol)
+
+
+# each operator line: its prefix, the ``Operator`` field it sets, its reader
+_OPERATOR_FIELDS = (
+    ("pre:", "precondition", _literal_list),
+    ("add:", "add", _atom_list),
+    ("del:", "delete", _atom_list),
+)
+
+
+@dataclass
+class _MethodBlock:
+    name: str
+    head: Task
+    line: int
+    tasks: list[LabelledTask] = field(default_factory=list)
+    constraints: list[Constraint] = field(default_factory=list)
+
+
 def parse_domain(text: str, name_hint: str = "domain") -> ParseResult:
     """Parse a ``.htn`` document into a validated-or-flagged domain.
 
@@ -315,166 +348,83 @@ def parse_domain(text: str, name_hint: str = "domain") -> ParseResult:
     operators: list[Operator] = []
     methods: list[Method] = []
     domain_name = name_hint
-
-    current_op: Optional[dict] = None
-    current_method: Optional[dict] = None
+    block: object = None  # an operator's fields as a dict, or a _MethodBlock
     section: Optional[str] = None
     declared_any = False
 
-    def close_operator() -> None:
-        nonlocal current_op
-        if current_op is None:
-            return
-        operators.append(
-            Operator(
-                current_op["symbol"],
-                current_op["params"],
-                tuple(current_op["pre"]),
-                tuple(current_op["add"]),
-                tuple(current_op["del"]),
-            )
-        )
-        current_op = None
+    def close() -> None:
+        if isinstance(block, dict):
+            operators.append(Operator(**block))
+        elif block is not None:
+            body = TaskNetwork(frozenset(block.tasks), frozenset(block.constraints))
+            body = _ensure_trailing_task(body, block.name, block.line, diagnostics)
+            methods.append(Method(block.name, block.head, body))
 
-    def close_method() -> None:
-        nonlocal current_method
-        if current_method is None:
-            return
-        body = TaskNetwork(
-            frozenset(current_method["tasks"]),
-            frozenset(current_method["constraints"]),
-        )
-        body = _ensure_trailing_task(
-            body, current_method["name"], current_method["line"], diagnostics
-        )
-        methods.append(Method(current_method["name"], current_method["head"], body))
-        current_method = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line.strip():
-            continue
-        stripped = line.strip()
+    for lineno, stripped in _lines(text):
         cur = _Cursor(stripped, lineno, diagnostics)
-
         if cur.take_word("domain"):
             declared_any = True
-            name = cur.ident()
-            if name is not None:
-                domain_name = name
+            domain_name = cur.ident() or domain_name
             continue
-        if cur.take_word("operator"):
+        is_operator = cur.take_word("operator")
+        if is_operator or cur.take_word("method"):
             declared_any = True
-            close_operator()
-            close_method()
-            section = None
-            symbol = cur.ident()
-            if symbol is None:
+            close()
+            block = section = None
+            name = cur.ident()
+            if name is None:
                 continue
-            args = _parse_args(cur)
+            if not is_operator:
+                head = _parse_task(cur)
+                block = None if head is None else _MethodBlock(name, head, lineno)
+                continue
             params: list[Variable] = []
-            for a in args or ():
+            for a in _parse_args(cur) or ():
                 if isinstance(a, Variable):
                     params.append(a)
                 else:
                     diagnostics.append(
                         Diagnostic(
-                            "error",
-                            f"operator parameters must be variables, got {a}",
-                            lineno,
+                            "error", f"operator parameters must be variables, got {a}", lineno
                         )
                     )
-            current_op = {
-                "symbol": symbol,
-                "params": tuple(params),
-                "pre": (),
-                "add": (),
-                "del": (),
-            }
-            continue
-        if cur.take_word("method"):
-            declared_any = True
-            close_operator()
-            close_method()
-            section = None
-            name = cur.ident()
-            if name is None:
-                continue
-            head = _parse_task(cur)
-            if head is None:
-                continue
-            current_method = {
-                "name": name,
-                "head": head,
-                "tasks": [],
-                "constraints": [],
-                "line": lineno,
-            }
+            block = {"symbol": name, "params": tuple(params)}
             continue
 
-        if current_op is not None:
-            matched = False
-            for key, label in (("pre", "pre:"), ("add", "add:"), ("del", "del:")):
-                if stripped.startswith(label):
-                    rest = stripped[len(label):]
-                    if key == "pre":
-                        current_op[key] = _literal_list(rest, lineno, diagnostics)
-                    else:
-                        current_op[key] = _atom_list(rest, lineno, diagnostics)
-                    matched = True
+        if isinstance(block, dict):
+            for prefix, key, read in _OPERATOR_FIELDS:
+                if stripped.startswith(prefix):
+                    block[key] = read(stripped[len(prefix):], lineno, diagnostics)
                     break
-            if matched:
-                continue
+            else:
+                diagnostics.append(
+                    Diagnostic("error", f"unexpected line in operator block: {stripped!r}", lineno)
+                )
+        elif block is None:
             diagnostics.append(
-                Diagnostic("error", f"unexpected line in operator block: {stripped!r}", lineno)
+                Diagnostic("error", f"unexpected top-level line: {stripped!r}", lineno)
             )
-            continue
-
-        if current_method is not None:
-            if stripped == "tasks:":
-                section = "tasks"
+        elif stripped in ("tasks:", "constraints:"):
+            section = stripped
+        elif section == "tasks:":
+            entry = _parse_labelled_task(stripped, lineno, diagnostics, labelled=True)
+            if entry is not None:
+                block.tasks.append(LabelledTask(*entry))
+        elif section == "constraints:":
+            if stripped in ("or", "|") or " or " in f" {stripped} ":
+                diagnostics.append(
+                    Diagnostic("error", "disjunctive constraint formulas are not supported", lineno)
+                )
                 continue
-            if stripped == "constraints:":
-                section = "constraints"
-                continue
-            if section == "tasks":
-                cur = _Cursor(stripped, lineno, diagnostics)
-                label = cur.ident()
-                if label is None or not cur.expect(":"):
-                    continue
-                task = _parse_task(cur)
-                if task is None:
-                    continue
-                if not cur.at_end():
-                    cur.error("trailing input after task")
-                    continue
-                current_method["tasks"].append(LabelledTask(label, task))
-                continue
-            if section == "constraints":
-                if stripped in ("or", "|") or " or " in f" {stripped} ":
-                    diagnostics.append(
-                        Diagnostic(
-                            "error",
-                            "disjunctive constraint formulas are not supported",
-                            lineno,
-                        )
-                    )
-                    continue
-                constraint = parse_constraint_line(stripped, lineno, diagnostics)
-                if constraint is not None:
-                    current_method["constraints"].append(constraint)
-                continue
+            constraint = parse_constraint_line(stripped, lineno, diagnostics)
+            if constraint is not None:
+                block.constraints.append(constraint)
+        else:
             diagnostics.append(
                 Diagnostic("error", f"unexpected line in method block: {stripped!r}", lineno)
             )
-            continue
 
-        diagnostics.append(
-            Diagnostic("error", f"unexpected top-level line: {stripped!r}", lineno)
-        )
-
-    close_operator()
-    close_method()
+    close()
     if not declared_any:
         diagnostics.append(Diagnostic("error", "no domain declared", 1))
         return ParseResult(None, diagnostics)
@@ -486,14 +436,11 @@ def _ensure_trailing_task(
 ) -> TaskNetwork:
     if not body.tasks or find_trailing_task(body) is not None:
         return body
-    base = "fin"
-    existing = body.labels
-    label = base
+    label = "fin"
     k = 2
-    while label in existing:
-        label = f"{base}{k}"
+    while label in body.labels:
+        label = f"fin{k}"
         k += 1
-    nop = LabelledTask(label, Task("nop"))
     orderings = {
         Constraint(Ordering(LabelRef(lt.label), LabelRef(label))) for lt in body.tasks
     }
@@ -505,8 +452,15 @@ def _ensure_trailing_task(
         )
     )
     return TaskNetwork(
-        body.tasks | {nop}, body.formula | orderings
+        body.tasks | {LabelledTask(label, Task("nop"))}, body.formula | orderings
     )
+
+
+@dataclass(frozen=True)
+class Problem:
+    name: str
+    state: frozenset
+    network: TaskNetwork
 
 
 def parse_problem(text: str, domain: Optional[Domain] = None) -> ParseResult:
@@ -517,103 +471,54 @@ def parse_problem(text: str, domain: Optional[Domain] = None) -> ParseResult:
     tasks: list[LabelledTask] = []
     constraints: list[Constraint] = []
     section: Optional[str] = None
-    auto = 1
+    auto = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line.strip():
-            continue
-        stripped = line.strip()
+    for lineno, stripped in _lines(text):
         cur = _Cursor(stripped, lineno, diagnostics)
         if cur.take_word("problem"):
-            got = cur.ident()
-            if got is not None:
-                name = got
-            continue
-        if stripped.startswith("state:"):
-            rest = stripped[len("state:"):]
-            for atom in _atom_list(rest, lineno, diagnostics):
-                if not atom.is_ground:
+            name = cur.ident() or name
+        elif stripped.startswith("state:"):
+            for atom in _atom_list(stripped[len("state:"):], lineno, diagnostics):
+                if atom.is_ground:
+                    state.add(atom)
+                else:
                     diagnostics.append(
                         Diagnostic("error", f"initial state atom {atom} is not ground", lineno)
                     )
-                    continue
-                state.add(atom)
             section = None
-            continue
-        if stripped == "tasks:":
-            section = "tasks"
-            continue
-        if stripped == "constraints:":
-            section = "constraints"
-            continue
-        if section == "tasks":
-            label, task = _parse_labelled_task(stripped, lineno, diagnostics)
-            if task is None:
-                continue
-            if label is None:
-                label = f"T{auto}"
-                auto += 1
-            tasks.append(LabelledTask(label, task))
-            continue
-        if section == "constraints":
+        elif stripped in ("tasks:", "constraints:"):
+            section = stripped
+        elif section == "tasks:":
+            entry = _parse_labelled_task(stripped, lineno, diagnostics)
+            if entry is not None:
+                label, task = entry
+                if label is None:
+                    auto += 1
+                    label = f"T{auto}"
+                tasks.append(LabelledTask(label, task))
+        elif section == "constraints:":
             constraint = parse_constraint_line(stripped, lineno, diagnostics)
             if constraint is not None:
                 constraints.append(constraint)
-            continue
-        diagnostics.append(
-            Diagnostic("error", f"unexpected line in problem: {stripped!r}", lineno)
-        )
+        else:
+            diagnostics.append(
+                Diagnostic("error", f"unexpected line in problem: {stripped!r}", lineno)
+            )
 
     labels = [lt.label for lt in tasks]
-    for label in labels:
-        if labels.count(label) > 1:
-            diagnostics.append(
-                Diagnostic("error", f"duplicate task label {label!r}", 1)
-            )
-            break
+    if len(set(labels)) < len(labels):
+        duplicate = next(label for label in labels if labels.count(label) > 1)
+        diagnostics.append(Diagnostic("error", f"duplicate task label {duplicate!r}", 1))
     if domain is not None:
         for lt in tasks:
-            if not domain.is_primitive(lt.task.symbol) and not domain.is_nonprimitive(
-                lt.task.symbol
-            ):
+            if not _declares(domain, lt.task.symbol):
                 diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        f"unknown task symbol {lt.task.symbol!r} in problem",
-                        1,
-                    )
+                    Diagnostic("error", f"unknown task symbol {lt.task.symbol!r} in problem", 1)
                 )
     problem = Problem(
         name, frozenset(state), TaskNetwork(frozenset(tasks), frozenset(constraints))
     )
     return ParseResult(problem, diagnostics)
-
-
-@dataclass(frozen=True)
-class Problem:
-    name: str
-    state: frozenset
-    network: TaskNetwork
-
-
-def _parse_labelled_task(
-    text: str, lineno: int, diagnostics: list[Diagnostic]
-) -> tuple[Optional[str], Optional[Task]]:
-    cur = _Cursor(text, lineno, diagnostics)
-    probe = _Cursor(text, lineno, [])
-    first = probe.ident()
-    label: Optional[str] = None
-    if first is not None and probe.take(":"):
-        label = cur.ident()
-        cur.expect(":")
-    task = _parse_task(cur)
-    if task is None:
-        return label, None
-    if not cur.at_end():
-        cur.error("trailing input after task")
-        return label, None
-    return label, task
 
 
 @dataclass(frozen=True)
@@ -627,16 +532,10 @@ def parse_scenario(text: str, domain: Optional[Domain] = None) -> ParseResult:
     diagnostics: list[Diagnostic] = []
     name = "scenario"
     schedule: dict[int, tuple] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line.strip():
-            continue
-        stripped = line.strip()
+    for lineno, stripped in _lines(text):
         cur = _Cursor(stripped, lineno, diagnostics)
         if cur.take_word("scenario"):
-            got = cur.ident()
-            if got is not None:
-                name = got
+            name = cur.ident() or name
             continue
         m = re.match(r"^(\d+)\s*:\s*(.*)$", stripped)
         if not m:
@@ -647,19 +546,17 @@ def parse_scenario(text: str, domain: Optional[Domain] = None) -> ParseResult:
         iteration = int(m.group(1))
         entries: list[tuple[Optional[str], Task]] = []
         for chunk in split_task_list(m.group(2)):
-            label, task = _parse_labelled_task(chunk.strip(), lineno, diagnostics)
-            if task is None:
+            entry = _parse_labelled_task(chunk.strip(), lineno, diagnostics)
+            if entry is None:
                 continue
-            if domain is not None and not (
-                domain.is_primitive(task.symbol) or domain.is_nonprimitive(task.symbol)
-            ):
+            if domain is not None and not _declares(domain, entry[1].symbol):
                 diagnostics.append(
                     Diagnostic(
-                        "error", f"unknown task symbol {task.symbol!r} in scenario", lineno
+                        "error", f"unknown task symbol {entry[1].symbol!r} in scenario", lineno
                     )
                 )
                 continue
-            entries.append((label, task))
+            entries.append(entry)
         if iteration in schedule:
             diagnostics.append(
                 Diagnostic("error", f"iteration {iteration} declared twice", lineno)
@@ -692,6 +589,18 @@ def split_task_list(text: str) -> list[str]:
 
 # -- canonical printing ---------------------------------------------------------
 
+def _render_network(network: TaskNetwork, indent: str, always: bool) -> list[str]:
+    """The ``tasks:`` and ``constraints:`` sections, empty ones only if ``always``."""
+    lines = []
+    if always or network.tasks:
+        lines.append(f"{indent}tasks:")
+        lines.extend(f"{indent}  {lt.label}: {lt.task}" for lt in network.sorted_tasks())
+    if always or network.formula:
+        lines.append(f"{indent}constraints:")
+        lines.extend(f"{indent}  {c}" for c in sorted(network.formula, key=str))
+    return lines
+
+
 def render_domain(domain: Domain) -> str:
     lines = [f"domain {domain.name}", ""]
     for op in domain.operators:
@@ -705,12 +614,7 @@ def render_domain(domain: Domain) -> str:
         lines.append("")
     for m in domain.methods:
         lines.append(f"method {m.name} {m.head}")
-        lines.append("  tasks:")
-        for lt in m.body.sorted_tasks():
-            lines.append(f"    {lt.label}: {lt.task}")
-        lines.append("  constraints:")
-        for c in sorted(m.body.formula, key=str):
-            lines.append(f"    {c}")
+        lines.extend(_render_network(m.body, "  ", always=True))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 
@@ -719,14 +623,7 @@ def render_problem(problem: Problem) -> str:
     lines = [f"problem {problem.name}"]
     atoms = ", ".join(sorted(str(a) for a in problem.state))
     lines.append(f"state: {atoms}")
-    if problem.network.tasks:
-        lines.append("tasks:")
-        for lt in problem.network.sorted_tasks():
-            lines.append(f"  {lt.label}: {lt.task}")
-    if problem.network.formula:
-        lines.append("constraints:")
-        for c in sorted(problem.network.formula, key=str):
-            lines.append(f"  {c}")
+    lines.extend(_render_network(problem.network, "", always=False))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .acting import initial_configuration, is_trace_blocked, make_context
+from .acting import OBSERVATION, initial_configuration, is_trace_blocked, make_context
 from .agent import ScriptedEvents, dtrace_to_trace, run_agent
 from .constraints import TaskNetwork
 from .corpus import CorpusCase
@@ -80,15 +80,24 @@ def check_equivalence(
     return "; ".join(parts)
 
 
-def suite_equivalence(cases: Iterable[CorpusCase], depth: int = 4) -> SuiteResult:
-    result = SuiteResult("equivalence", True)
+def _per_case(suite: str, cases: Iterable[CorpusCase], check) -> SuiteResult:
+    """Run ``check`` on each case; a case fails on the text it returns."""
+    result = SuiteResult(suite, True)
     for case in cases:
-        problem = check_equivalence(case.network, case.state, case.domain, depth)
         result.checked += 1
+        problem = check(case)
         if problem is not None:
             result.passed = False
             result.details.append(f"seed {case.seed}: {problem}")
     return result
+
+
+def suite_equivalence(cases: Iterable[CorpusCase], depth: int = 4) -> SuiteResult:
+    return _per_case(
+        "equivalence",
+        cases,
+        lambda case: check_equivalence(case.network, case.state, case.domain, depth),
+    )
 
 
 def check_extendability(
@@ -109,14 +118,11 @@ def check_extendability(
 
 
 def suite_extendability(cases: Iterable[CorpusCase]) -> SuiteResult:
-    result = SuiteResult("extendability", True)
-    for case in cases:
-        problem = check_extendability(case.network, case.state, case.domain)
-        result.checked += 1
-        if problem is not None:
-            result.passed = False
-            result.details.append(f"seed {case.seed}: {problem}")
-    return result
+    return _per_case(
+        "extendability",
+        cases,
+        lambda case: check_extendability(case.network, case.state, case.domain),
+    )
 
 
 def check_elimination(trace: Trace) -> Optional[str]:
@@ -267,7 +273,7 @@ def check_dtrace_soundness(
             f"actions differ: {_render_sequence(dtrace.actions_performed())} vs "
             f"{_render_sequence(folded.actions_performed())}"
         )
-    if any(s.kind == "observation" for s in folded.steps):
+    if any(s.kind == OBSERVATION for s in folded.steps):
         return "observation steps survived the folding"
     if folded.initial.network.formula:
         return "folded trace does not start from an unconstrained network"
@@ -278,11 +284,4 @@ def check_dtrace_soundness(
 
 
 def suite_dtrace_soundness(cases: Iterable[CorpusCase]) -> SuiteResult:
-    result = SuiteResult("dtrace-soundness", True)
-    for case in cases:
-        result.checked += 1
-        problem = check_dtrace_soundness(case)
-        if problem is not None:
-            result.passed = False
-            result.details.append(f"seed {case.seed}: {problem}")
-    return result
+    return _per_case("dtrace-soundness", cases, check_dtrace_soundness)

@@ -302,6 +302,24 @@ def test_couples_mention_no_variable_the_network_lacks(rover, rover_problem, rov
                     assert lt.variables <= cfg.network.variables, (lt, cfg.network)
 
 
+def test_no_two_couples_share_an_origin(rover):
+    """A context names couple origins too, so no reduction draws one again."""
+    two = parse_problem(
+        "problem two\nstate: didExp(loc1), didExp(loc2), lander(lan1)\n"
+        "tasks:\n  A1: transmitData(loc1)\n  A2: transmitData(loc2)\n"
+        "constraints:\n  ord A1 < A2\n",
+        rover,
+    ).value
+    cfg0s = [initial_configuration(two.network, two.state, rover)] + [
+        initial_configuration(case.network, case.state, case.domain)
+        for case in corpus(100, 0)
+    ]
+    for cfg0 in cfg0s:
+        for cfg in explored(cfg0):
+            origins = [c.origin for c in cfg.couples]
+            assert len(origins) == len(set(origins)), cfg.couples
+
+
 # -- the applicability memo -------------------------------------------------------
 
 def primary_actions(cfg):

@@ -133,6 +133,14 @@ def test_act_agent_script_mismatch_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_act_malformed_choice_script_exits_4(tmp_path, capsys):
+    script = tmp_path / "bad.choices"
+    script.write_text("frobnicate\n")
+    code = main(["act", ROVER, PROB, "--strategy", f"script:{script}"])
+    assert code == 4
+    assert "error: bad choice directive: 'frobnicate'" in capsys.readouterr().err
+
+
 def test_plan_lists_the_solution(capsys):
     code = main(["plan", ROVER, PROB_NOCALI, "--depth", "4"])
     assert code == 0

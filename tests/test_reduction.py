@@ -22,6 +22,7 @@ from htnact.model import (
     Variable,
 )
 from htnact.reduction import reduce_task, relevant_method_bodies
+from htnact.syntax import parse_domain
 
 loc1 = Constant("loc1")
 lan1 = Constant("lan1")
@@ -58,6 +59,43 @@ def test_relevant_bodies_empty_when_nothing_matches(rover):
         Task("transmitData", (loc1, lan1)), rover, NameGenerator()
     )
     assert bodies == ()
+
+
+SWAP_DOMAIN = """
+domain swapper
+operator put(A, B)
+  pre:
+  add:
+  del:
+method m1 swap(X, Y)
+  tasks:
+    1: put(X, Y)
+    2: swap(X, Y)
+  constraints:
+    ord 1 < 2
+"""
+
+
+def _swap_body(*args):
+    domain = parse_domain(SWAP_DOMAIN).value
+    (body,) = relevant_method_bodies(Task("swap", args), domain, NameGenerator())
+    return {lt.task.symbol: lt.task for lt in body.network.tasks}
+
+
+def test_relevant_bodies_when_head_variables_reappear_in_the_task():
+    X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+    assert _swap_body(Y, Z)["put"] == Task("put", (Y, Z))
+    assert _swap_body(Y, X)["put"] == Task("put", (Y, X))
+
+
+def test_the_instantiated_head_is_the_task():
+    # the body repeats the head, so its copy shows the head under the binding
+    terms = (Variable("X"), Variable("Y"), Variable("Z"), loc1)
+    for a in terms:
+        for b in terms:
+            tasks = _swap_body(a, b)
+            assert tasks["swap"] == Task("swap", (a, b))
+            assert tasks["put"] == Task("put", (a, b))
 
 
 def test_reduce_rewrites_orderings_and_conjoins_body(rover):

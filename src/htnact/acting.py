@@ -50,6 +50,7 @@ from .model import (
     Substitution,
     Task,
     Variable,
+    cached_hash,
     constants_of,
     label_key,
     labelled_task_key,
@@ -76,6 +77,8 @@ class ReductionCouple:
     origin: Optional[str]
     pursued: frozenset[LabelledTask]
     alternatives: tuple[Body, ...] = ()
+
+    __hash__ = cached_hash
 
     def substitute(self, theta: Substitution) -> "ReductionCouple":
         pursued = substitute(self.pursued, theta)

@@ -18,6 +18,7 @@ from .model import (
     Literal,
     Substitution,
     Variable,
+    cached_hash,
     label_key,
     labelled_task_key,
     substitute,
@@ -128,14 +129,7 @@ class Constraint:
     body: ConstraintBody
     negated: bool = False
 
-    def __hash__(self) -> int:
-        """The dataclass hash of the fields, computed once per object and
-        kept beside the cached properties, outside ``__eq__`` and ``repr``."""
-        cached = self.__dict__
-        value = cached.get("_hash")
-        if value is None:
-            value = cached["_hash"] = hash((self.body, self.negated))
-        return value
+    __hash__ = cached_hash
 
     def substitute(self, theta: Substitution) -> "Constraint":
         body = self.body.substitute(theta)
@@ -208,6 +202,8 @@ class TaskNetwork:
 
     tasks: frozenset[LabelledTask]
     formula: frozenset[Constraint]
+
+    __hash__ = cached_hash
 
     def substitute(self, theta: Substitution) -> "TaskNetwork":
         tasks = substitute(self.tasks, theta)

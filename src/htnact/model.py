@@ -14,6 +14,20 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 EQUALITY_SYMBOL = "="
 
 
+def cached_hash(self) -> int:
+    """The dataclass hash of the fields, ``hash`` of their tuple, computed
+    once per object and kept beside the cached properties, outside
+    ``__eq__`` and ``repr``.  A frozen dataclass assigns it in its class body
+    (``__hash__ = cached_hash``); the decorator overwrites an inherited one."""
+    cached = self.__dict__
+    value = cached.get("_hash")
+    if value is None:
+        value = cached["_hash"] = hash(
+            tuple(map(cached.__getitem__, self.__dataclass_fields__))
+        )
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class Variable:
     name: str
@@ -39,6 +53,8 @@ class Atom:
 
     symbol: str
     args: tuple[Term, ...] = ()
+
+    __hash__ = cached_hash
 
     def substitute(self, theta: "Substitution") -> "Atom":
         args = _substitute_terms(self.args, theta)
@@ -93,6 +109,8 @@ class Task:
     symbol: str
     args: tuple[Term, ...] = ()
 
+    __hash__ = cached_hash
+
     def substitute(self, theta: "Substitution") -> "Task":
         args = _substitute_terms(self.args, theta)
         return self if args is self.args else Task(self.symbol, args)
@@ -123,6 +141,8 @@ class LabelledTask:
 
     label: str
     task: Task
+
+    __hash__ = cached_hash
 
     def substitute(self, theta: "Substitution") -> "LabelledTask":
         task = self.task.substitute(theta)

@@ -150,6 +150,13 @@ class _Cursor:
                 return None
 
 
+def _header_end(cur: _Cursor, value):
+    """``value``, the last part of a header line; text after it is an error."""
+    if value is not None and not cur.at_end():
+        cur.error("trailing input after header")
+    return value
+
+
 def _term(name: str) -> Term:
     return Variable(name) if name[:1].isupper() else Constant(name)
 
@@ -364,7 +371,7 @@ def parse_domain(text: str, name_hint: str = "domain") -> ParseResult:
         cur = _Cursor(stripped, lineno, diagnostics)
         if cur.take_word("domain"):
             declared_any = True
-            domain_name = cur.ident() or domain_name
+            domain_name = _header_end(cur, cur.ident()) or domain_name
             continue
         is_operator = cur.take_word("operator")
         if is_operator or cur.take_word("method"):
@@ -375,11 +382,11 @@ def parse_domain(text: str, name_hint: str = "domain") -> ParseResult:
             if name is None:
                 continue
             if not is_operator:
-                head = _parse_task(cur)
+                head = _header_end(cur, _parse_task(cur))
                 block = None if head is None else _MethodBlock(name, head, lineno)
                 continue
             params: list[Variable] = []
-            for a in _parse_args(cur) or ():
+            for a in _header_end(cur, _parse_args(cur)) or ():
                 if isinstance(a, Variable):
                     params.append(a)
                 else:
@@ -476,7 +483,7 @@ def parse_problem(text: str, domain: Optional[Domain] = None) -> ParseResult:
     for lineno, stripped in _lines(text):
         cur = _Cursor(stripped, lineno, diagnostics)
         if cur.take_word("problem"):
-            name = cur.ident() or name
+            name = _header_end(cur, cur.ident()) or name
         elif stripped.startswith("state:"):
             for atom in _atom_list(stripped[len("state:"):], lineno, diagnostics):
                 if atom.is_ground:
@@ -535,9 +542,9 @@ def parse_scenario(text: str, domain: Optional[Domain] = None) -> ParseResult:
     for lineno, stripped in _lines(text):
         cur = _Cursor(stripped, lineno, diagnostics)
         if cur.take_word("scenario"):
-            name = cur.ident() or name
+            name = _header_end(cur, cur.ident()) or name
             continue
-        m = re.match(r"^(\d+)\s*:\s*(.*)$", stripped)
+        m = re.match(r"^([0-9]+)\s*:\s*(.*)$", stripped)
         if not m:
             diagnostics.append(
                 Diagnostic("error", f"expected 'ITERATION: task, ...': {stripped!r}", lineno)

@@ -675,12 +675,14 @@ def canonical_key(cfg: Configuration) -> str:
     but never a result.  Invariance under every renaming needs a canonical
     labelling and is open work (ROADMAP.md).
 
-    Per call, only the network and the couples' members are renamed.  The
-    rest is cached on immutable values, once per object: the texts of tasks,
-    atoms, literals and constraints (``model``, ``constraints``), each
-    constraint's sorted labels, each couple's sorted members and joined
-    alternatives (``acting.ReductionCouple``), and each body's fragment
-    (``reduction.Body``).
+    The key reads the network, the state and the couples only, so
+    ``reachable`` calls this once per distinct triple of them and looks
+    repeats up in a table.  Per call, only the network and the couples'
+    members are renamed.  The rest is cached on immutable values, once per
+    object: the texts of tasks, atoms, literals and constraints (``model``,
+    ``constraints``), each constraint's sorted labels, each couple's sorted
+    members and joined alternatives (``acting.ReductionCouple``), and each
+    body's fragment (``reduction.Body``).
     """
     rename = label_renamer()
     pieces = [
@@ -736,11 +738,6 @@ def maximal_traces(
         path.append(apply(path[-1].config, choice))
 
 
-def _successor(cfg: Configuration, choice: Choice) -> tuple[Configuration, Optional[str]]:
-    nxt = apply(cfg, choice).config
-    return nxt, None if is_successful(nxt) else canonical_key(nxt)
-
-
 def reachable(
     cfg0: Configuration,
     ctx: RunContext,
@@ -756,13 +753,32 @@ def reachable(
     narrowed choices lead to a key still open on the walk's stack keeps all
     its choices (the cycle proviso).  A successful configuration is a leaf:
     it is never entered or keyed, and its key reads None.
+
+    Keys come from a table that lives as long as the search and maps a
+    configuration's ``(network, state, couples)`` to its ``canonical_key``.
+    The key reads nothing else, so a configuration equal in those three parts
+    to one keyed before gets the same key without being renamed and rendered
+    again.  The lookup hashes the parts through hashes cached on the values
+    (``model.cached_hash``); a hit compares them with ``==``.
     """
     if is_successful(cfg0):
         return
     nodes = itertools.count(1)
+    keys: dict[tuple, str] = {}  # (network, state, couples) -> canonical_key
     seen: set[str] = set()
     opened: set[str] = set()  # the keys on the stack
     stack = []
+
+    def key_of(cfg: Configuration) -> str:
+        parts = (cfg.network, cfg.state, cfg.couples)
+        key = keys.get(parts)
+        if key is None:
+            key = keys[parts] = canonical_key(cfg)
+        return key
+
+    def successor(cfg: Configuration, choice: Choice) -> tuple[Configuration, Optional[str]]:
+        nxt = apply(cfg, choice).config
+        return nxt, None if is_successful(nxt) else key_of(nxt)
 
     def enter(cfg: Configuration, key: str) -> None:
         seen.add(key)
@@ -771,16 +787,16 @@ def reachable(
         kept = narrow(choices)
         ahead = []  # a narrowed node's successors, built once, here for the proviso
         if len(kept) < len(choices):
-            ahead = [_successor(cfg, choice) for choice in kept]
+            ahead = [successor(cfg, choice) for choice in kept]
         if any(nxt_key in opened for _, nxt_key in ahead):
             kept, ahead = choices, []
         stack.append((cfg, key, kept, iter(ahead), []))
 
-    enter(cfg0, canonical_key(cfg0))
+    enter(cfg0, key_of(cfg0))
     while stack:
         cfg, key, choices, ahead, successors = stack[-1]
         for choice in choices[len(successors):]:
-            nxt, nxt_key = next(ahead, None) or _successor(cfg, choice)
+            nxt, nxt_key = next(ahead, None) or successor(cfg, choice)
             successors.append(nxt_key)
             if nxt_key is not None and nxt_key not in seen:
                 enter(nxt, nxt_key)

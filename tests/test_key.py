@@ -5,7 +5,8 @@ on immutable values; ``key_reference.canonical_key`` rebuilds its key from
 scratch at every call.  The strings differ, but over every configuration
 explored from corpus cases and both rover problems the two keys must put the
 same configurations together.  The cached parts must never leak into
-equality, hashing or ``repr``, and must be built once per object.
+equality, hashing or ``repr``, and must be built once per object; a cached
+hash must equal the dataclass hash of the fields.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from htnact.acting import (
     initial_configuration,
     make_context,
 )
-from htnact.constraints import Before, Constraint, LabelRef, network
+from htnact.constraints import Before, Constraint, LabelRef, TaskNetwork, network
 from htnact.corpus import corpus
 from htnact.model import (
     Atom,
@@ -108,6 +109,8 @@ def recomputed(value) -> dict:
         }
     if isinstance(value, Body):
         return {"key_fragment": fragment(value)}
+    if isinstance(value, (LabelledTask, TaskNetwork)):
+        return {}
     assert isinstance(value, ReductionCouple)
     pursued = sorted(value.pursued, key=lambda lt: (rendered(lt.task), label_key(lt.label)))
     return {
@@ -121,12 +124,18 @@ def cached_values(cfg) -> list:
     bodies = [b for c in couples for b in c.alternatives]
     constraints = sorted(cfg.network.formula, key=str)
     literals = [c.body.literal for c in constraints if hasattr(c.body, "literal")]
+    labelled = cfg.network.sorted_tasks()
     return (
         couples + bodies + constraints + literals
         + [lit.atom for lit in literals]
         + sorted(cfg.state, key=str)
-        + [lt.task for lt in cfg.network.sorted_tasks()]
+        + labelled + [lt.task for lt in labelled]
+        + [cfg.network] + [b.network for b in bodies]
     )
+
+
+# the classes whose hash is cached, in ``_hash`` beside their cached parts
+HASH_CACHED = (Atom, Task, LabelledTask, Constraint, TaskNetwork, ReductionCouple)
 
 
 def test_cached_parts_match_recomputation_and_stay_out_of_identity(
@@ -136,11 +145,17 @@ def test_cached_parts_match_recomputation_and_stay_out_of_identity(
     canonical_key(cfg)
     values = cached_values(cfg)
     assert {type(v) for v in values} == {
-        ReductionCouple, Body, Constraint, Literal, Atom, Task
+        ReductionCouple, Body, Constraint, Literal, Atom, Task, LabelledTask, TaskNetwork
     }
     for value in values:
         parts = recomputed(value)
         assert {name: getattr(value, name) for name in parts} == parts
+        field_values = tuple(getattr(value, f.name) for f in fields(value))
+        if isinstance(value, HASH_CACHED):
+            # the dataclass hash of the fields, so set order and search order stay
+            assert hash(value) == hash(field_values)
+            parts["_hash"] = hash(field_values)
+            assert vars(value)["_hash"] == parts["_hash"]
         fresh = dc_replace(value)  # equal fields, nothing cached yet
         assert not set(parts) & set(vars(fresh))
         assert set(parts) <= set(vars(value))

@@ -14,13 +14,15 @@ from htnact.acting import (
     ACTION,
     REDUCTION,
     REPLACEMENT,
+    apply,
     initial_configuration,
+    is_successful,
     make_context,
 )
 from htnact.constraints import label_renamer, network_fingerprint
 from htnact.corpus import corpus
 from htnact.syntax import parse_domain, parse_problem
-from htnact.trace import reachable, successful_action_sequences
+from htnact.trace import canonical_key, reachable, successful_action_sequences
 from search_reference import reference_action_sequences
 
 
@@ -83,6 +85,39 @@ def test_two_transmits_expand_fewer_nodes(monkeypatch, rover):
     reference = reference_action_sequences(cfg0, make_context(rover, cfg0))
     assert narrowed == reference and len(narrowed) == 20
     assert narrowed_nodes < len(nodes) / 2
+
+
+# -- the key table ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "narrow", [lambda choices: choices, trace_module._ample], ids=["full", "ample"]
+)
+def test_the_key_table_gives_each_node_its_canonical_key(monkeypatch, rover, narrow):
+    """Keys looked up in ``reachable``'s table equal ``canonical_key``
+    recomputed for every node and successor, and repeats are not keyed again."""
+    starts = [(transmits(rover, 2), rover)] + [(case, case.domain) for case in corpus(30, 0)]
+    calls = []
+
+    def counted_key(cfg):
+        calls.append(1)
+        return canonical_key(cfg)
+
+    monkeypatch.setattr(trace_module, "canonical_key", counted_key)
+    nodes = []
+    for problem, domain in starts:  # every execution allowed
+        cfg0 = initial_configuration(problem.network, problem.state, domain)
+        nodes += reachable(cfg0, make_context(domain, cfg0), narrow=narrow)
+    monkeypatch.undo()
+    keyed_edges = 0  # edges into a configuration that is not successful
+    for cfg, key, choices, successors in nodes:
+        assert key == canonical_key(cfg)
+        assert len(successors) == len(choices)
+        for choice, successor in zip(choices, successors):
+            nxt = apply(cfg, choice).config
+            assert successor == (None if is_successful(nxt) else canonical_key(nxt))
+        keyed_edges += sum(successor is not None for successor in successors)
+    assert len(nodes) > 300
+    assert len(nodes) <= len(calls) < keyed_edges
 
 
 # -- where the order of reductions cannot be fixed -------------------------------

@@ -156,6 +156,34 @@ def test_scenario_rejects_duplicate_iterations(rover):
     assert any("declared twice" in str(d) for d in result.errors)
 
 
+def test_scenario_iterations_are_ascii_digits(rover):
+    result = parse_scenario("scenario s\n\u0663: monitor\n", rover)
+    assert [str(d) for d in result.errors] == [
+        "error:2:1: expected 'ITERATION: task, ...': '\u0663: monitor'"
+    ]
+    assert result.value.schedule == {}
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, column",
+    [
+        (parse_domain, "domain d junk", 1, 10),
+        (parse_domain, "domain d\noperator a(X) junk more\n  pre:\n  add:\n  del:", 2, 15),
+        (parse_domain, "domain d\noperator a junk", 2, 12),
+        (parse_domain, "domain d\nmethod m g(Y) trailing stuff\n  tasks:\n    1: g(Y)", 2, 15),
+        (parse_problem, "problem p extra\nstate:", 1, 11),
+        (parse_scenario, "scenario s more\n0: monitor", 1, 12),
+    ],
+    ids=["domain", "operator", "bare-operator", "method", "problem", "scenario"],
+)
+def test_header_lines_reject_trailing_text(parse, text, line, column):
+    result = parse(text)
+    assert not result.ok
+    assert [(d.line, d.column, d.message) for d in result.errors] == [
+        (line, column, "trailing input after header")
+    ]
+
+
 def test_problem_rejects_non_ground_state(rover):
     result = parse_problem("problem p\nstate: lander(L)\n", rover)
     assert any("not ground" in str(d) for d in result.errors)

@@ -30,14 +30,9 @@ from .constraints import (
     After,
     Before,
     Between,
-    FirstRef,
-    LabelRef,
-    LastRef,
     Ordering,
     TaskNetwork,
     holds,
-    ref_labels,
-    rewrite_label_set,
 )
 from .domain import Domain
 from .model import (
@@ -330,13 +325,10 @@ def primary_tasks(d: TaskNetwork, domain: Optional[Domain] = None) -> frozenset:
         if not isinstance(c.body, Ordering):
             continue
         if not c.negated:
-            excluded |= ref_labels(c.body.after)
+            excluded |= c.body.after.labels
         else:
             left = c.body.before
-            if isinstance(left, LabelRef):
-                deferred.add(left.label)
-            elif isinstance(left, LastRef) and len(left.labels) == 1:
-                deferred |= left.labels
+            deferred.update(label for label in left.labels if left.ends_at(label))
     out = set()
     for lt in d.tasks:
         if lt.label in excluded:
@@ -351,45 +343,28 @@ def primary_tasks(d: TaskNetwork, domain: Optional[Domain] = None) -> frozenset:
 
 # -- relevant constraints and applicability ------------------------------------
 
-def _executed_ref(ref, live_labels: frozenset) -> bool:
-    """Does ``ref`` denote an already-executed action?"""
-    if isinstance(ref, LabelRef):
-        return ref.label not in live_labels
-    return isinstance(ref, LastRef) and not ref.labels
-
-
 def relevant_constraints(label: str, d: TaskNetwork) -> frozenset:
     """Constraints that must be evaluated just before executing ``label``.
 
-    Collects possibly negated before-constraints aimed at the action (directly
-    or through a first[] expression), after- and between-constraints whose
-    left reference was already executed, and negated between-constraints that
-    survived to the first action of their right endpoint.
+    Reads each body's reference slots through the reference methods
+    (``constraints``, where the slot table lives): possibly negated
+    before-constraints whose reference ``label`` starts, after- and
+    between-constraints whose left reference is done, and negated
+    between-constraints that survived to the start of their right reference.
     """
     live = d.labels
     out = set()
     for c in d.formula:
         b = c.body
         if isinstance(b, Before):
-            ref = b.ref
-            if (isinstance(ref, LabelRef) and ref.label == label) or (
-                isinstance(ref, FirstRef) and label in ref.labels
-            ):
+            if b.ref.starts_at(label):
                 out.add(c)
         elif isinstance(b, After):
-            if _executed_ref(b.ref, live):
+            if b.ref.is_done(live):
                 out.add(c)
         elif isinstance(b, Between):
-            if not _executed_ref(b.start, live):
-                continue
-            if not c.negated:
+            if b.start.is_done(live) and (not c.negated or b.end.starts_at(label)):
                 out.add(c)
-            else:
-                end = b.end
-                if (isinstance(end, LabelRef) and end.label == label) or (
-                    isinstance(end, FirstRef) and label in end.labels
-                ):
-                    out.add(c)
     return frozenset(out)
 
 
@@ -516,38 +491,24 @@ def is_applicable(
 # -- realised constraints and action results -----------------------------------
 
 def realised_constraints(label: str, d: TaskNetwork) -> frozenset:
-    """Constraints settled by executing ``label`` and removable afterwards."""
+    """Constraints settled by executing ``label`` and removable afterwards.
+
+    An ordering is settled when ``label`` ends its left reference, or, negated,
+    starts its right one; a relevant constraint is settled unless it is a
+    between-constraint whose right reference ``label`` does not start.  The
+    references answer through their methods (``constraints``' slot table).
+    """
     realised = set()
     for c in d.formula:
-        if isinstance(c.body, Ordering):
-            if not c.negated:
-                left = c.body.before
-                if (isinstance(left, LabelRef) and left.label == label) or (
-                    isinstance(left, LastRef) and left.labels == frozenset((label,))
-                ):
-                    realised.add(c)
-            else:
-                right = c.body.after
-                if (isinstance(right, LabelRef) and right.label == label) or (
-                    isinstance(right, FirstRef) and label in right.labels
-                ):
-                    realised.add(c)
+        b = c.body
+        if isinstance(b, Ordering) and (
+            b.after.starts_at(label) if c.negated else b.before.ends_at(label)
+        ):
+            realised.add(c)
     for c in relevant_constraints(label, d):
-        if isinstance(c.body, Between):
-            end = c.body.end
-            if (isinstance(end, LabelRef) and end.label == label) or (
-                isinstance(end, FirstRef) and label in end.labels
-            ):
-                realised.add(c)
-        else:
+        if not isinstance(c.body, Between) or c.body.end.starts_at(label):
             realised.add(c)
     return frozenset(realised)
-
-
-def _strip_from_last(ref, label: str):
-    if isinstance(ref, LastRef) and label in ref.labels:
-        return LastRef(ref.labels - {label})
-    return ref
 
 
 def action_result(
@@ -581,16 +542,13 @@ def action_result(
     rewritten = []
     live_after = d.labels - {label}
     for old in d.formula - realised:
-        c = old.rewrite_refs(lambda ref: _strip_from_last(ref, label))
+        c = old.rewrite_refs(lambda ref: ref.without(label))
         b = c.body
         if isinstance(b, Between):
-            end = b.end
-            if (isinstance(end, LabelRef) and end.label == label) or (
-                isinstance(end, FirstRef) and label in end.labels
-            ):
+            if b.end.starts_at(label):
                 dropped.add(old)
                 continue  # right endpoint reached first: holds trivially
-            if c.negated and _executed_ref(b.start, live_after):
+            if c.negated and b.start.is_done(live_after):
                 escaped = holds(b.literal.negated().substitute(theta), new_state)
                 if escaped:
                     dropped.add(old)
@@ -700,9 +658,8 @@ def replace_tasks(pursued: frozenset, body: TaskNetwork, d: TaskNetwork) -> Task
     """
     pursued_labels = frozenset(lt.label for lt in pursued)
     present = frozenset(lt for lt in d.tasks if lt.label in pursued_labels)
-    redirected = rewrite_label_set(
-        d.formula, frozenset(lt.label for lt in present), body.labels
-    )
+    old = frozenset(lt.label for lt in present)
+    redirected = (c.rewrite_refs(lambda ref: ref.redirect(old, body.labels)) for c in d.formula)
     kept = frozenset(c for c in redirected if not c.labels() & pursued_labels)
     tasks = (d.tasks - present) | body.tasks
     return TaskNetwork(frozenset(tasks), kept | body.formula)
@@ -760,24 +717,6 @@ def smallest_replaceable(couples: frozenset) -> frozenset:
     return frozenset(out)
 
 
-def replacement_choice(
-    cfg: Configuration, couple: ReductionCouple, body: Body, smallest: frozenset
-) -> Choice:
-    """Replace ``couple``'s pursued tasks in ``cfg`` with ``body``.
-
-    ``smallest`` is ``smallest_replaceable(cfg.couples)``: replacing a couple
-    outside it is a jump.
-    """
-    return Choice(
-        REPLACEMENT,
-        couple.origin,
-        body=body,
-        couple=couple,
-        complete=couple.labels <= cfg.network.labels,
-        jump=couple not in smallest,
-    )
-
-
 def exec_via_replacement(
     cfg: Configuration, ctx: RunContext, actions: Optional[tuple[Choice, ...]] = None
 ) -> tuple[Choice, ...]:
@@ -804,9 +743,17 @@ def exec_via_replacement(
     ]
     if not blocked:
         return ()
+    # replacing a couple outside the smallest replaceable ones is a jump
     smallest = smallest_replaceable(cfg.couples)
     return tuple(
-        replacement_choice(cfg, couple, body, smallest)
+        Choice(
+            REPLACEMENT,
+            couple.origin,
+            body=body,
+            couple=couple,
+            complete=couple.labels <= cfg.network.labels,
+            jump=couple not in smallest,
+        )
         for couple in sorted(blocked, key=ReductionCouple.sort_key)
         for body in couple.alternatives
     )

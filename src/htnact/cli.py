@@ -184,12 +184,7 @@ def cmd_act(args) -> int:
                     print(f"soundness: {p}", file=sys.stderr)
                 return EXIT_VERIFY
             print("soundness: folded trace re-validates", file=sys.stderr)
-        classification = trace.classification()
-        if classification == "successful":
-            return EXIT_SUCCESS
-        if outcome.stopped_on == "iterations":
-            return EXIT_BUDGET
-        return EXIT_BLOCKED if classification == "blocked" else EXIT_BUDGET
+        return _outcome_code(trace.classification(), outcome.stopped_on == "iterations")
 
     if not problem.network.tasks:
         raise InputError("problem declares no initial tasks and no scenario given")
@@ -200,12 +195,15 @@ def cmd_act(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _emit(render_trace(trace, domain.name, meta), args.out)
-    classification = trace.classification()
-    if trace.budget_exhausted:
-        return EXIT_BUDGET
+    return _outcome_code(trace.classification(), trace.budget_exhausted)
+
+
+def _outcome_code(classification: str, out_of_budget: bool) -> int:
+    """The exit code of an ``act`` run: 0 when it succeeded, 2 when it is
+    blocked within its budget, 3 otherwise."""
     if classification == "successful":
         return EXIT_SUCCESS
-    if classification == "blocked":
+    if classification == "blocked" and not out_of_budget:
         return EXIT_BLOCKED
     return EXIT_BUDGET
 

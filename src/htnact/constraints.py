@@ -5,6 +5,11 @@ constraints: orderings between task references, and before / after / between
 state-constraints.  A task reference is a plain label or a ``first[...]`` /
 ``last[...]`` expression over a label set, denoting the task eventually
 ordered first or last among those the labels yield.
+
+The reference format stays in this module: a reference answers whether an
+executed label reaches its start or end and whether it is done, and each
+constraint body lists its reference slots with the form a reduced task's
+label takes in each, so other modules ask instead of testing classes.
 """
 from __future__ import annotations
 
@@ -27,9 +32,39 @@ from .model import (
 
 @dataclass(frozen=True)
 class LabelRef:
+    """A task named by its label: reached, ended and done with that task."""
+
     label: str
 
-    def substitute(self, theta: Substitution) -> "LabelRef":
+    plain = True
+
+    @property
+    def labels(self) -> frozenset[str]:
+        return frozenset((self.label,))
+
+    def relabel(self, fn: Callable[[str], str]) -> "LabelRef":
+        label = fn(self.label)
+        return self if label == self.label else LabelRef(label)
+
+    def redirect(self, old: frozenset, new: frozenset) -> "LabelRef":
+        """``self`` with ``new`` in place of ``old`` inside a first[]/last[]
+        set; a plain label has none."""
+        return self
+
+    def starts_at(self, label: str) -> bool:
+        """Does executing ``label`` reach this reference's start?"""
+        return label == self.label
+
+    def ends_at(self, label: str) -> bool:
+        """Does executing ``label`` reach this reference's end?"""
+        return label == self.label
+
+    def is_done(self, live: frozenset) -> bool:
+        """Is this reference executed already, ``live`` the labels left?"""
+        return self.label not in live
+
+    def without(self, label: str) -> "LabelRef":
+        """This reference once the executed ``label`` leaves last[] sets."""
         return self
 
     def __str__(self) -> str:
@@ -37,40 +72,85 @@ class LabelRef:
 
 
 @dataclass(frozen=True)
-class FirstRef:
+class _SetRef:
+    """A ``first[...]``/``last[...]`` expression over a label set, neither
+    reached, ended nor done unless its subclass says otherwise."""
+
     labels: frozenset[str]
 
-    def substitute(self, theta: Substitution) -> "FirstRef":
+    plain = False
+    keyword = ""
+
+    def relabel(self, fn: Callable[[str], str]) -> "_SetRef":
+        labels = frozenset(map(fn, self.labels))
+        return self if labels == self.labels else type(self)(labels)
+
+    def redirect(self, old: frozenset, new: frozenset) -> "_SetRef":
+        if self.labels.isdisjoint(old):
+            return self
+        return type(self)((self.labels - old) | new)
+
+    def starts_at(self, label: str) -> bool:
+        return False
+
+    def ends_at(self, label: str) -> bool:
+        return False
+
+    def is_done(self, live: frozenset) -> bool:
+        return False
+
+    def without(self, label: str) -> "_SetRef":
         return self
 
     def __str__(self) -> str:
-        return f"first[{','.join(sorted(self.labels, key=label_key))}]"
+        return f"{self.keyword}[{','.join(sorted(self.labels, key=label_key))}]"
 
 
-@dataclass(frozen=True)
-class LastRef:
-    labels: frozenset[str]
+class FirstRef(_SetRef):
+    """Reached when any member is executed."""
 
-    def substitute(self, theta: Substitution) -> "LastRef":
-        return self
+    keyword = "first"
 
-    def __str__(self) -> str:
-        return f"last[{','.join(sorted(self.labels, key=label_key))}]"
+    def starts_at(self, label: str) -> bool:
+        return label in self.labels
+
+
+class LastRef(_SetRef):
+    """Ended by executing its one remaining member; done once empty."""
+
+    keyword = "last"
+
+    def ends_at(self, label: str) -> bool:
+        return len(self.labels) == 1 and label in self.labels
+
+    def is_done(self, live: frozenset) -> bool:
+        return not self.labels
+
+    def without(self, label: str) -> "LastRef":
+        return LastRef(self.labels - {label}) if label in self.labels else self
 
 
 TaskRef = Union[LabelRef, FirstRef, LastRef]
 
 
-def ref_labels(ref: TaskRef) -> frozenset[str]:
-    if isinstance(ref, LabelRef):
-        return frozenset((ref.label,))
-    return ref.labels
-
+# Each constraint body names its reference slots (``refs``, rebuilt by
+# ``with_refs``) and, in ``forms``, the expression a reduced task's label
+# takes in each slot: a task is left at its last subtask and reached at its
+# first.
 
 @dataclass(frozen=True)
 class Ordering:
     before: TaskRef
     after: TaskRef
+
+    forms = (LastRef, FirstRef)
+
+    @property
+    def refs(self) -> tuple[TaskRef, ...]:
+        return (self.before, self.after)
+
+    def with_refs(self, before: TaskRef, after: TaskRef) -> "Ordering":
+        return Ordering(before, after)
 
     def substitute(self, theta: Substitution) -> "Ordering":
         return self
@@ -83,6 +163,15 @@ class Ordering:
 class Before:
     literal: Literal
     ref: TaskRef
+
+    forms = (FirstRef,)
+
+    @property
+    def refs(self) -> tuple[TaskRef, ...]:
+        return (self.ref,)
+
+    def with_refs(self, ref: TaskRef) -> "Before":
+        return Before(self.literal, ref)
 
     def substitute(self, theta: Substitution) -> "Before":
         literal = self.literal.substitute(theta)
@@ -97,6 +186,15 @@ class After:
     ref: TaskRef
     literal: Literal
 
+    forms = (LastRef,)
+
+    @property
+    def refs(self) -> tuple[TaskRef, ...]:
+        return (self.ref,)
+
+    def with_refs(self, ref: TaskRef) -> "After":
+        return After(ref, self.literal)
+
     def substitute(self, theta: Substitution) -> "After":
         literal = self.literal.substitute(theta)
         return self if literal is self.literal else After(self.ref, literal)
@@ -110,6 +208,15 @@ class Between:
     start: TaskRef
     literal: Literal
     end: TaskRef
+
+    forms = (LastRef, FirstRef)
+
+    @property
+    def refs(self) -> tuple[TaskRef, ...]:
+        return (self.start, self.end)
+
+    def with_refs(self, start: TaskRef, end: TaskRef) -> "Between":
+        return Between(start, self.literal, end)
 
     def substitute(self, theta: Substitution) -> "Between":
         literal = self.literal.substitute(theta)
@@ -136,20 +243,10 @@ class Constraint:
         return self if body is self.body else Constraint(body, self.negated)
 
     def refs(self) -> tuple[TaskRef, ...]:
-        b = self.body
-        if isinstance(b, Ordering):
-            return (b.before, b.after)
-        if isinstance(b, Before):
-            return (b.ref,)
-        if isinstance(b, After):
-            return (b.ref,)
-        return (b.start, b.end)
+        return self.body.refs
 
     def labels(self) -> frozenset[str]:
-        out: set[str] = set()
-        for ref in self.refs():
-            out |= ref_labels(ref)
-        return frozenset(out)
+        return frozenset().union(*(ref.labels for ref in self.body.refs))
 
     @cached_property
     def sorted_labels(self) -> tuple[str, ...]:
@@ -159,20 +256,32 @@ class Constraint:
     def rewrite_refs(self, fn) -> "Constraint":
         """``self`` with ``fn`` applied to each reference; ``self`` itself
         when ``fn`` hands every reference back unchanged."""
-        refs = self.refs()
-        new = tuple(map(fn, refs))
+        refs = self.body.refs
+        return self._with_refs(refs, tuple(map(fn, refs)))
+
+    def reduced(self, label: str, new: frozenset) -> "Constraint":
+        """``self`` once the task ``label`` is reduced to tasks labelled
+        ``new``: a plain reference to it takes its slot's form over ``new``,
+        and ``new`` takes its place inside first[]/last[] sets."""
+        plain, old = LabelRef(label), frozenset((label,))
+        refs = self.body.refs
+        return self._with_refs(refs, tuple(
+            form(new) if ref == plain else ref.redirect(old, new)
+            for ref, form in zip(refs, self.body.forms)
+        ))
+
+    def misread_refs(self) -> tuple[TaskRef, ...]:
+        """References neither plain nor in their slot's own form: acting
+        reads them differently from planning."""
+        body = self.body
+        return tuple(
+            ref for ref, form in zip(body.refs, body.forms) if not _fits(ref, form)
+        )
+
+    def _with_refs(self, refs: tuple, new: tuple) -> "Constraint":
         if all(n is r for n, r in zip(new, refs)):
             return self
-        b = self.body
-        if isinstance(b, Ordering):
-            body: ConstraintBody = Ordering(*new)
-        elif isinstance(b, Before):
-            body = Before(b.literal, *new)
-        elif isinstance(b, After):
-            body = After(*new, b.literal)
-        else:
-            body = Between(new[0], b.literal, new[1])
-        return Constraint(body, self.negated)
+        return Constraint(self.body.with_refs(*new), self.negated)
 
     @cached_property
     def variables(self) -> frozenset[Variable]:
@@ -190,6 +299,12 @@ class Constraint:
 
     def __str__(self) -> str:
         return self.text
+
+
+def _fits(ref: TaskRef, form: type) -> bool:
+    """Is ``ref``, in a slot whose reduced form is ``form``, read by acting as
+    planning reads it?  Plain labels and the slot's own form are."""
+    return ref.plain or type(ref) is form
 
 
 def render_formula(formula: Iterable[Constraint]) -> str:
@@ -275,10 +390,9 @@ def network_fingerprint(
 
 def _renamed_constraint(c: Constraint, rename: Callable[[str], str]) -> str:
     def ref_str(ref: TaskRef) -> str:
-        if isinstance(ref, LabelRef):
+        if ref.plain:
             return rename(ref.label)
-        inner = ",".join(sorted(rename(label) for label in ref.labels))
-        return ("first[" if isinstance(ref, FirstRef) else "last[") + inner + "]"
+        return f"{ref.keyword}[{','.join(sorted(map(rename, ref.labels)))}]"
 
     parts = [type(c.body).__name__] + [ref_str(ref) for ref in c.refs()]
     literal = getattr(c.body, "literal", None)
@@ -295,22 +409,8 @@ def network(tasks: Iterable[LabelledTask], formula: Iterable[Constraint] = ()) -
 
 def rewrite_labels(formula: frozenset, label: str, replacement: frozenset) -> frozenset:
     """Replace ``label`` with ``replacement`` inside first[]/last[] label sets."""
-    return rewrite_label_set(formula, frozenset((label,)), replacement)
-
-
-def rewrite_label_set(
-    formula: frozenset, old: frozenset, replacement: frozenset
-) -> frozenset:
-    """Replace any occurrence of labels from ``old`` in first[]/last[] sets."""
-
-    def rewrite(ref: TaskRef) -> TaskRef:
-        if isinstance(ref, FirstRef) and ref.labels & old:
-            return FirstRef((ref.labels - old) | replacement)
-        if isinstance(ref, LastRef) and ref.labels & old:
-            return LastRef((ref.labels - old) | replacement)
-        return ref
-
-    return frozenset(c.rewrite_refs(rewrite) for c in formula)
+    old = frozenset((label,))
+    return frozenset(c.rewrite_refs(lambda ref: ref.redirect(old, replacement)) for c in formula)
 
 
 def holds(literal: Literal, state: frozenset) -> bool:
@@ -337,27 +437,19 @@ def ordering_edges(formula: Iterable[Constraint]) -> set[tuple[str, str]]:
     """Label pairs (a, b) where a is guaranteed to precede b in any completion.
 
     A positive ordering contributes an edge from every label known to finish
-    before the right side begins: plain labels and whole last[] sets on the
-    left, plain labels and whole first[] sets on the right.
+    before the right side begins: each side's labels when it is plain or in
+    its slot's own form (``Ordering.forms``), a whole last[] set on the left
+    and a whole first[] set on the right.
     """
     edges: set[tuple[str, str]] = set()
     for c in formula:
         if c.negated or not isinstance(c.body, Ordering):
             continue
-        left, right = c.body.before, c.body.after
-        if isinstance(left, LabelRef):
-            lefts: frozenset[str] = frozenset((left.label,))
-        elif isinstance(left, LastRef):
-            lefts = left.labels
-        else:
-            lefts = frozenset()
-        if isinstance(right, LabelRef):
-            rights: frozenset[str] = frozenset((right.label,))
-        elif isinstance(right, FirstRef):
-            rights = right.labels
-        else:
-            rights = frozenset()
-        edges |= {(a, b) for a in lefts for b in rights}
+        lefts, rights = (
+            ref.labels if _fits(ref, form) else ()
+            for ref, form in zip(c.body.refs, c.body.forms)
+        )
+        edges.update((a, b) for a in lefts for b in rights)
     return edges
 
 

@@ -11,17 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .constraints import (
-    After,
-    Between,
-    FirstRef,
-    LabelRef,
-    LastRef,
-    Ordering,
-    TaskNetwork,
-    precedence_closure,
-    ref_labels,
-)
+from .constraints import After, Ordering, TaskNetwork, precedence_closure
 from .model import (
     EMPTY_SUBSTITUTION,
     Atom,
@@ -140,11 +130,7 @@ def fresh_rename(
     theta = Substitution(var_map)
 
     def rename_ref(ref):
-        if isinstance(ref, LabelRef):
-            label = label_map.get(ref.label, ref.label)
-            return ref if label == ref.label else LabelRef(label)
-        labels = frozenset(label_map.get(l, l) for l in ref.labels)
-        return ref if labels == ref.labels else type(ref)(labels)
+        return ref.relabel(lambda label: label_map.get(label, label))
 
     tasks = frozenset(
         LabelledTask(label_map[lt.label], lt.task.substitute(theta).substitute(bound))
@@ -210,7 +196,7 @@ def find_trailing_task(body: TaskNetwork) -> Optional[str]:
         lab
         for c in body.formula
         if isinstance(c.body, After)
-        for lab in ref_labels(c.body.ref)
+        for lab in c.body.ref.labels
     }
     for lab in sorted(labels):
         others = labels - {lab}
@@ -227,7 +213,7 @@ def ordering_consistent(body: TaskNetwork) -> bool:
     for c in body.formula:
         if c.negated and isinstance(c.body, Ordering):
             before, after = c.body.before, c.body.after
-            if isinstance(before, LabelRef) and isinstance(after, LabelRef):
+            if before.plain and after.plain:
                 if (before.label, after.label) in closure:
                     return False
     return True
@@ -310,39 +296,25 @@ def validate_domain(domain: Domain) -> ValidationReport:
         for c in method.body.formula:
             if c.negated and isinstance(c.body, Ordering):
                 left = c.body.before
-                if isinstance(left, LabelRef):
-                    lt = _task_by_label(method.body, left.label)
-                    if lt is not None and domain.is_nonprimitive(lt.task.symbol):
+                for label in sorted(left.labels & method.body.labels):
+                    task = method.body.task_of(label).task
+                    if left.ends_at(label) and domain.is_nonprimitive(task.symbol):
                         report.warnings.append(
                             Violation(
                                 "negated-ordering-left",
                                 subject,
-                                f"negated ordering on non-primitive task {left.label} does not "
+                                f"negated ordering on non-primitive task {label} does not "
                                 "defer it; only actions are deferred by negated orderings",
                             )
                         )
-            if isinstance(c.body, Between) and isinstance(c.body.end, LastRef):
+            for ref in c.misread_refs():
                 report.warnings.append(
                     Violation(
-                        "between-last-end",
+                        "reference-form",
                         subject,
-                        "between-constraint ending in a last[] expression is never realised",
-                    )
-                )
-            if isinstance(c.body, After) and isinstance(c.body.ref, FirstRef):
-                report.warnings.append(
-                    Violation(
-                        "after-first",
-                        subject,
-                        "after-constraint on a first[] expression is never evaluated",
+                        f"{ref} in {c} is neither a plain label nor its slot's "
+                        "own form; acting reads it differently from planning",
                     )
                 )
 
     return report
-
-
-def _task_by_label(body: TaskNetwork, label: str) -> Optional[LabelledTask]:
-    for lt in body.tasks:
-        if lt.label == label:
-            return lt
-    return None

@@ -45,7 +45,6 @@ from .constraints import (
     TaskRef,
     holds,
     network_fingerprint,
-    ref_labels,
 )
 from .domain import Domain, run_generator
 from .model import Constant, Substitution, Task, constants_of
@@ -70,6 +69,8 @@ def _groundings(
 
 # A compiled task reference is (mask, first): the bits of its labels, and
 # whether it is reached with its first member placed rather than its last.
+# This reach rule reads only a reference's labels and class, so the ground
+# truth shares no predicate with acting's reference methods.
 _Ref = tuple[int, bool]
 
 
@@ -105,7 +106,7 @@ class _Plan:
 
         def ref(r: TaskRef) -> _Ref:
             mask = 0
-            for label in ref_labels(r):
+            for label in r.labels:
                 mask |= bits[label]
             return mask, isinstance(r, FirstRef)
 

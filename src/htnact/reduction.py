@@ -4,19 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .constraints import (
-    After,
-    Before,
-    Between,
-    Constraint,
-    FirstRef,
-    LabelRef,
-    LastRef,
-    Ordering,
-    TaskNetwork,
-    network_fingerprint,
-    rewrite_labels,
-)
+from .constraints import TaskNetwork, network_fingerprint
 from .domain import Domain, fresh_rename
 from .model import NameGenerator, Substitution, Task, match_task
 
@@ -91,37 +79,15 @@ def relevant_method_bodies(task: Task, domain: Domain, gen: NameGenerator) -> tu
 def reduce_task(d: TaskNetwork, label: str, body: TaskNetwork) -> TaskNetwork:
     """Replace the non-primitive task ``label`` in ``d`` with ``body``.
 
-    The surviving constraints are rewritten in one pass: ordering endpoints
-    on ``label`` become first[]/last[] expressions over the body's labels,
-    before/after/between constraints are retargeted the same way, and any
-    occurrence of ``label`` inside an existing first[]/last[] set is replaced
-    by the body's labels.  Negated constraints rewrite identically.
+    Each surviving constraint is rewritten in one pass by
+    ``Constraint.reduced``, which reads the slot table in ``constraints``: a
+    plain reference to ``label`` becomes its slot's form over the body's
+    labels (last[] where the task is left, first[] where it is reached), and
+    ``label`` inside an existing first[]/last[] set gives way to the body's
+    labels.  Negated constraints rewrite identically.
     """
     target = d.task_of(label)
     new_labels = body.labels
-
-    def endpoint_first(ref):
-        if isinstance(ref, LabelRef) and ref.label == label:
-            return FirstRef(new_labels)
-        return ref
-
-    def endpoint_last(ref):
-        if isinstance(ref, LabelRef) and ref.label == label:
-            return LastRef(new_labels)
-        return ref
-
-    rewritten = []
-    for c in rewrite_labels(d.formula, label, new_labels):
-        b = c.body
-        if isinstance(b, Ordering):
-            nb = Ordering(endpoint_last(b.before), endpoint_first(b.after))
-        elif isinstance(b, Before):
-            nb = Before(b.literal, endpoint_first(b.ref))
-        elif isinstance(b, Between):
-            nb = Between(endpoint_last(b.start), b.literal, endpoint_first(b.end))
-        else:
-            nb = After(endpoint_last(b.ref), b.literal)
-        rewritten.append(Constraint(nb, c.negated) if nb != b else c)
-
+    rewritten = frozenset(c.reduced(label, new_labels) for c in d.formula)
     tasks = (d.tasks - {target}) | body.tasks
-    return TaskNetwork(frozenset(tasks), body.formula | frozenset(rewritten))
+    return TaskNetwork(frozenset(tasks), body.formula | rewritten)

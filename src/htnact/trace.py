@@ -99,7 +99,7 @@ from .acting import (
     ordered_alternatives,
     top_couple,
 )
-from .constraints import LabelRef, label_renamer, network_fingerprint
+from .constraints import label_renamer, network_fingerprint
 from .domain import fresh_rename
 from .model import (
     Constant,
@@ -449,11 +449,7 @@ def _pair(member, target, names: dict, held: frozenset) -> bool:
         keys, values = (member.label, *member.task.args), (target.label, *target.task.args)
     else:
         rename = lambda label: names.get(label, label)  # noqa: E731
-        refs = tuple(
-            LabelRef(rename(ref.label)) if isinstance(ref, LabelRef)
-            else type(ref)(frozenset(map(rename, ref.labels)))
-            for ref in member.refs()
-        )
+        refs = tuple(ref.relabel(rename) for ref in member.refs())
         if (member.negated, type(member.body), refs) != (
             target.negated, type(target.body), target.refs()
         ):

@@ -577,9 +577,7 @@ def test_primary_tasks_subset_invariant(after_two_reductions):
     right_sides = set()
     for c in network.formula:
         if not c.negated and isinstance(c.body, Ordering):
-            from htnact.constraints import ref_labels
-
-            right_sides |= ref_labels(c.body.after)
+            right_sides |= c.body.after.labels
     assert labels(primary).isdisjoint(right_sides)
 
 

@@ -21,6 +21,8 @@ import pytest
 from htnact import acting
 from htnact import trace as trace_module
 from htnact.acting import (
+    REPLACEMENT,
+    Choice,
     applicable_substitutions,
     apply,
     exec_all,
@@ -33,7 +35,6 @@ from htnact.acting import (
     is_trace_blocked,
     make_context,
     primary_tasks,
-    replacement_choice,
     smallest_replaceable,
 )
 from htnact.agent import observe
@@ -79,9 +80,15 @@ def reference_replacements(cfg, ctx) -> tuple:
             continue
         if not reference_is_blocked(couple.pursued, cfg.network, cfg.state, ctx):
             continue
-        smallest = smallest_replaceable(cfg.couples)
+        # complete: no pursued task has been executed yet; jump: the couple
+        # is not among the smallest replaceable ones
+        complete = all(lt in cfg.network.tasks for lt in couple.pursued)
+        jump = couple not in smallest_replaceable(cfg.couples)
         for body in couple.alternatives:
-            choices.append(replacement_choice(cfg, couple, body, smallest))
+            choices.append(
+                Choice(REPLACEMENT, couple.origin, body=body, couple=couple,
+                       complete=complete, jump=jump)
+            )
     return tuple(choices)
 
 

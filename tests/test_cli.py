@@ -102,6 +102,25 @@ def test_act_budget_exhaustion_exits_3(tmp_path):
     assert code == 3
 
 
+def test_act_agent_out_of_iterations_exits_3(tmp_path):
+    code = main(
+        ["act", ROVER, PROB_NOCALI, EVT, "--max-iterations", "1",
+         "--out", str(tmp_path / "t.txt")]
+    )
+    assert code == 3
+
+
+def test_act_agent_blocked_exits_2(tmp_path):
+    problem = tmp_path / "stuck.prob"
+    problem.write_text("problem stuck\nstate: lowCharge, raw\n")
+    scenario = tmp_path / "monitor.evt"
+    scenario.write_text("scenario monitor\n0: monitor\n")
+    out = tmp_path / "t.txt"
+    code = main(["act", ROVER, str(problem), str(scenario), "--out", str(out)])
+    assert code == 2
+    assert "classification: blocked" in out.read_text()
+
+
 def test_act_invalid_domain_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.htn"
     bad.write_text(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from htnact.constraints import (
     Constraint,
     LabelRef,
@@ -21,6 +23,7 @@ from htnact.model import (
     Task,
     Variable,
 )
+from htnact.syntax import parse_constraint_line
 
 
 def ordc(a, b):
@@ -81,6 +84,51 @@ def test_after_constrained_trailing_task_is_reported():
     domain = make_domain("d", [Operator("a")], [Method("m", Task("g"), body)])
     report = validate_domain(domain)
     assert any(v.check == "trailing-task" for v in report.violations)
+
+
+# Each form names the tasks s1, s2 (the set S), n and the trailing task t of
+# one method body; "g" is non-primitive, the others are actions.
+@pytest.mark.parametrize(
+    "text, checks",
+    [
+        # forms acting reads differently from planning: neither a plain label
+        # nor the form a reduced label takes in that slot
+        ("before p last[s1,s2]", ["reference-form"]),
+        ("after first[s1,s2] p", ["reference-form"]),
+        ("between first[s1,s2] p n", ["reference-form"]),
+        ("between n p last[s1,s2]", ["reference-form"]),
+        ("ord first[s1,s2] < n", ["reference-form"]),
+        ("ord n < last[s1,s2]", ["reference-form"]),
+        ("not ord first[s1,s2] < n", ["reference-form"]),
+        ("not ord n < last[s1,s2]", ["reference-form"]),
+        # a negated ordering defers what its left side ends at: last[] of
+        # exactly one non-primitive task no less than the plain label
+        ("not ord last[g1] < n", ["negated-ordering-left"]),
+        ("not ord g1 < n", ["negated-ordering-left"]),
+        # each slot's own form, and plain labels, read the same everywhere
+        ("before p first[s1,s2]", []),
+        ("after last[s1,s2] p", []),
+        ("between last[s1,s2] p first[n,g1]", []),
+        ("ord last[s1,s2] < first[n,g1]", []),
+        ("not ord last[s1,s2] < n", []),
+        ("not ord last[g1,s1] < n", []),
+    ],
+)
+def test_reference_forms_acting_reads_differently_are_warned(text, checks):
+    tasks = [("s1", "a"), ("s2", "a"), ("n", "a"), ("g1", "g"), ("t", "a")]
+    body = network(
+        [LabelledTask(label, Task(symbol)) for label, symbol in tasks],
+        [ordc(label, "t") for label, _ in tasks[:-1]]
+        + [parse_constraint_line(text, 1, [])],
+    )
+    other = network([LabelledTask("u1", Task("a")), LabelledTask("u2", Task("a"))],
+                    [ordc("u1", "u2")])
+    domain = make_domain(
+        "d", [Operator("a")], [Method("m", Task("h"), body), Method("k", Task("g"), other)]
+    )
+    report = validate_domain(domain)
+    assert report.ok
+    assert sorted(w.check for w in report.warnings) == checks
 
 
 def test_duplicate_operator_is_reported():

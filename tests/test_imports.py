@@ -42,6 +42,46 @@ def test_search_reference_imports_no_private_names():
     assert _private_imports(Path(__file__).parent / "search_reference.py") == []
 
 
+REF_CLASSES = {"LabelRef", "FirstRef", "LastRef"}
+
+
+def _ref_class_tests(path: Path) -> list[str]:
+    """``file:line function`` for each ``isinstance`` against a task-reference
+    class, ``function`` being the dotted chain of enclosing definitions."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+        ):
+            names = {
+                getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])
+            }
+            if names & REF_CLASSES:
+                found.append(f"{path.name}:{node.lineno} {'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_reference_classes_are_tested_only_in_constraints():
+    """Other modules ask a reference or a constraint slot instead of testing
+    its class; only the oracle's own reach rule reads the class, so the
+    ground truth shares no predicate with acting."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "constraints.py":
+            offenders += _ref_class_tests(path)
+    assert [o for o in offenders if not o.startswith("oracle.py:") or
+            not o.endswith(" _Plan.__init__.ref")] == []
+
+
 def test_every_traced_function_exists():
     """perfbench/tracing.py wraps its TARGETS by name; a renamed function
     must fail here rather than in the benchmark's traced run."""

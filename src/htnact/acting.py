@@ -16,8 +16,8 @@ the observation step of a dynamic trace, and is the one place a successor
 configuration is built.
 
 All values are immutable; the only mutable collaborators are the fresh-name
-generator, built on first use, and the applicability memo, both confined to
-one run context.
+generator, built on first use, and the component tables
+(``ComponentTables``), both confined to one run context.
 """
 from __future__ import annotations
 
@@ -142,27 +142,74 @@ class Configuration:
 
 
 @dataclass
+class ComponentTables:
+    """The parts successors and keys are built from, each computed once per
+    context lineage.
+
+    A table maps the values a part reads to the part; with the domain and
+    the universe, which the contexts of one lineage share, that decides it.
+    ``action_result`` assembles an action's successor from three lookups:
+
+    * ``states``: the state after it, per (state, ground task);
+    * ``networks``: the network after it, per (network, label, binding,
+      state), where the state is None unless the network holds a negated
+      between-constraint, whose discharge is the one rewrite that reads it.
+      Equal networks reached along different paths are handed out as one
+      object (``interned``), so ``TaskNetwork.fingerprint`` is computed once
+      per distinct network;
+    * ``couples``: the substituted couples, per (couples, binding).
+
+    ``actions`` keeps ``exec_via_action``'s choices per (network, state,
+    all_bindings, label); ``relevant`` keeps ``relevant_constraints`` per
+    (network, label), which extracted literals and realised constraints
+    both read; ``applicable`` keeps ``applicable_substitutions`` per (task,
+    extracted literals, state, limit); ``keys`` keeps ``trace.reachable``'s
+    ``canonical_key`` per (network, state, couples).  A key renders the
+    network's cached fingerprint, the state and the couples, continuing the
+    fingerprint's renaming.
+
+    ``make_context`` starts empty tables, ``for_config`` passes them on and
+    ``RunContext.extend_universe`` starts fresh ones, as ``trace.validate_trace``
+    does at each step.  They are dropped with the last context of their
+    lineage: nothing is shared between searches.  ``trace.run``, replay and
+    the searches all build through them.
+    """
+
+    states: dict = field(default_factory=dict)
+    networks: dict = field(default_factory=dict)
+    interned: dict = field(default_factory=dict)
+    couples: dict = field(default_factory=dict)
+    actions: dict = field(default_factory=dict)
+    relevant: dict = field(default_factory=dict)
+    applicable: dict = field(default_factory=dict)
+    keys: dict = field(default_factory=dict)
+
+
+def _memo(table: dict, key, compute, *args):
+    """``table[key]``, computed as ``compute(*args)`` on the first request."""
+    found = table.get(key)
+    if found is None:
+        found = table[key] = compute(*args)
+    return found
+
+
+@dataclass
 class RunContext:
     """Mutable per-run collaborators: fresh names, the constant universe and
-    the applicability memo.
+    the component tables.
 
     ``gen`` avoids exactly the names ``config`` mentions; it is built the
     first time it is read, so a context that never draws a name never walks
-    ``config``.
-
-    ``applicable`` memoises ``applicable_substitutions`` under the key
-    ``(task, extracted literals, state, limit)``; with the domain and the
-    universe, which every context of one lineage shares, the key decides the
-    result.  ``make_context`` starts an empty memo, ``for_config`` passes the
-    same one on, so a search grounds a task once per state and literals, and
-    ``extend_universe`` starts a fresh one.  The memo is dropped with the
-    last context of its lineage: nothing is shared between searches.
+    ``config``.  ``tables`` are shared by every context of one lineage
+    (``ComponentTables``).
     """
 
     domain: Domain
     universe: tuple[Constant, ...]
     config: "Configuration" = field(repr=False)
-    applicable: dict = field(default_factory=dict, repr=False, compare=False)
+    tables: ComponentTables = field(
+        default_factory=ComponentTables, repr=False, compare=False
+    )
 
     @cached_property
     def names(self) -> tuple[set, set]:
@@ -178,11 +225,11 @@ class RunContext:
 
         Branching explorations use this instead of sharing one generator:
         labels are fresh with respect to the configuration at hand, and the
-        constant universe and the applicability memo stay the run-wide ones.
+        constant universe and the component tables stay the run-wide ones.
         The generator is built on first use: only a reduction draws names, so
         a node with no primary non-primitive task never builds one.
         """
-        return RunContext(self.domain, self.universe, config, self.applicable)
+        return RunContext(self.domain, self.universe, config, self.tables)
 
     def absorb(self, choice: "Choice") -> None:
         """Commit the names a chosen reduction introduced to the generator.
@@ -202,11 +249,11 @@ class RunContext:
                 self.gen.reserve_variable(variable.name)
 
     def extend_universe(self, constants) -> None:
-        """Add ``constants`` to the universe and start a fresh memo: residual
+        """Add ``constants`` to the universe and start fresh tables: residual
         variables now range over more constants."""
         merged = set(self.universe) | set(constants)
         self.universe = tuple(sorted(merged))
-        self.applicable = {}
+        self.tables = ComponentTables()
 
 
 def initial_configuration(
@@ -370,11 +417,18 @@ def relevant_constraints(label: str, d: TaskNetwork) -> frozenset:
 
 def extracted_literals(label: str, d: TaskNetwork) -> frozenset:
     """Literals the relevant constraints require to hold, negation folded in."""
-    out = set()
-    for c in relevant_constraints(label, d):
-        literal = c.body.literal
-        out.add(literal if not c.negated else literal.negated())
-    return frozenset(out)
+    return _literals_of(relevant_constraints(label, d))
+
+
+def _literals_of(relevant: frozenset) -> frozenset:
+    return frozenset(
+        c.body.literal.negated() if c.negated else c.body.literal for c in relevant
+    )
+
+
+def _relevant(label: str, d: TaskNetwork, tables: ComponentTables) -> frozenset:
+    """``relevant_constraints``, once per (network, label) of ``tables``."""
+    return _memo(tables.relevant, (d, label), relevant_constraints, label, d)
 
 
 def _unify_literal(literal: Literal, atom: Atom, binding: dict) -> Optional[dict]:
@@ -405,16 +459,14 @@ def applicable_substitutions(
     universe.  Enumeration order is deterministic, so the first result is the
     canonical binding.
 
-    Results are memoised in ``ctx.applicable`` under ``(task, extracted
-    literals, state, limit)``, for as long as the context lineage of one
-    search lives; ``RunContext.extend_universe`` resets the memo.
+    Results are kept in ``ctx``'s tables (``ComponentTables.applicable``).
     """
     task = d.task_of(label).task
-    key = (task, extracted_literals(label, d), state, limit)
-    found = ctx.applicable.get(key)
-    if found is None:
-        found = ctx.applicable[key] = _ground(task, key[1], state, ctx, limit)
-    return found
+    extracted = _literals_of(_relevant(label, d, ctx.tables))
+    return _memo(
+        ctx.tables.applicable, (task, extracted, state, limit),
+        _ground, task, extracted, state, ctx, limit,
+    )
 
 
 def _ground(
@@ -498,6 +550,11 @@ def realised_constraints(label: str, d: TaskNetwork) -> frozenset:
     between-constraint whose right reference ``label`` does not start.  The
     references answer through their methods (``constraints``' slot table).
     """
+    return _realised(label, d, relevant_constraints(label, d))
+
+
+def _realised(label: str, d: TaskNetwork, relevant: frozenset) -> frozenset:
+    """``realised_constraints`` given the ``relevant`` constraints of ``label``."""
     realised = set()
     for c in d.formula:
         b = c.body
@@ -505,7 +562,7 @@ def realised_constraints(label: str, d: TaskNetwork) -> frozenset:
             b.after.starts_at(label) if c.negated else b.before.ends_at(label)
         ):
             realised.add(c)
-    for c in relevant_constraints(label, d):
+    for c in relevant:
         if not isinstance(c.body, Between) or c.body.end.starts_at(label):
             realised.add(c)
     return frozenset(realised)
@@ -518,6 +575,7 @@ def action_result(
     theta: Substitution,
     couples: frozenset,
     domain: Domain,
+    tables: Optional[ComponentTables] = None,
 ) -> tuple[TaskNetwork, frozenset, frozenset]:
     """Result of executing the applicable action ``label`` under ``theta``.
 
@@ -526,18 +584,46 @@ def action_result(
     between-constraints that became trivial are pruned, and negated
     between-constraints whose escape literal now holds are discharged.  The
     binding is applied to the whole resulting triple.
+
+    Each of the three parts is looked up in ``tables`` (``ComponentTables``),
+    fresh ones when none are given, and computed on a miss.
     """
-    lt = d.task_of(label)
-    op = domain.operator_for(lt.task)
-    ground_task = lt.task.substitute(theta)
+    if tables is None:
+        tables = ComponentTables()
+    ground_task = d.task_of(label).task.substitute(theta)
     if not ground_task.is_ground:
         raise ValueError(f"executing non-ground task {ground_task}")
-    _, add, delete = op.instantiate(ground_task)
-    new_state = frozenset((state - frozenset(delete)) | frozenset(add))
+    new_state = _memo(
+        tables.states, (state, ground_task), _state_after, state, ground_task, domain
+    )
+    # discharging a negated between is the one rewrite that reads the state
+    escapes = any(c.negated and isinstance(c.body, Between) for c in d.formula)
+    read = new_state if escapes else None
+    network = _memo(
+        tables.networks, (d, label, theta, read),
+        _network_after, label, d, theta, new_state, tables,
+    )
+    couples = _memo(tables.couples, (couples, theta), substitute, couples, theta)
+    return network, new_state, couples
 
+
+def _state_after(state: frozenset, ground_task: Task, domain: Domain) -> frozenset:
+    _, add, delete = domain.operator_for(ground_task).instantiate(ground_task)
+    return frozenset((state - frozenset(delete)) | frozenset(add))
+
+
+def _network_after(
+    label: str,
+    d: TaskNetwork,
+    theta: Substitution,
+    new_state: frozenset,
+    tables: ComponentTables,
+) -> TaskNetwork:
+    """``action_result``'s network, handed out as the one equal network the
+    tables hold."""
     # set algebra on the network's own sets hashes only the members it
     # drops or rewrites
-    realised = realised_constraints(label, d)
+    realised = _realised(label, d, _relevant(label, d, tables))
     dropped = set(realised)
     rewritten = []
     live_after = d.labels - {label}
@@ -558,8 +644,8 @@ def action_result(
             rewritten.append(c)
 
     formula = (d.formula - dropped) | frozenset(rewritten)
-    network = substitute(TaskNetwork(d.tasks - {lt}, formula), theta)
-    return network, new_state, substitute(couples, theta)
+    network = substitute(TaskNetwork(d.tasks - {d.task_of(label)}, formula), theta)
+    return tables.interned.setdefault(network, network)
 
 
 # -- the three kinds of execution ----------------------------------------------
@@ -577,7 +663,19 @@ def exec_via_action(
     all_bindings: bool = False,
     label: Optional[str] = None,
 ) -> tuple[Choice, ...]:
-    """Applicable primary actions, of ``label`` alone when it is given."""
+    """Applicable primary actions, of ``label`` alone when it is given.
+
+    The choices are kept in ``ctx``'s tables (``ComponentTables.actions``).
+    """
+    return _memo(
+        ctx.tables.actions, (cfg.network, cfg.state, all_bindings, label),
+        _action_choices, cfg, ctx, all_bindings, label,
+    )
+
+
+def _action_choices(
+    cfg: Configuration, ctx: RunContext, all_bindings: bool, label: Optional[str]
+) -> tuple[Choice, ...]:
     choices = []
     limit = None if all_bindings else 1
     for lt in _candidates(cfg, label):
@@ -783,11 +881,14 @@ def with_observed(cfg: Configuration, observed: frozenset) -> Configuration:
     return dc_replace(cfg, network=network, couples=couples)
 
 
-def apply(cfg: Configuration, choice: Choice) -> Step:
+def apply(
+    cfg: Configuration, choice: Choice, ctx: Optional[RunContext] = None
+) -> Step:
     """The step that performs ``choice`` from ``cfg``.
 
     Every successor configuration is built here, for the three kinds of
-    execution and for observations.  Legality is the caller's concern:
+    execution and for observations; an action's from ``ctx``'s tables, or
+    fresh ones without a context.  Legality is the caller's concern:
     ``exec_*`` offer only legal choices, and replay applies a recorded step
     only once it has found it among them.
     """
@@ -795,7 +896,8 @@ def apply(cfg: Configuration, choice: Choice) -> Step:
     removed = added = frozenset()
     if choice.kind == ACTION:
         network, state, couples = action_result(
-            label, cfg.state, cfg.network, choice.binding, cfg.couples, cfg.domain
+            label, cfg.state, cfg.network, choice.binding, cfg.couples, cfg.domain,
+            ctx.tables if ctx is not None else None,
         )
         config = Configuration(
             network, state, couples, cfg.domain, cfg.theta.compose(choice.binding)

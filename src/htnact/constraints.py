@@ -349,15 +349,36 @@ class TaskNetwork:
     def sorted_tasks(self) -> list[LabelledTask]:
         return sorted(self.tasks, key=labelled_task_key)
 
+    @cached_property
+    def fingerprint(self) -> tuple[str, "Renaming"]:
+        """``network_fingerprint`` of this network and the renaming it fixed,
+        computed once per object; a configuration's key continues a copy of
+        the renaming over the couples."""
+        rename = label_renamer()
+        return network_fingerprint(self, rename), rename
+
     def __str__(self) -> str:
         tasks = " ".join(str(t) for t in self.sorted_tasks())
         return f"<{tasks} | {render_formula(self.formula)}>"
 
 
-def label_renamer() -> Callable[[str], str]:
-    """Maps each label to ``#k``, numbering labels in order of first request."""
-    mapping: dict[str, str] = {}
-    return lambda label: mapping.setdefault(label, f"#{len(mapping)}")
+class Renaming(dict):
+    """Maps each label to ``#k``, numbering labels in order of first request.
+
+    Calling it renames a label; as a dict it holds the renaming fixed so
+    far, and ``Renaming(other)`` continues ``other``'s numbering apart.
+    """
+
+    def __missing__(self, label: str) -> str:
+        name = self[label] = f"#{len(self)}"
+        return name
+
+    __call__ = dict.__getitem__
+
+
+def label_renamer() -> Renaming:
+    """A fresh ``Renaming``."""
+    return Renaming()
 
 
 def network_fingerprint(
@@ -372,12 +393,14 @@ def network_fingerprint(
     Networks that differ only by a renaming of their labels share one when
     the renaming keeps that order, not otherwise: tasks with the same text
     are told apart by label order, and a constraint's text names its labels.
-    Passing ``rename`` continues one renaming across several networks.
+    Passing ``rename`` continues one renaming across several networks, and
+    leaves the renaming fixed in it for the caller to read.
 
     Task and constraint texts and each constraint's sorted labels are cached
     on those values, so a call sorts and renames but renders nothing again.
     """
-    rename = rename or label_renamer()
+    if rename is None:
+        rename = label_renamer()
     tasks = sorted(network.tasks, key=lambda lt: (lt.task.text, label_key(lt.label)))
     pieces = [f"{rename(lt.label)}:{lt.task.text}" for lt in tasks]
     formula = sorted(network.formula, key=lambda c: c.text)

@@ -8,7 +8,9 @@ and the agent loop), the exhaustive searches used by the verification
 suites, and the constructive rewriting that eliminates complete-replacement
 steps from a trace while preserving the actions performed.  Every step,
 whether run, replayed, explored or rewritten, is built by ``acting.apply``
-from a choice.
+from a choice, out of the parts its context's tables hold
+(``acting.ComponentTables``, which describes what is cached and for how
+long).
 
 The searches are two depth-first walks with explicit stacks, so search depth
 costs no Python stack: ``maximal_traces``, filtered by
@@ -84,6 +86,7 @@ from .acting import (
     REDUCTION,
     REPLACEMENT,
     Choice,
+    ComponentTables,
     Configuration,
     ReductionCouple,
     RunContext,
@@ -99,7 +102,7 @@ from .acting import (
     ordered_alternatives,
     top_couple,
 )
-from .constraints import label_renamer, network_fingerprint
+from .constraints import Renaming
 from .domain import fresh_rename
 from .model import (
     Constant,
@@ -304,7 +307,7 @@ def strategy_step(
     if chosen is None:
         return None
     ctx.absorb(chosen)
-    step = apply(cfg, chosen)
+    step = apply(cfg, chosen, ctx)
     trace.steps.append(step)
     return step
 
@@ -348,7 +351,7 @@ def replay_step(prev: Configuration, recorded: Step, ctx: RunContext) -> Step:
     """
     label = recorded.label
     if recorded.kind == OBSERVATION:
-        return apply(prev, Choice(OBSERVATION, observed=recorded.observed))
+        return apply(prev, Choice(OBSERVATION, observed=recorded.observed), ctx)
     if recorded.kind == ACTION:
         offered = exec_via_action(prev, ctx, all_bindings=True, label=label)
         found = next((c for c in offered if c.binding == recorded.binding), None)
@@ -366,7 +369,7 @@ def replay_step(prev: Configuration, recorded: Step, ctx: RunContext) -> Step:
     if found is None:
         described = "; ".join(c.describe() for c in offered) or "nothing"
         raise TraceError(f"no offered execution matches (offered for {label}: {described})")
-    return apply(prev, found)
+    return apply(prev, found, ctx)
 
 
 def _recorded_reduction(
@@ -496,6 +499,9 @@ def validate_trace(trace: Trace) -> list[str]:
     for i in range(1, len(trace.steps)):
         prev = trace.steps[i - 1].config
         recorded = trace.steps[i]
+        # each step replays from its recorded configuration, so nothing one
+        # step builds is looked up again: keep no part past its step
+        ctx.tables = ComponentTables()
         try:
             if replay_step(prev, recorded, ctx) == recorded:
                 continue
@@ -571,7 +577,7 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
             REDUCTION, origin, steps[i].task, body=correct, alternatives=alternatives
         )
         ctx.absorb(redirected)
-        new_steps = steps[:i] + [apply(steps[i - 1].config, redirected)]
+        new_steps = steps[:i] + [apply(steps[i - 1].config, redirected, ctx)]
         for j in range(i + 1, m):
             if j in skipped:
                 continue
@@ -590,7 +596,7 @@ def _rebuilt(prev: Configuration, step: Step, ctx: RunContext) -> Step:
     if step.kind == REPLACEMENT:
         for choice in exec_via_replacement(prev, ctx):
             if (choice.label, choice.body) == (step.label, step.body):
-                return apply(prev, choice)
+                return apply(prev, choice, ctx)
     return replay_step(prev, step, ctx)
 
 
@@ -656,8 +662,9 @@ class SearchBudgetExceeded(Exception):
 def canonical_key(cfg: Configuration) -> str:
     """A fingerprint of a configuration (minus bindings) for memoising search.
 
-    Extends ``network_fingerprint`` of the network with the state and the
-    couples, under one renaming of the network's and the couples' labels.
+    Three pieces, under one renaming of the network's and the couples'
+    labels: the network's ``network_fingerprint``, the state's text, and
+    the couples, rendered by continuing the renaming the fingerprint fixed.
     Each untried alternative body adds its own ``Body.key_fragment``, whose
     renaming is local: body labels are fresh and meet no other part of the
     configuration, which every execution keeps.  Distinct structures always
@@ -668,23 +675,15 @@ def canonical_key(cfg: Configuration) -> str:
     origins, and tasks or constraints that differ only in their labels are
     numbered in label order.  Two configurations that differ by another
     renaming may get different keys, which costs the explorers a memo hit
-    but never a result.  Invariance under every renaming needs a canonical
-    labelling and is open work (ROADMAP.md).
+    but never a result.  A canonical labelling would merge few of them
+    (ROADMAP.md), so none is attempted.
 
-    The key reads the network, the state and the couples only, so
-    ``reachable`` calls this once per distinct triple of them and looks
-    repeats up in a table.  Per call, only the network and the couples'
-    members are renamed.  The rest is cached on immutable values, once per
-    object: the texts of tasks, atoms, literals and constraints (``model``,
-    ``constraints``), each constraint's sorted labels, each couple's sorted
-    members and joined alternatives (``acting.ReductionCouple``), and each
-    body's fragment (``reduction.Body``).
+    The fingerprint is cached on the network (``TaskNetwork.fingerprint``);
+    ``acting.ComponentTables`` says how searches share it.
     """
-    rename = label_renamer()
-    pieces = [
-        network_fingerprint(cfg.network, rename),
-        "@" + " ".join(sorted(atom.text for atom in cfg.state)),
-    ]
+    text, renaming = cfg.network.fingerprint
+    rename = Renaming(renaming)
+    pieces = [text, "@" + " ".join(sorted(atom.text for atom in cfg.state))]
     for couple in cfg.sorted_couples():
         origin = rename(couple.origin) if couple.origin else "top"
         members = " ".join(
@@ -731,7 +730,7 @@ def maximal_traces(
             path.pop()
             if not path:
                 return
-        path.append(apply(path[-1].config, choice))
+        path.append(apply(path[-1].config, choice, ctx))
 
 
 def reachable(
@@ -750,17 +749,13 @@ def reachable(
     its choices (the cycle proviso).  A successful configuration is a leaf:
     it is never entered or keyed, and its key reads None.
 
-    Keys come from a table that lives as long as the search and maps a
-    configuration's ``(network, state, couples)`` to its ``canonical_key``.
-    The key reads nothing else, so a configuration equal in those three parts
-    to one keyed before gets the same key without being renamed and rendered
-    again.  The lookup hashes the parts through hashes cached on the values
-    (``model.cached_hash``); a hit compares them with ``==``.
+    Keys and successors come from ``ctx``'s tables
+    (``acting.ComponentTables``).
     """
     if is_successful(cfg0):
         return
     nodes = itertools.count(1)
-    keys: dict[tuple, str] = {}  # (network, state, couples) -> canonical_key
+    keys = ctx.tables.keys
     seen: set[str] = set()
     opened: set[str] = set()  # the keys on the stack
     stack = []
@@ -773,7 +768,7 @@ def reachable(
         return key
 
     def successor(cfg: Configuration, choice: Choice) -> tuple[Configuration, Optional[str]]:
-        nxt = apply(cfg, choice).config
+        nxt = apply(cfg, choice, ctx).config
         return nxt, None if is_successful(nxt) else key_of(nxt)
 
     def enter(cfg: Configuration, key: str) -> None:

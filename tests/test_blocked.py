@@ -353,7 +353,7 @@ def test_memoised_applicability_equals_a_fresh_computation(
                         *args, node_ctx, limit
                     ) == applicable_substitutions(*args, fresh, limit)
                     calls += 1
-        entries += len(ctx.applicable)
+        entries += len(ctx.tables.applicable)
     assert calls > 3000 and entries < calls / 2
 
 

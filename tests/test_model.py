@@ -67,9 +67,34 @@ def test_substitution_compose_applies_in_order():
 
 
 names = st.sampled_from(["X", "Y", "Z", "W"])
-terms = st.one_of(
-    st.sampled_from([loc1, lan1, a]), names.map(Variable)
+constants = st.sampled_from([loc1, lan1, a])
+terms = st.one_of(constants, names.map(Variable))
+
+
+@given(
+    st.dictionaries(names.map(Variable), terms, max_size=4),
+    st.dictionaries(names.map(Variable), constants, max_size=4),
 )
+def test_composing_a_ground_binding_equals_the_normalising_constructor(first, later):
+    """A binding of constants only, as every action's is, composes without
+    the chain-resolution pass; the result is the normalising constructor's."""
+    first, later = Substitution(first), Substitution(later)
+    combined = {v: later.term(t) for v, t in first.items()}
+    combined.update((v, t) for v, t in later.items() if v not in first)
+    composed = first.compose(later)
+    assert composed == Substitution(combined)
+    assert list(composed.items()) == list(Substitution(combined).items())
+    for name in ("X", "Y", "Z", "W"):
+        v = Variable(name)
+        assert composed.term(v) == later.term(first.term(v))
+
+
+def test_composing_a_binding_of_variables_still_normalises():
+    Z, W = Variable("Z"), Variable("W")
+    first = Substitution({X: Y, Z: W})
+    composed = first.compose(Substitution({Y: Z}))
+    assert composed == Substitution({X: W, Y: W, Z: W})
+    assert composed.term(X) == W
 
 
 @given(st.dictionaries(names.map(Variable), terms, max_size=4))

@@ -143,8 +143,8 @@ class Configuration:
 
 @dataclass
 class ComponentTables:
-    """The parts successors and keys are built from, each computed once per
-    context lineage.
+    """The parts successors are built from, each computed once per context
+    lineage.
 
     A table maps the values a part reads to the part; with the domain and
     the universe, which the contexts of one lineage share, that decides it.
@@ -153,36 +153,31 @@ class ComponentTables:
     * ``states``: the state after it, per (state, ground task);
     * ``networks``: the network after it, per (network, label, binding,
       state), where the state is None unless the network holds a negated
-      between-constraint, whose discharge is the one rewrite that reads it.
-      Equal networks reached along different paths are handed out as one
-      object (``interned``), so ``TaskNetwork.fingerprint`` is computed once
-      per distinct network;
+      between-constraint (``TaskNetwork.has_negated_between``), whose
+      discharge is the one rewrite that reads it;
     * ``couples``: the substituted couples, per (couples, binding).
 
     ``actions`` keeps ``exec_via_action``'s choices per (network, state,
     all_bindings, label); ``relevant`` keeps ``relevant_constraints`` per
     (network, label), which extracted literals and realised constraints
     both read; ``applicable`` keeps ``applicable_substitutions`` per (task,
-    extracted literals, state, limit); ``keys`` keeps ``trace.reachable``'s
-    ``canonical_key`` per (network, state, couples).  A key renders the
-    network's cached fingerprint, the state and the couples, continuing the
-    fingerprint's renaming.
+    extracted literals, state, limit).  A configuration's key
+    (``trace.canonical_key``) reads the fingerprint and the renaming it fixed
+    that are cached on the network itself (``TaskNetwork.fingerprint``).
 
     ``make_context`` starts empty tables, ``for_config`` passes them on and
-    ``RunContext.extend_universe`` starts fresh ones, as ``trace.validate_trace``
-    does at each step.  They are dropped with the last context of their
-    lineage: nothing is shared between searches.  ``trace.run``, replay and
-    the searches all build through them.
+    ``RunContext.fresh_tables`` starts fresh ones: ``extend_universe`` does,
+    and ``trace.validate_trace`` at each step.  They are dropped with the
+    last context of their lineage: nothing is shared between searches.
+    ``trace.run``, replay and the searches all build through them.
     """
 
     states: dict = field(default_factory=dict)
     networks: dict = field(default_factory=dict)
-    interned: dict = field(default_factory=dict)
     couples: dict = field(default_factory=dict)
     actions: dict = field(default_factory=dict)
     relevant: dict = field(default_factory=dict)
     applicable: dict = field(default_factory=dict)
-    keys: dict = field(default_factory=dict)
 
 
 def _memo(table: dict, key, compute, *args):
@@ -253,6 +248,10 @@ class RunContext:
         variables now range over more constants."""
         merged = set(self.universe) | set(constants)
         self.universe = tuple(sorted(merged))
+        self.fresh_tables()
+
+    def fresh_tables(self) -> None:
+        """Start empty tables, for this context and those it passes them to."""
         self.tables = ComponentTables()
 
 
@@ -596,9 +595,7 @@ def action_result(
     new_state = _memo(
         tables.states, (state, ground_task), _state_after, state, ground_task, domain
     )
-    # discharging a negated between is the one rewrite that reads the state
-    escapes = any(c.negated and isinstance(c.body, Between) for c in d.formula)
-    read = new_state if escapes else None
+    read = new_state if d.has_negated_between else None
     network = _memo(
         tables.networks, (d, label, theta, read),
         _network_after, label, d, theta, new_state, tables,
@@ -619,8 +616,6 @@ def _network_after(
     new_state: frozenset,
     tables: ComponentTables,
 ) -> TaskNetwork:
-    """``action_result``'s network, handed out as the one equal network the
-    tables hold."""
     # set algebra on the network's own sets hashes only the members it
     # drops or rewrites
     realised = _realised(label, d, _relevant(label, d, tables))
@@ -644,8 +639,7 @@ def _network_after(
             rewritten.append(c)
 
     formula = (d.formula - dropped) | frozenset(rewritten)
-    network = substitute(TaskNetwork(d.tasks - {d.task_of(label)}, formula), theta)
-    return tables.interned.setdefault(network, network)
+    return substitute(TaskNetwork(d.tasks - {d.task_of(label)}, formula), theta)
 
 
 # -- the three kinds of execution ----------------------------------------------

@@ -354,8 +354,14 @@ class TaskNetwork:
         """``network_fingerprint`` of this network and the renaming it fixed,
         computed once per object; a configuration's key continues a copy of
         the renaming over the couples."""
-        rename = label_renamer()
+        rename = Renaming()
         return network_fingerprint(self, rename), rename
+
+    @cached_property
+    def has_negated_between(self) -> bool:
+        """Does the formula hold a negated between-constraint?  Its discharge
+        is the one rewrite of an action that reads the state."""
+        return any(c.negated and isinstance(c.body, Between) for c in self.formula)
 
     def __str__(self) -> str:
         tasks = " ".join(str(t) for t in self.sorted_tasks())
@@ -374,11 +380,6 @@ class Renaming(dict):
         return name
 
     __call__ = dict.__getitem__
-
-
-def label_renamer() -> Renaming:
-    """A fresh ``Renaming``."""
-    return Renaming()
 
 
 def network_fingerprint(
@@ -400,7 +401,7 @@ def network_fingerprint(
     on those values, so a call sorts and renames but renders nothing again.
     """
     if rename is None:
-        rename = label_renamer()
+        rename = Renaming()
     tasks = sorted(network.tasks, key=lambda lt: (lt.task.text, label_key(lt.label)))
     pieces = [f"{rename(lt.label)}:{lt.task.text}" for lt in tasks]
     formula = sorted(network.formula, key=lambda c: c.text)

@@ -86,7 +86,6 @@ from .acting import (
     REDUCTION,
     REPLACEMENT,
     Choice,
-    ComponentTables,
     Configuration,
     ReductionCouple,
     RunContext,
@@ -501,7 +500,7 @@ def validate_trace(trace: Trace) -> list[str]:
         recorded = trace.steps[i]
         # each step replays from its recorded configuration, so nothing one
         # step builds is looked up again: keep no part past its step
-        ctx.tables = ComponentTables()
+        ctx.fresh_tables()
         try:
             if replay_step(prev, recorded, ctx) == recorded:
                 continue
@@ -749,13 +748,15 @@ def reachable(
     its choices (the cycle proviso).  A successful configuration is a leaf:
     it is never entered or keyed, and its key reads None.
 
-    Keys and successors come from ``ctx``'s tables
-    (``acting.ComponentTables``).
+    Successors are built from ``ctx``'s tables (``acting.ComponentTables``).
+    Keys come from a table of the walk's own, mapping a configuration's
+    ``(network, state, couples)``, all the key reads, to its
+    ``canonical_key``, so equal configurations are keyed once.
     """
     if is_successful(cfg0):
         return
     nodes = itertools.count(1)
-    keys = ctx.tables.keys
+    keys: dict[tuple, str] = {}  # (network, state, couples) -> canonical_key
     seen: set[str] = set()
     opened: set[str] = set()  # the keys on the stack
     stack = []

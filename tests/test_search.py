@@ -19,7 +19,7 @@ from htnact.acting import (
     is_successful,
     make_context,
 )
-from htnact.constraints import label_renamer, network_fingerprint
+from htnact.constraints import Renaming, network_fingerprint
 from htnact.corpus import corpus
 from htnact.syntax import parse_domain, parse_problem
 from htnact.trace import canonical_key, reachable, successful_action_sequences
@@ -214,7 +214,7 @@ def network_and_state_key(cfg) -> str:
     and the state decide the sequences, and under this key reducing ``tt``
     and then ``uu`` returns to the key the walk started from."""
     atoms = " ".join(sorted(atom.text for atom in cfg.state))
-    return f"{network_fingerprint(cfg.network, label_renamer())}@{atoms}"
+    return f"{network_fingerprint(cfg.network, Renaming())}@{atoms}"
 
 
 def test_the_cycle_proviso_expands_a_node_whose_reduction_recurs(monkeypatch):

@@ -1,11 +1,11 @@
 """Successors and keys built from a search's component tables.
 
 ``reachable`` builds each successor out of parts its context's tables hold
-(``acting.ComponentTables``) and looks its key up in the table of keys.  On
-every edge the walk takes, the successor must equal ``apply`` run with fresh
-tables, and its key a ``canonical_key`` computed on a network that has
-cached nothing.  The node counts and the sequences found are pinned at fixed
-inputs.
+(``acting.ComponentTables``) and keys it from the fingerprint cached on its
+network.  On every edge the walk takes, the successor must equal ``apply``
+run with fresh tables, and its key a ``canonical_key`` computed on a network
+that has cached nothing.  The node counts and the sequences found are pinned
+at fixed inputs.
 """
 from __future__ import annotations
 
@@ -31,9 +31,11 @@ def digest(sequences) -> str:
 
 def walked(monkeypatch, problem, domain):
     """Search ``problem`` with every replacement allowed; return the edges
-    the walk applied, the tables, the node count and the sequences."""
-    edges, nodes = [], []
+    the walk applied, the tables, the keys it computed per (network, state,
+    couples), the node count and the sequences."""
+    edges, nodes, keys = [], [], {}
     real_apply, real_exec_all = trace_module.apply, trace_module.exec_all
+    real_key = trace_module.canonical_key
 
     def recording_apply(cfg, choice, ctx=None):
         step = real_apply(cfg, choice, ctx)
@@ -44,30 +46,37 @@ def walked(monkeypatch, problem, domain):
         nodes.append(1)
         return real_exec_all(*args, **kwargs)
 
+    def recorded_key(cfg):
+        key = keys[(cfg.network, cfg.state, cfg.couples)] = real_key(cfg)
+        return key
+
     monkeypatch.setattr(trace_module, "apply", recording_apply)
     monkeypatch.setattr(trace_module, "exec_all", counted_exec_all)
+    monkeypatch.setattr(trace_module, "canonical_key", recorded_key)
     cfg0 = initial_configuration(problem.network, problem.state, domain)
     ctx = make_context(domain, cfg0)
     sequences = successful_action_sequences(cfg0, ctx)
     monkeypatch.undo()
-    return edges, ctx.tables, len(nodes), sequences
+    return edges, ctx.tables, keys, len(nodes), sequences
 
 
-def check_edges(edges, tables) -> None:
+def check_edges(edges, keys) -> None:
     for cfg, choice, nxt in edges:
         fresh = apply(cfg, choice).config
         assert parts(nxt) == parts(fresh)
         if not is_successful(nxt):
             uncached = dc_replace(fresh, network=dc_replace(fresh.network))
-            key = tables.keys[(nxt.network, nxt.state, nxt.couples)]
+            key = keys[(nxt.network, nxt.state, nxt.couples)]
             assert key == canonical_key(uncached)
 
 
 def test_rover_two_transmits_walk_matches_fresh_successors_and_keys(
     monkeypatch, rover
 ):
-    edges, tables, nodes, sequences = walked(monkeypatch, transmits(rover, 2), rover)
-    check_edges(edges, tables)
+    edges, tables, keys, nodes, sequences = walked(
+        monkeypatch, transmits(rover, 2), rover
+    )
+    check_edges(edges, keys)
     actions = sum(choice.kind == ACTION for _, choice, _ in edges)
     # the tables reuse parts: fewer networks and states built than actions
     assert len(tables.networks) < actions and len(tables.states) < actions
@@ -126,8 +135,8 @@ def test_escapes_and_open_variables_take_their_part_of_the_key(monkeypatch):
     one network under two bindings.  Both network parts must differ."""
     domain = parse_domain(ESCAPE_DOMAIN, "escape").value
     problem = parse_problem(ESCAPE_PROBLEM, domain).value
-    edges, tables, nodes, sequences = walked(monkeypatch, problem, domain)
-    check_edges(edges, tables)
+    edges, _, keys, nodes, sequences = walked(monkeypatch, problem, domain)
+    check_edges(edges, keys)
     assert (nodes, len(sequences), digest(sequences)) == (31, 32, "3b6c2e6cecde")
 
 
@@ -138,8 +147,8 @@ CORPUS_SEQUENCES = [0, 0, 1, 12, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, 41, 0, 6, 0, 4, 0
 def test_corpus_walks_match_fresh_successors_and_keys(monkeypatch):
     nodes, counts, digests = [], [], []
     for case in corpus(20, 100000):
-        edges, tables, expanded, sequences = walked(monkeypatch, case, case.domain)
-        check_edges(edges, tables)
+        edges, _, keys, expanded, sequences = walked(monkeypatch, case, case.domain)
+        check_edges(edges, keys)
         nodes.append(expanded)
         counts.append(len(sequences))
         digests.append(digest(sequences))

@@ -60,42 +60,125 @@ REPLACEMENT = "replacement"
 OBSERVATION = "observation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ReductionCouple:
-    """Pursued refinements of one reduced task plus its untried alternatives.
+    """What one reduced task pursues, plus its untried alternatives.
 
     ``origin`` is the label of the task whose reduction created this couple;
-    the top-level couple has no origin.  Alternatives are kept sorted by the
-    declaring method's position so couple equality is syntactic.
+    the top-level couple has no origin.  A couple keeps its direct
+    ``members``, the tasks of its body not yet reduced (live or executed),
+    and in ``children`` the couple each reduced one created, in origin order.
+    A configuration's couples are thus one tree under the top-level couple:
+    iterating a couple yields it and every couple below it, parents first,
+    and ``len`` counts them.  Alternatives are sorted by the declaring
+    method's position so couple equality is syntactic.
+
+    What a couple pursues, its members and those of every couple below it,
+    is a view (``pursued``, ``labels``, ``members_text``) cached on the
+    couple, so a couple whose subtree did not change keeps it.  A tree's
+    label count (``size``), variables and hash are taken from its
+    children's at construction, and its views and equality are computed
+    with a stack: a deep tree costs no Python stack.
     """
 
     origin: Optional[str]
-    pursued: frozenset[LabelledTask]
+    members: frozenset[LabelledTask]
     alternatives: tuple[Body, ...] = ()
+    children: tuple["ReductionCouple", ...] = ()
 
     __hash__ = cached_hash
 
+    def __init__(self, origin, members, alternatives=(), children=()) -> None:
+        size = len(members)
+        variables = [lt.variables for lt in members]
+        variables += [body.network.variables for body in alternatives]
+        for child in children:
+            size += child.size
+            variables.append(child.variables)
+        self.__dict__.update(
+            origin=origin, members=members, alternatives=alternatives,
+            children=children, size=size, variables=frozenset().union(*variables),
+            # model.cached_hash's value, from the children's cached hashes
+            _hash=hash((origin, members, alternatives, children)),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReductionCouple):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or len(a.children) != len(b.children) or (
+                a.origin, a.members, a.alternatives
+            ) != (b.origin, b.members, b.alternatives):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __iter__(self):
+        return itertools.chain((self,), self.below)
+
+    @cached_property
+    def below(self) -> tuple["ReductionCouple", ...]:
+        """Every couple below this one, parents first."""
+        found, pending = [], list(self.children)
+        while pending:
+            couple = pending.pop()
+            found.append(couple)
+            pending += couple.children
+        return tuple(found)
+
+    def __len__(self) -> int:
+        return 1 + len(self.below)
+
     def substitute(self, theta: Substitution) -> "ReductionCouple":
-        pursued = substitute(self.pursued, theta)
-        alternatives = substitute(self.alternatives, theta)
-        if pursued is self.pursued and alternatives is self.alternatives:
-            return self
-        return ReductionCouple(self.origin, pursued, alternatives)
+        """The tree under ``theta``: only the couples whose subtree mentions a
+        variable ``theta`` binds are rebuilt, children first."""
+        touched, pending = [], [self]
+        while pending:
+            couple = pending.pop()
+            if not couple.variables.isdisjoint(theta.domain):
+                touched.append(couple)
+                pending.extend(couple.children)
+        new: dict = {}
+        for couple in reversed(touched):
+            new[couple] = ReductionCouple(
+                couple.origin,
+                substitute(couple.members, theta),
+                substitute(couple.alternatives, theta),
+                tuple(new.get(c, c) for c in couple.children),
+            )
+        return new.get(self, self)
+
+    @cached_property
+    def pursued(self) -> frozenset[LabelledTask]:
+        _fill_below(self, "pursued")
+        return self.members.union(*(c.pursued for c in self.children))
 
     @cached_property
     def labels(self) -> frozenset[str]:
-        return frozenset(lt.label for lt in self.pursued)
+        _fill_below(self, "labels")
+        return self.member_labels.union(*(c.labels for c in self.children))
 
     @cached_property
-    def sorted_members(self) -> tuple[tuple[str, str], ...]:
-        """``(label, task text)`` of each pursued task, sorted by task text and
-        then label, once per couple: the order ``canonical_key`` renames in."""
-        return tuple(
-            (lt.label, lt.task.text)
-            for lt in sorted(
-                self.pursued, key=lambda lt: (lt.task.text, label_key(lt.label))
-            )
-        )
+    def ordered(self) -> list[tuple[int, str, LabelledTask]]:
+        """``(label length, label, task)`` of each pursued task, in label order,
+        merged from the children's."""
+        _fill_below(self, "ordered")
+        own = [(len(lt.label), lt.label, lt) for lt in self.members]
+        return sorted(itertools.chain(own, *(c.ordered for c in self.children)))
+
+    @cached_property
+    def member_labels(self) -> frozenset[str]:
+        return frozenset(lt.label for lt in self.members)
+
+    @cached_property
+    def sorted_members(self) -> tuple[tuple[str, int, str], ...]:
+        """``(task text, label length, label)`` of each direct member, sorted:
+        by task text and then label, the order ``canonical_key`` renames in."""
+        return tuple(sorted((lt.task.text, len(lt.label), lt.label) for lt in self.members))
 
     @cached_property
     def alternatives_key(self) -> str:
@@ -105,9 +188,7 @@ class ReductionCouple:
     @cached_property
     def members_text(self) -> str:
         """The pursued tasks' texts in label order, rendered once per couple."""
-        return " ".join(
-            lt.text for lt in sorted(self.pursued, key=labelled_task_key)
-        )
+        return " ".join([lt.text for *_, lt in self.ordered])
 
     def sort_key(self) -> tuple:
         return (self.origin is not None, label_key(self.origin or ""))
@@ -116,6 +197,53 @@ class ReductionCouple:
         alts = ",".join(b.method for b in self.alternatives)
         origin = self.origin or "top"
         return f"<{origin}: {self.members_text} | {alts or '-'}>"
+
+
+def _fill_below(couple: ReductionCouple, view: str) -> None:
+    """Compute ``view`` for the couples below ``couple`` that lack it, each
+    after those below it: each then reads its children's from the cache, and
+    a deep tree costs no Python stack."""
+    below, pending = [], list(couple.children)
+    while pending:
+        child = pending.pop()
+        if view not in vars(child):
+            below.append(child)
+            pending.extend(child.children)
+    for child in reversed(below):
+        getattr(child, view)
+
+
+def _rewritten(couples: ReductionCouple, found, rewrite) -> ReductionCouple:
+    """The tree ``couples`` with the first couple ``found`` accepts replaced
+    by ``rewrite(couple)``: the couples above it are rebuilt over their new
+    child, the rest is shared.  ``couples`` itself when none is found."""
+    path: list = []
+    pending = [(couples, 0)]
+    while pending:
+        couple, depth = pending.pop()
+        del path[depth:]
+        path.append(couple)
+        if found(couple):
+            new = rewrite(couple)
+            for parent, old in zip(path[-2::-1], path[::-1]):
+                children = tuple(new if c is old else c for c in parent.children)
+                new = ReductionCouple(
+                    parent.origin, parent.members, parent.alternatives, children
+                )
+            return new
+        depth += 1
+        pending += [(child, depth) for child in couple.children]
+    return couples
+
+
+def with_alternatives(couples: ReductionCouple, origin: str, alternatives) -> ReductionCouple:
+    """The tree ``couples`` with the couple from ``origin``, if any, holding
+    ``alternatives``."""
+    return _rewritten(
+        couples,
+        lambda c: c.origin == origin,
+        lambda c: ReductionCouple(c.origin, c.members, alternatives, c.children),
+    )
 
 
 def ordered_alternatives(bodies) -> tuple[Body, ...]:
@@ -128,7 +256,7 @@ class Configuration:
 
     network: TaskNetwork
     state: frozenset
-    couples: frozenset
+    couples: ReductionCouple  # the top-level couple, and the tree under it
     domain: Domain = field(repr=False)
     theta: Substitution = EMPTY_SUBSTITUTION
 
@@ -155,7 +283,11 @@ class ComponentTables:
       state), where the state is None unless the network holds a negated
       between-constraint (``TaskNetwork.has_negated_between``), whose
       discharge is the one rewrite that reads it;
-    * ``couples``: the substituted couples, per (couples, binding).
+    * ``couples``: the couple tree under the binding, per (tree, binding).
+      The binding reaches only the couples whose subtree mentions one of
+      its variables (``ReductionCouple.substitute``); a search applies one
+      binding to one tree from many configurations, and the table hands
+      out one tree for all of them, with its cached views.
 
     ``actions`` keeps ``exec_via_action``'s choices per (network, state,
     all_bindings, label); ``relevant`` keeps ``relevant_constraints`` per
@@ -258,8 +390,7 @@ class RunContext:
 def initial_configuration(
     network: TaskNetwork, state: frozenset, domain: Domain
 ) -> Configuration:
-    top = ReductionCouple(None, network.tasks)
-    return Configuration(network, state, frozenset((top,)), domain)
+    return Configuration(network, state, ReductionCouple(None, network.tasks), domain)
 
 
 def top_couple(config: Configuration) -> ReductionCouple:
@@ -278,7 +409,7 @@ def _names_of_config(config: "Configuration") -> tuple[set, set]:
     labels: set[str] = set(config.network.labels)
     variables = set(config.network.variables)
     for couple in config.couples:
-        labels |= couple.labels
+        labels |= couple.member_labels
         if couple.origin is not None:
             labels.add(couple.origin)
         for body in couple.alternatives:
@@ -572,10 +703,10 @@ def action_result(
     state: frozenset,
     d: TaskNetwork,
     theta: Substitution,
-    couples: frozenset,
+    couples: ReductionCouple,
     domain: Domain,
     tables: Optional[ComponentTables] = None,
-) -> tuple[TaskNetwork, frozenset, frozenset]:
+) -> tuple[TaskNetwork, frozenset, ReductionCouple]:
     """Result of executing the applicable action ``label`` under ``theta``.
 
     The action leaves the task set, its effects rewrite the state, realised
@@ -600,7 +731,7 @@ def action_result(
         tables.networks, (d, label, theta, read),
         _network_after, label, d, theta, new_state, tables,
     )
-    couples = _memo(tables.couples, (couples, theta), substitute, couples, theta)
+    couples = _memo(tables.couples, (couples, theta), couples.substitute, theta)
     return network, new_state, couples
 
 
@@ -761,52 +892,47 @@ def update_couples(
     replaced_labels: frozenset,
     couple: ReductionCouple,
     body: Body,
-    couples: frozenset,
-) -> frozenset:
-    """Propagate a replacement through the reduction couples.
+    couples: ReductionCouple,
+) -> ReductionCouple:
+    """Propagate a replacement through the couple tree ``couples``.
 
-    The chosen alternative is consumed; couples subsuming the replaced one are
-    rewritten to pursue the new tasks; couples still mentioning a replaced
-    label are dropped entirely.
+    The chosen alternative is consumed.  The replaced couple, the couples
+    above it and the chain of couples below it that pursue exactly its labels
+    (a body of one task reduced in turn) come to pursue the new tasks in
+    place of ``replaced_labels``: the new tasks join the last couple of that
+    chain.  Below it, a couple still pursuing a replaced task is dropped and
+    its executed members join that couple; a couple pursuing none stays,
+    under it.
     """
-    out = set()
-    for c in couples:
-        if c == couple:
-            c = dc_replace(
-                c, alternatives=tuple(b for b in c.alternatives if b != body)
-            )
-        if c.labels >= couple.labels:
-            pursued = frozenset(
-                lt for lt in c.pursued if lt.label not in replaced_labels
-            ) | body.network.tasks
-            c = dc_replace(c, pursued=pursued)
-        if c.labels & replaced_labels:
-            continue
-        out.add(c)
-    return frozenset(out)
+    last = couple
+    while same := [c for c in last.children if c.size == couple.size]:
+        last = same[0]
+    members, kept, pending = set(body.network.tasks), [], [last]
+    while pending:
+        dropped = pending.pop()
+        members.update(lt for lt in dropped.members if lt.label not in replaced_labels)
+        for child in dropped.children:
+            (kept if child.labels.isdisjoint(replaced_labels) else pending).append(child)
+    kept.sort(key=ReductionCouple.sort_key)
+    spent = tuple(b for b in couple.alternatives if b != body)
+    new = ReductionCouple(
+        last.origin, frozenset(members),
+        spent if last is couple else last.alternatives, tuple(kept),
+    )
+    couples = _rewritten(couples, lambda c: c.origin == last.origin, lambda c: new)
+    return couples if last is couple else with_alternatives(couples, couple.origin, spent)
 
 
-def smallest_replaceable(couples: frozenset) -> frozenset:
-    """Couples with alternatives left that no smaller replaceable couple undercuts."""
-    out = set()
-    for c in couples:
-        if not c.alternatives:
-            continue
-        ok = True
-        for other in couples:
-            if other == c:
-                continue
-            if other.labels >= c.labels:
-                continue
-            if other.labels < c.labels and not other.alternatives:
-                continue
-            if not (other.labels & c.labels):
-                continue
-            ok = False
-            break
-        if ok:
-            out.add(c)
-    return frozenset(out)
+def smallest_replaceable(couples: ReductionCouple) -> frozenset:
+    """Couples with alternatives left that no smaller replaceable couple
+    undercuts.  Couples that share a label lie on one path of the tree, so
+    the undercutting ones are those below, pursuing some of its labels but
+    not all, with alternatives left."""
+    return frozenset(
+        c for c in couples if c.alternatives and not any(
+            below.alternatives and 0 < below.size < c.size for below in c
+        )
+    )
 
 
 def exec_via_replacement(
@@ -821,16 +947,19 @@ def exec_via_replacement(
     if actions is None:
         actions = exec_via_action(cfg, ctx)
     can_act = frozenset(choice.label for choice in actions).__contains__
-    primary = cfg.primary
-    primary_labels = frozenset(lt.label for lt in primary)
     progressing = frozenset(
-        lt.label for lt in primary if _progresses(lt, can_act, cfg.domain)
+        lt.label for lt in cfg.primary if _progresses(lt, can_act, cfg.domain)
     )
+    # a couple meeting a primary task is blocked when it meets a stuck one
+    # and no progressing one
+    stuck = frozenset(lt.label for lt in cfg.primary) - progressing
+    if not stuck:
+        return ()
     blocked = [
         couple
         for couple in cfg.couples
         if couple.alternatives
-        and not couple.labels.isdisjoint(primary_labels)
+        and not couple.labels.isdisjoint(stuck)
         and couple.labels.isdisjoint(progressing)
     ]
     if not blocked:
@@ -868,10 +997,8 @@ def exec_all(
 def with_observed(cfg: Configuration, observed: frozenset) -> Configuration:
     """``cfg`` with ``observed`` added to its network and its top-level couple."""
     network = TaskNetwork(cfg.network.tasks | observed, cfg.network.formula)
-    couples = frozenset(
-        dc_replace(c, pursued=c.pursued | observed) if c.origin is None else c
-        for c in cfg.couples
-    )
+    top = cfg.couples
+    couples = ReductionCouple(top.origin, top.members | observed, top.alternatives, top.children)
     return dc_replace(cfg, network=network, couples=couples)
 
 
@@ -898,18 +1025,21 @@ def apply(
         )
         removed = frozenset((label,))
     elif choice.kind == REDUCTION:
+        # the couple holding the task holds the new couple in its place
         target = cfg.network.task_of(label)
-        grown = {
-            c: dc_replace(c, pursued=(c.pursued - {target}) | body.network.tasks)
-            for c in cfg.couples
-            if label in c.labels and target in c.pursued
-        }
         created = ReductionCouple(label, body.network.tasks, choice.alternatives)
+
+        def holding(holder: ReductionCouple) -> ReductionCouple:
+            children = sorted(holder.children + (created,), key=ReductionCouple.sort_key)
+            return ReductionCouple(
+                holder.origin, holder.members - {target},
+                holder.alternatives, tuple(children),
+            )
+
         config = dc_replace(
             cfg,
             network=reduce_task(cfg.network, label, body.network),
-            # only the couples that change are hashed again
-            couples=cfg.couples.difference(grown).union(grown.values(), (created,)),
+            couples=_rewritten(cfg.couples, lambda c: target in c.members, holding),
         )
         removed, added = frozenset((label,)), body.network.labels
     elif choice.kind == REPLACEMENT:

@@ -26,6 +26,7 @@ from .model import (
     cached_hash,
     label_key,
     labelled_task_key,
+    sorted_labels,
     substitute,
 )
 
@@ -103,7 +104,7 @@ class _SetRef:
         return self
 
     def __str__(self) -> str:
-        return f"{self.keyword}[{','.join(sorted(self.labels, key=label_key))}]"
+        return f"{self.keyword}[{','.join(sorted_labels(self.labels))}]"
 
 
 class FirstRef(_SetRef):
@@ -251,7 +252,7 @@ class Constraint:
     @cached_property
     def sorted_labels(self) -> tuple[str, ...]:
         """``labels()`` in ``label_key`` order, sorted once per object."""
-        return tuple(sorted(self.labels(), key=label_key))
+        return tuple(sorted_labels(self.labels()))
 
     def rewrite_refs(self, fn) -> "Constraint":
         """``self`` with ``fn`` applied to each reference; ``self`` itself

@@ -167,6 +167,11 @@ def label_key(label: str) -> tuple[int, str]:
     return (len(label), label)
 
 
+def sorted_labels(labels) -> list[str]:
+    """``labels`` in ``label_key`` order, without a key call per label."""
+    return sorted(sorted(labels), key=len)
+
+
 def labelled_task_key(lt: LabelledTask) -> tuple:
     return label_key(lt.label)
 

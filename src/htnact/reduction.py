@@ -6,7 +6,7 @@ from functools import cached_property
 
 from .constraints import TaskNetwork, network_fingerprint
 from .domain import Domain, fresh_rename
-from .model import NameGenerator, Substitution, Task, match_task
+from .model import NameGenerator, Substitution, Task, cached_hash, match_task
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,8 @@ class Body:
     method: str
     index: int
     network: TaskNetwork
+
+    __hash__ = cached_hash
 
     def substitute(self, theta) -> "Body":
         network = self.network.substitute(theta)

@@ -53,9 +53,11 @@ step, and that step can move to the front:
   pursue ``t``.  The reduction changes neither ``X``'s members nor its
   alternatives nor whether they progress.  It keeps ``t`` and the body out
   of ``X``, so the ``complete`` flag (all of ``X``'s labels in the network)
-  is unchanged.  The couples that pursued ``t``, and the new one, pursue a
-  non-empty body whose labels no other couple holds, so no couple starts or
-  stops undercutting ``X`` and the jump flag is unchanged too.
+  is unchanged.  The couples that pursued ``t``, and the new one, are the
+  path from the top-level couple to the couple holding ``t``, and the new
+  couple the reduction hangs below it.  ``X`` is not on that path and the
+  new couple is not below ``X``, so no couple below ``X``, the only ones
+  that can undercut it, changes, and the jump flag is unchanged too.
   ``replace_tasks`` redirects ``X``'s labels in ``first[]``/``last[]`` and
   drops the constraints on them, the reduction rewrites ``t``'s; the label
   sets are disjoint, so both orders give the same formula and couples.
@@ -100,6 +102,7 @@ from .acting import (
     make_context,
     ordered_alternatives,
     top_couple,
+    with_alternatives,
 )
 from .constraints import Renaming
 from .domain import fresh_rename
@@ -632,20 +635,11 @@ def _check_junction(
         or new_cfg.theta != old_cfg.theta
     ):
         raise TraceError("rebuilt trace diverges from the original at the junction")
-    expected = set()
-    for couple in old_cfg.couples:
-        if couple.origin == origin:
-            expected.add(
-                dc_replace(
-                    couple,
-                    alternatives=ordered_alternatives(
-                        set(couple.alternatives) | {restored}
-                    ),
-                )
-            )
-        else:
-            expected.add(couple)
-    if frozenset(expected) != new_cfg.couples:
+    held = _couple_by_origin(old_cfg, origin).alternatives
+    expected = with_alternatives(
+        old_cfg.couples, origin, ordered_alternatives(set(held) | {restored})
+    )
+    if expected != new_cfg.couples:
         raise TraceError("rebuilt couples diverge from the original at the junction")
 
 
@@ -663,11 +657,14 @@ def canonical_key(cfg: Configuration) -> str:
 
     Three pieces, under one renaming of the network's and the couples'
     labels: the network's ``network_fingerprint``, the state's text, and
-    the couples, rendered by continuing the renaming the fingerprint fixed.
-    Each untried alternative body adds its own ``Body.key_fragment``, whose
-    renaming is local: body labels are fresh and meet no other part of the
-    configuration, which every execution keeps.  Distinct structures always
-    produce distinct keys.
+    the couple tree, rendered by continuing the renaming the fingerprint
+    fixed: first the origins, in label order, then each couple's direct
+    members, by task text and label, as it renders them beside the origins
+    of the couples below it.  So the couples' part of a key grows linearly
+    with the couples.  Each untried alternative body adds its own
+    ``Body.key_fragment``, whose renaming is local: body labels are fresh
+    and meet no other part of the configuration, which every execution
+    keeps.  Distinct structures always produce distinct keys.
 
     The key is invariant only under renamings that keep label order, not
     under every renaming: couples are taken in ``label_key`` order of their
@@ -683,11 +680,16 @@ def canonical_key(cfg: Configuration) -> str:
     text, renaming = cfg.network.fingerprint
     rename = Renaming(renaming)
     pieces = [text, "@" + " ".join(sorted(atom.text for atom in cfg.state))]
-    for couple in cfg.sorted_couples():
+    couples = cfg.sorted_couples()
+    for couple in couples[1:]:
+        rename(couple.origin)
+    for couple in couples:
         origin = rename(couple.origin) if couple.origin else "top"
         members = " ".join(
-            sorted(f"{rename(label)}:{text}" for label, text in couple.sorted_members)
+            sorted([f"{rename(label)}:{text}" for text, _, label in couple.sorted_members])
         )
+        if couple.children:  # in origin order, so in the order their names were drawn
+            members += " / " + " ".join([rename(c.origin) for c in couple.children])
         pieces.append(f"[{origin}: {members} ! {couple.alternatives_key}]")
     return "\n".join(pieces)
 

@@ -421,11 +421,13 @@ def test_replacement_checks_smallest_only_for_a_blocked_couple(
 
 # -- smallest replaceable couples --------------------------------------------------
 
-def couple(origin, task_labels, n_alts, body):
+def couple(origin, task_labels, n_alts, body, *children):
+    """A couple over ``nop`` tasks with the couples ``children`` below it."""
     return ReductionCouple(
         origin,
         frozenset(LabelledTask(l, Task("nop")) for l in task_labels),
         tuple([body] * n_alts),
+        children,
     )
 
 
@@ -439,27 +441,28 @@ def dummy_body(rover):
 
 def test_smallest_prefers_deepest_couple(dummy_body):
     inner = couple("6", {"8", "9", "10"}, 1, dummy_body)
-    outer = couple("A", {"8", "9", "10", "7"}, 1, dummy_body)
-    top = couple(None, {"8", "9", "10", "7", "B"}, 0, dummy_body)
-    assert smallest_replaceable(frozenset({inner, outer, top})) == frozenset({inner})
+    outer = couple("A", {"7"}, 1, dummy_body, inner)
+    top = couple(None, {"B"}, 0, dummy_body, outer)
+    assert outer.labels == {"8", "9", "10", "7"}
+    assert smallest_replaceable(top) == frozenset({inner})
 
 
 def test_smallest_empty_when_no_alternatives(dummy_body):
     top = couple(None, {"a"}, 0, dummy_body)
-    assert smallest_replaceable(frozenset({top})) == frozenset()
+    assert smallest_replaceable(top) == frozenset()
 
 
 def test_smallest_keeps_disjoint_couples(dummy_body):
     left = couple("x", {"a", "b"}, 1, dummy_body)
     right = couple("y", {"c", "d"}, 1, dummy_body)
-    got = smallest_replaceable(frozenset({left, right}))
+    got = smallest_replaceable(couple(None, (), 0, dummy_body, left, right))
     assert got == frozenset({left, right})
 
 
 def test_exhausted_subset_does_not_block_smallest(dummy_body):
     spent = couple("x", {"a"}, 0, dummy_body)
-    outer = couple("y", {"a", "b"}, 1, dummy_body)
-    assert smallest_replaceable(frozenset({spent, outer})) == frozenset({outer})
+    outer = couple("y", {"b"}, 1, dummy_body, spent)
+    assert smallest_replaceable(outer) == frozenset({outer})
 
 
 # -- exec_all and terminal classification -------------------------------------------

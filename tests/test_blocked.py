@@ -223,11 +223,11 @@ def test_an_unbounded_recursion_stops_at_the_node_budget(monkeypatch):
     domain = parse_domain(UNBOUNDED_DOMAIN, "unbounded").value
     problem = parse_problem("problem open\nstate:\ntasks:\n  L: loop\n", domain).value
     cfg0 = initial_configuration(problem.network, problem.state, domain)
-    monkeypatch.setattr(trace_module, "SEARCH_NODES", 100)
+    monkeypatch.setattr(trace_module, "SEARCH_NODES", 300)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
-        with pytest.raises(SearchBudgetExceeded, match="more than 100"):
+        with pytest.raises(SearchBudgetExceeded, match="more than 300"):
             successful_action_sequences(cfg0, make_context(domain, cfg0))
     finally:
         sys.setrecursionlimit(limit)

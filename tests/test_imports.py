@@ -42,6 +42,12 @@ def test_search_reference_imports_no_private_names():
     assert _private_imports(Path(__file__).parent / "search_reference.py") == []
 
 
+def test_couple_reference_imports_no_private_names():
+    """The flat couples keep their own blocked test and couple operations, so
+    a fault in the tree's helpers cannot cancel out."""
+    assert _private_imports(Path(__file__).parent / "couple_reference.py") == []
+
+
 REF_CLASSES = {"LabelRef", "FirstRef", "LastRef"}
 
 
@@ -80,6 +86,39 @@ def test_reference_classes_are_tested_only_in_constraints():
             offenders += _ref_class_tests(path)
     assert [o for o in offenders if not o.startswith("oracle.py:") or
             not o.endswith(" _Plan.__init__.ref")] == []
+
+
+COUPLE_FIELDS = {"members", "children", "pursued"}
+
+
+def _couple_builds(path: Path) -> list[str]:
+    """``file:line`` for each construction of a ``ReductionCouple`` and each
+    ``dataclasses.replace`` of one: of a value named like a couple, or setting
+    a couple's own fields."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        first = ast.unparse(node.args[0]) if node.args else ""
+        keywords = {k.arg for k in node.keywords}
+        if name == "ReductionCouple" or name in ("replace", "dc_replace") and (
+            "couple" in first.lower() or keywords & COUPLE_FIELDS
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_acting_builds_reduction_couples():
+    """The couple tree keeps its shape in ``acting``: elsewhere a couple is
+    read, or rebuilt through an ``acting`` helper such as
+    ``with_alternatives``."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "acting.py":
+            offenders += _couple_builds(path)
+    assert offenders == []
+    assert _couple_builds(PACKAGE / "acting.py")  # the guard sees a build
 
 
 def test_every_traced_function_exists():

@@ -4,7 +4,12 @@ from dataclasses import replace as dc_replace
 
 import pytest
 
-from htnact.acting import ReductionCouple, initial_configuration, make_context
+from htnact.acting import (
+    ReductionCouple,
+    initial_configuration,
+    make_context,
+    with_alternatives,
+)
 from htnact.constraints import LabelRef, TaskNetwork
 from htnact.corpus import corpus
 from htnact.model import Atom, Constant, LabelledTask, Task
@@ -253,15 +258,15 @@ def relabelled(cfg, prefix):
     def network(d):
         return TaskNetwork(tasks(d.tasks), frozenset(c.rewrite_refs(ref) for c in d.formula))
 
-    couples = frozenset(
-        ReductionCouple(
+    def couples(c):
+        return ReductionCouple(
             c.origin and prefix + c.origin,
-            tasks(c.pursued),
+            tasks(c.members),
             tuple(dc_replace(b, network=network(b.network)) for b in c.alternatives),
+            tuple(couples(child) for child in c.children),
         )
-        for c in cfg.couples
-    )
-    return dc_replace(cfg, network=network(cfg.network), couples=couples)
+
+    return dc_replace(cfg, network=network(cfg.network), couples=couples(cfg.couples))
 
 
 def test_canonical_key_ignores_label_names(rover, rover_problem):
@@ -282,8 +287,7 @@ def test_canonical_key_tells_structures_apart(rover, rover_problem):
     more_state = dc_replace(cfg, state=cfg.state | {Atom("bogus")})
     couple = next(c for c in cfg.couples if c.alternatives)
     fewer_alternatives = dc_replace(
-        cfg,
-        couples=(cfg.couples - {couple}) | {dc_replace(couple, alternatives=())},
+        cfg, couples=with_alternatives(cfg.couples, couple.origin, ())
     )
     for changed in (fewer_constraints, more_state, fewer_alternatives):
         assert canonical_key(changed) != key

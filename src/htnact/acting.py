@@ -13,7 +13,8 @@ couples and the domain.  Three kinds of execution rewrite configurations:
 ``exec_via_*`` and ``exec_all`` enumerate the legal executions from a
 configuration as light ``Choice`` values; ``apply`` performs one choice, or
 the observation step of a dynamic trace, and is the one place a successor
-configuration is built.
+configuration is built.  A trace ``Step`` is the choice performed plus its
+result: the configuration reached and the labels removed and added.
 
 All values are immutable; the only mutable collaborators are the fresh-name
 generator, built on first use, and the component tables
@@ -429,28 +430,8 @@ def make_context(domain: Domain, config: Configuration) -> RunContext:
     return RunContext(domain, universe, config)
 
 
-class _Described:
-    """``describe`` for choices and steps, which share the fields it reads."""
-
-    def describe(self) -> str:
-        if self.kind == ACTION:
-            return f"action {self.label}:{self.task}"
-        if self.kind == REDUCTION:
-            return f"reduction {self.label} with {self.body.method}"
-        if self.kind == REPLACEMENT:
-            mode = "complete" if self.complete else "partial"
-            jump = " jump" if self.jump else ""
-            return f"replacement {self.label} with {self.body.method} ({mode}{jump})"
-        if self.kind == OBSERVATION:
-            tasks = " ".join(
-                str(lt) for lt in sorted(self.observed, key=labelled_task_key)
-            )
-            return f"observation {tasks}"
-        return self.kind
-
-
 @dataclass(frozen=True)
-class Choice(_Described):
+class Choice:
     """One legal execution from a configuration, not yet performed.
 
     It holds everything a strategy, a choice directive or an explorer matches
@@ -469,27 +450,36 @@ class Choice(_Described):
     jump: Optional[bool] = None
     observed: frozenset = frozenset()
 
+    def describe(self) -> str:
+        if self.kind == ACTION:
+            return f"action {self.label}:{self.task}"
+        if self.kind == REDUCTION:
+            return f"reduction {self.label} with {self.body.method}"
+        if self.kind == REPLACEMENT:
+            mode = "complete" if self.complete else "partial"
+            jump = " jump" if self.jump else ""
+            return f"replacement {self.label} with {self.body.method} ({mode}{jump})"
+        if self.kind == OBSERVATION:
+            tasks = " ".join(
+                str(lt) for lt in sorted(self.observed, key=labelled_task_key)
+            )
+            return f"observation {tasks}"
+        return self.kind
 
-@dataclass(frozen=True)
-class Step(_Described):
-    """One trace element: the configuration reached and how it was reached."""
 
-    kind: str
+@dataclass(frozen=True, kw_only=True)
+class Step(Choice):
+    """One trace element: the choice performed, the configuration it reached,
+    and the labels it removed from and added to the network."""
+
     config: Configuration
-    label: Optional[str] = None
-    task: Optional[Task] = None
-    binding: Optional[Substitution] = None
-    body: Optional[Body] = None
     removed: frozenset = frozenset()
     added: frozenset = frozenset()
-    complete: Optional[bool] = None
-    jump: Optional[bool] = None
-    observed: frozenset = frozenset()
 
 
 # -- primary tasks -------------------------------------------------------------
 
-def primary_tasks(d: TaskNetwork, domain: Optional[Domain] = None) -> frozenset:
+def primary_tasks(d: TaskNetwork, domain: Domain) -> frozenset:
     """Tasks with no other task required to precede them.
 
     A task is excluded when its label occurs on the right of a positive
@@ -510,9 +500,7 @@ def primary_tasks(d: TaskNetwork, domain: Optional[Domain] = None) -> frozenset:
     for lt in d.tasks:
         if lt.label in excluded:
             continue
-        if lt.label in deferred and (
-            domain is None or domain.is_primitive(lt.task.symbol)
-        ):
+        if lt.label in deferred and domain.is_primitive(lt.task.symbol):
             continue
         out.add(lt)
     return frozenset(out)
@@ -1057,16 +1045,18 @@ def apply(
         raise ValueError(f"cannot apply a {choice.kind} choice")
     return Step(
         choice.kind,
-        config,
         label=label,
         task=choice.task,
         binding=choice.binding,
         body=body,
-        removed=removed,
-        added=added,
+        alternatives=choice.alternatives,
+        couple=choice.couple,
         complete=choice.complete,
         jump=choice.jump,
         observed=choice.observed,
+        config=config,
+        removed=removed,
+        added=added,
     )
 
 

@@ -174,7 +174,7 @@ def sra_step(
     batch = events.poll(iteration)
     config2, observed = observe(config, batch, ctx, strict=strict, warn=warn)
     if observed:
-        dtrace.steps.append(Step(OBSERVATION, config2, observed=observed))
+        dtrace.steps.append(Step(OBSERVATION, config=config2, observed=observed))
     step = strategy_step(config2, strategy, dtrace, ctx)
     return config2 if step is None else step.config
 
@@ -197,7 +197,7 @@ def run_agent(
     """
     config = initial_agent_configuration(state, domain)
     ctx = make_context(domain, config)
-    dtrace = Trace([Step(INITIAL, config)], ctx)
+    dtrace = Trace([Step(INITIAL, config=config)], ctx)
     stopped = "iterations"
     iteration = 0
     while iteration < max_iterations:

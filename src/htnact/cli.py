@@ -17,7 +17,6 @@ from .agent import (
     EventSource,
     ObservationError,
     ScriptedEvents,
-    dtrace_to_trace,
     run_agent,
 )
 from .corpus import CorpusCase, corpus
@@ -42,11 +41,11 @@ from .trace import (
     TraceError,
     parse_directives,
     run,
-    validate_trace,
 )
 from .verify import (
     SuiteResult,
     check_dtrace_soundness,
+    fold_problems,
     suite_acting_only,
     suite_dtrace_soundness,
     suite_equivalence,
@@ -175,10 +174,7 @@ def cmd_act(args) -> int:
         meta["iterations"] = str(outcome.iterations)
         _emit(render_trace(trace, domain.name, meta), args.out)
         if args.verify_soundness:
-            folded = dtrace_to_trace(trace)
-            problems = validate_trace(folded)
-            if folded.actions_performed() != trace.actions_performed():
-                problems.append("folded trace performs different actions")
+            problems = fold_problems(trace)
             if problems:
                 for p in problems:
                     print(f"soundness: {p}", file=sys.stderr)

@@ -89,7 +89,6 @@ from .acting import (
     REPLACEMENT,
     Choice,
     Configuration,
-    ReductionCouple,
     RunContext,
     Step,
     apply,
@@ -97,11 +96,11 @@ from .acting import (
     exec_via_action,
     exec_via_reduction,
     exec_via_replacement,
+    initial_configuration,
     is_successful,
     is_trace_blocked,
     make_context,
     ordered_alternatives,
-    top_couple,
     with_alternatives,
 )
 from .constraints import Renaming
@@ -321,7 +320,7 @@ def run(
     if budget <= 0:
         raise ValueError("budget must be positive")
     ctx = make_context(cfg0.domain, cfg0)
-    trace = Trace([Step(INITIAL, cfg0)], ctx)
+    trace = Trace([Step(INITIAL, config=cfg0)], ctx)
     for _ in range(budget):
         if strategy_step(trace.final, strategy, trace, ctx) is None:
             return trace
@@ -332,13 +331,6 @@ def run(
 
 
 # -- validation and replay -----------------------------------------------------
-
-def _couple_by_origin(config: Configuration, origin: Optional[str]) -> ReductionCouple:
-    for couple in config.couples:
-        if couple.origin == origin:
-            return couple
-    raise TraceError(f"no reduction couple with origin {origin!r}")
-
 
 def replay_step(prev: Configuration, recorded: Step, ctx: RunContext) -> Step:
     """Apply the execution ``prev`` offers that ``recorded`` records.
@@ -377,10 +369,10 @@ def replay_step(prev: Configuration, recorded: Step, ctx: RunContext) -> Step:
 def _recorded_reduction(
     offered: tuple[Choice, ...], recorded: Step, taken: tuple[set, set]
 ) -> Optional[Choice]:
-    """``recorded``'s reduction, when its body and the alternatives its new
-    couple keeps are an offered choice's up to a renaming of each body's own
-    names (``_renames``), and those names are fresh (``_fresh``)."""
-    kept = _couple_by_origin(recorded.config, recorded.label).alternatives
+    """``recorded``'s reduction, when its body and alternatives are an offered
+    choice's up to a renaming of each body's own names (``_renames``), and
+    those names are fresh (``_fresh``)."""
+    kept = recorded.alternatives
     bodies = (recorded.body,) + kept
     for choice in offered:
         held = choice.task.variables
@@ -484,20 +476,20 @@ def _pair(member, target, names: dict, held: frozenset) -> bool:
 def validate_trace(trace: Trace) -> list[str]:
     """Check every step against the execution semantics; return the problems.
 
-    The trace must start from an initial configuration whose one top-level
-    couple (``acting.top_couple``) pursues exactly the network's tasks, and
-    every later step must replay (``replay_step``) to exactly itself.
+    The trace must start from the initial configuration of its network,
+    state and domain (``acting.initial_configuration``): one top-level couple
+    pursuing exactly the network's tasks, nothing reduced and nothing bound.
+    Every later step must replay (``replay_step``) to exactly itself, the
+    choice it records included.
     """
     first = trace.steps[0]
     if first.kind != INITIAL:
         return ["trace does not start with an initial step"]
+    cfg0 = first.config
     problems: list[str] = []
-    try:
-        if top_couple(first.config).pursued != first.config.network.tasks:
-            problems.append("initial top-level couple does not pursue the network's tasks")
-    except ValueError as exc:
-        problems.append(f"initial configuration: {exc}")
-    ctx = make_context(trace.initial.domain, trace.initial)
+    if cfg0 != initial_configuration(cfg0.network, cfg0.state, cfg0.domain):
+        problems.append("initial configuration is not its network's initial configuration")
+    ctx = make_context(cfg0.domain, cfg0)
     for i in range(1, len(trace.steps)):
         prev = trace.steps[i - 1].config
         recorded = trace.steps[i]
@@ -558,9 +550,8 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
         incorrect = steps[i].body
         ctx = run_ctx.for_config(steps[i - 1].config)
         restored = _renamed_apart(incorrect, steps[i].task, steps, ctx)
-        old_couple = _couple_by_origin(steps[i].config, origin)
         alternatives = ordered_alternatives(
-            [b for b in old_couple.alternatives if b != correct] + [restored]
+            [b for b in steps[i].alternatives if b != correct] + [restored]
         )
 
         subtree = set(incorrect.network.labels)
@@ -635,7 +626,7 @@ def _check_junction(
         or new_cfg.theta != old_cfg.theta
     ):
         raise TraceError("rebuilt trace diverges from the original at the junction")
-    held = _couple_by_origin(old_cfg, origin).alternatives
+    held = next(c for c in old_cfg.couples if c.origin == origin).alternatives
     expected = with_alternatives(
         old_cfg.couples, origin, ordered_alternatives(set(held) | {restored})
     )
@@ -717,7 +708,7 @@ def maximal_traces(
     can take none.  A successful configuration is a leaf, never expanded.
     """
     nodes = itertools.count(1)
-    path = [Step(INITIAL, cfg0)]
+    path = [Step(INITIAL, config=cfg0)]
     keep = functools.partial(follow, path)  # the path grows and shrinks in place
     untried: list[Iterator[Choice]] = []  # one per configuration on the path
     while True:

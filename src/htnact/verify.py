@@ -255,7 +255,7 @@ def suite_jumps(
 def check_dtrace_soundness(
     case: CorpusCase, max_iterations: int = 300, strict: bool = True
 ) -> Optional[str]:
-    """Run the loop on the case's schedule and re-validate the folded trace."""
+    """Run the loop on the case's schedule and check its fold (``fold_problems``)."""
     events = ScriptedEvents(dict(case.schedule))
     outcome = run_agent(
         case.state,
@@ -266,21 +266,24 @@ def check_dtrace_soundness(
         stop_on_success=False,
         strict=strict,
     )
-    dtrace = outcome.dtrace
+    return "; ".join(fold_problems(outcome.dtrace)[:3]) or None
+
+
+def fold_problems(dtrace: Trace) -> list[str]:
+    """Why ``dtrace`` folded (``dtrace_to_trace``) is no sound plain trace: it
+    performs other actions, keeps an observation step, starts from a
+    constrained network, or fails ``validate_trace``."""
     folded = dtrace_to_trace(dtrace)
     if folded.actions_performed() != dtrace.actions_performed():
-        return (
+        return [
             f"actions differ: {_render_sequence(dtrace.actions_performed())} vs "
             f"{_render_sequence(folded.actions_performed())}"
-        )
+        ]
     if any(s.kind == OBSERVATION for s in folded.steps):
-        return "observation steps survived the folding"
+        return ["observation steps survived the folding"]
     if folded.initial.network.formula:
-        return "folded trace does not start from an unconstrained network"
-    problems = validate_trace(folded)
-    if problems:
-        return "; ".join(problems[:3])
-    return None
+        return ["folded trace does not start from an unconstrained network"]
+    return validate_trace(folded)
 
 
 def suite_dtrace_soundness(cases: Iterable[CorpusCase]) -> SuiteResult:

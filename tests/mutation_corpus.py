@@ -120,6 +120,8 @@ def _forgeries(prev, step: Step, names, others, steps):
     elif step.kind == REPLACEMENT:
         yield "flipped complete flag", dc_replace(step, complete=not step.complete)
         yield "flipped jump flag", dc_replace(step, jump=not step.jump)
+        other = next(c for c in prev.sorted_couples() if c != step.couple)
+        yield "another couple named", apply(prev, dc_replace(step, couple=other))
     elif step.kind == OBSERVATION:
         elsewhere = [
             s.observed for s in steps if s.kind == OBSERVATION and s.observed != step.observed
@@ -148,7 +150,7 @@ def _action_forgeries(prev, step: Step):
 
 
 def _reduction_forgeries(prev, step: Step, names, others):
-    kept = next(c for c in step.config.couples if c.origin == step.label).alternatives
+    kept = step.alternatives
 
     def reduced(body: Body, alternatives) -> Step:
         choice = Choice(REDUCTION, step.label, step.task, body=body, alternatives=alternatives)
@@ -175,6 +177,13 @@ def _reduction_forgeries(prev, step: Step, names, others):
     copy = fresh_rename(step.body.network, NameGenerator(*names), keep=step.task.variables)
     added = ordered_alternatives(kept + (dc_replace(step.body, network=copy),))
     yield "added alternative", reduced(step.body, added)
+    # the step records other alternatives than the couple it made keeps: a
+    # first one under fresh names, which replay accepts, or one more
+    unlike = added
+    if kept:
+        first = fresh_rename(kept[0].network, NameGenerator(*names), keep=step.task.variables)
+        unlike = (dc_replace(kept[0], network=first),) + kept[1:]
+    yield "alternatives unlike the couple's", dc_replace(step, alternatives=unlike)
     taken = sorted(prev.network.labels - {step.label}) or [step.label]
     own = sorted(step.body.network.labels)
     if own:

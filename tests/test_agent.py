@@ -36,7 +36,7 @@ loc1 = Constant("loc1")
 def fresh_agent(rover, state):
     config = initial_agent_configuration(state, rover)
     ctx = make_context(rover, config)
-    dtrace = Trace([Step(INITIAL, config)], ctx)
+    dtrace = Trace([Step(INITIAL, config=config)], ctx)
     return config, ctx, dtrace
 
 

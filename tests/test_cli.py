@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from htnact import trace as trace_module
+from htnact import verify as verify_module
 from htnact.cli import main
 from htnact.fixtures import fixture_path
 
@@ -50,6 +51,16 @@ def test_act_agent_walkthrough_matches_golden(tmp_path):
     )
     assert code == 0
     assert out.read_text() == (DATA / "agent_walkthrough_trace.txt").read_text()
+
+
+def test_act_verify_soundness_is_the_verify_suites_fold_check(tmp_path, capsys, monkeypatch):
+    """``--verify-soundness`` runs ``verify.fold_problems``, every check of
+    it: a fold that kept the observation steps would still re-validate."""
+    monkeypatch.setattr(verify_module, "dtrace_to_trace", lambda dtrace: dtrace)
+    out = tmp_path / "trace.txt"
+    code = main(["act", ROVER, PROB_NOCALI, EVT, "--verify-soundness", "--out", str(out)])
+    assert code == 5
+    assert "soundness: observation steps survived the folding" in capsys.readouterr().err
 
 
 def test_act_default_run_matches_golden(tmp_path):

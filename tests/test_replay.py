@@ -19,15 +19,21 @@ import pytest
 import htnact
 from htnact.acting import (
     REDUCTION,
+    REPLACEMENT,
     Choice,
+    ReductionCouple,
     Step,
     apply,
+    exec_all,
     exec_via_action,
     exec_via_reduction,
     initial_configuration,
     make_context,
     primary_tasks,
 )
+from htnact.model import Constant, Substitution, Task, Variable
+from htnact.reduction import relevant_method_bodies
+from htnact.syntax import parse_domain, parse_problem
 from htnact.trace import DefaultStrategy, Trace, run, validate_trace
 from mutation_corpus import mutants, renamed, sources
 
@@ -37,6 +43,7 @@ KINDS = {
     "forged body: constraint negated",
     "dropped alternative",
     "added alternative",
+    "alternatives unlike the couple's",
     "reused label",
     "label shared by two bodies",
     "wrong binding: extra variable",
@@ -44,6 +51,7 @@ KINDS = {
     "forged action task",
     "flipped complete flag",
     "flipped jump flag",
+    "another couple named",
     "swapped observation",
 }
 
@@ -90,10 +98,54 @@ def test_fresh_names_in_any_order_validate(rover, rover_problem):
     body = renamed(offered.body, {"1": "z3", "2": "z2", "3": "z1"})
     alternative = renamed(offered.alternatives[0], {"6": "y7", "7": "y6"}, (("L", "Q"),))
     step = apply(cfg, dc_replace(offered, body=body, alternatives=(alternative,)))
-    assert validate_trace(Trace([Step("initial", cfg), step], ctx)) == []
+    assert validate_trace(Trace([Step("initial", config=cfg), step], ctx)) == []
     clash = renamed(offered.alternatives[0], {"6": "z3", "7": "y6"}, (("L", "Q"),))
     step = apply(cfg, dc_replace(offered, body=body, alternatives=(clash,)))
-    assert validate_trace(Trace([Step("initial", cfg), step], ctx))
+    assert validate_trace(Trace([Step("initial", config=cfg), step], ctx))
+
+
+HIDING_DOMAIN = """\
+domain hiding
+
+operator go
+  pre: p
+  add:
+  del:
+
+operator ok
+  pre:
+  add:
+  del:
+
+method m1 top
+  tasks:
+    1: ok
+"""
+
+
+def test_an_initial_tree_that_hides_a_task_under_a_couple_is_rejected():
+    """A forged initial tree hides the never-reduced action ``A`` under a
+    couple ``X`` holding an untried body: ``A`` is stuck, so replay offers to
+    replace it by ``m1``'s body, and only the initial check rejects the
+    trace.  An initial binding is rejected too."""
+    domain = parse_domain(HIDING_DOMAIN, "hiding").value
+    problem = parse_problem("problem hiding\nstate:\ntasks:\n  A: go\n  B: ok\n", domain).value
+    honest = initial_configuration(problem.network, problem.state, domain)
+    m1 = relevant_method_bodies(Task("top"), domain, make_context(domain, honest).gen)[0]
+    hidden = frozenset(lt for lt in problem.network.tasks if lt.label == "A")
+    hiding = ReductionCouple("X", hidden, (m1,))
+    forged = dc_replace(
+        honest, couples=ReductionCouple(None, problem.network.tasks - hidden, (), (hiding,))
+    )
+    ctx = make_context(domain, forged)
+    replacement = next(c for c in exec_all(forged, ctx) if c.kind == REPLACEMENT)
+    assert replacement.describe() == "replacement X with m1 (complete)"
+    steps = [Step("initial", config=forged), apply(forged, replacement, ctx)]
+    assert validate_trace(Trace(steps, ctx)) == [
+        "initial configuration is not its network's initial configuration"
+    ]
+    bound = dc_replace(honest, theta=Substitution({Variable("V"): Constant("c")}))
+    assert validate_trace(Trace([Step("initial", config=bound)], ctx))
 
 
 def test_label_restriction_keeps_exactly_that_labels_choices(corpus_traces):

@@ -36,7 +36,6 @@ from .acting import (
     relevant_constraints,
     replace_tasks,
     smallest_replaceable,
-    top_couple,
     update_couples,
 )
 from .agent import (

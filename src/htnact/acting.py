@@ -394,16 +394,6 @@ def initial_configuration(
     return Configuration(network, state, ReductionCouple(None, network.tasks), domain)
 
 
-def top_couple(config: Configuration) -> ReductionCouple:
-    """The unique top-level couple: no origin and nothing left to try."""
-    tops = [c for c in config.couples if c.origin is None]
-    if len(tops) != 1:
-        raise ValueError(f"expected one top-level couple, found {len(tops)}")
-    if tops[0].alternatives:
-        raise ValueError("top-level couple has alternatives")
-    return tops[0]
-
-
 def _names_of_config(config: "Configuration") -> tuple[set, set]:
     # a couple pursues network tasks and executed ones, which are ground, so
     # its variables are the network's
@@ -596,9 +586,15 @@ def _ground(
 ) -> tuple[Substitution, ...]:
     """``applicable_substitutions`` computed afresh."""
     pre, _, _ = ctx.domain.operator_for(task).instantiate(task)
-    literals = sorted(set(pre) | extracted, key=str)
+    literals = set(pre) | extracted
+    if task.is_ground and all(lit.is_ground for lit in literals):
+        # nothing to bind: the empty binding, if every literal holds
+        return (EMPTY_SUBSTITUTION,) if all(holds(lit, state) for lit in literals) else ()
+    literals = sorted(literals, key=str)
     positives = [l for l in literals if l.positive]
-    negatives = [l for l in literals if not l.positive]
+    # equalities matching could not bind are checked with the negative
+    # literals, once every variable is bound
+    checked = [l for l in literals if not l.positive or l.atom.symbol == "="]
     terms = itertools.chain(task.args, *(l.atom.args for l in literals))
     variables = sorted(
         {t for t in terms if isinstance(t, Variable)}, key=lambda v: v.name
@@ -612,7 +608,7 @@ def _ground(
             extended.update(zip(free, values))
             theta = Substitution(extended)
             if theta in seen or not all(
-                holds(lit.substitute(theta), state) for lit in negatives
+                holds(lit.substitute(theta), state) for lit in checked
             ):
                 continue
             seen.add(theta)
@@ -626,7 +622,8 @@ def _positive_matches(
     positives: list, index: int, binding: dict, atoms: list, state: frozenset
 ):
     """Bindings, depth first, under which ``positives[index:]`` all hold in
-    ``state``; ``atoms`` is the state in a fixed order."""
+    ``state``, an equality between two unbound variables left to the caller;
+    ``atoms`` is the state in a fixed order."""
     if index == len(positives):
         yield binding
         return
@@ -641,8 +638,6 @@ def _positive_matches(
             binding = {**binding, left: right}
         elif isinstance(right, Variable) and isinstance(left, Constant):
             binding = {**binding, right: left}
-        else:
-            return
         yield from _positive_matches(positives, index + 1, binding, atoms, state)
         return
     for atom in atoms:
@@ -736,12 +731,15 @@ def _network_after(
     tables: ComponentTables,
 ) -> TaskNetwork:
     # set algebra on the network's own sets hashes only the members it
-    # drops or rewrites
+    # drops or rewrites; a constraint that does not name the label comes back
+    # unchanged unless it is a negated between, which its escape may discharge
     realised = _realised(label, d, _relevant(label, d, tables))
     dropped = set(realised)
     rewritten = []
     live_after = d.labels - {label}
     for old in d.formula - realised:
+        if not (old.mentions(label) or old.negated and isinstance(old.body, Between)):
+            continue
         c = old.rewrite_refs(lambda ref: ref.without(label))
         b = c.body
         if isinstance(b, Between):

@@ -20,7 +20,6 @@ from .acting import (
     is_successful,
     is_trace_blocked,
     make_context,
-    top_couple,  # also public as htnact.agent.top_couple
     with_observed,
 )
 from .constraints import TaskNetwork

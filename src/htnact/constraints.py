@@ -64,6 +64,10 @@ class LabelRef:
         """Is this reference executed already, ``live`` the labels left?"""
         return self.label not in live
 
+    def mentions(self, label: str) -> bool:
+        """Does this reference name ``label``?"""
+        return label == self.label
+
     def without(self, label: str) -> "LabelRef":
         """This reference once the executed ``label`` leaves last[] sets."""
         return self
@@ -99,6 +103,9 @@ class _SetRef:
 
     def is_done(self, live: frozenset) -> bool:
         return False
+
+    def mentions(self, label: str) -> bool:
+        return label in self.labels
 
     def without(self, label: str) -> "_SetRef":
         return self
@@ -248,6 +255,14 @@ class Constraint:
 
     def labels(self) -> frozenset[str]:
         return frozenset().union(*(ref.labels for ref in self.body.refs))
+
+    def mentions(self, label: str) -> bool:
+        """Does a reference of this constraint name ``label``?  Asked of each
+        reference: a constraint keeps no label set of its own."""
+        for ref in self.body.refs:
+            if ref.mentions(label):
+                return True
+        return False
 
     @cached_property
     def sorted_labels(self) -> tuple[str, ...]:

@@ -86,10 +86,13 @@ def reduce_task(d: TaskNetwork, label: str, body: TaskNetwork) -> TaskNetwork:
     plain reference to ``label`` becomes its slot's form over the body's
     labels (last[] where the task is left, first[] where it is reached), and
     ``label`` inside an existing first[]/last[] set gives way to the body's
-    labels.  Negated constraints rewrite identically.
+    labels.  Negated constraints rewrite identically.  A constraint that
+    does not name ``label`` comes back unchanged, so only those that do
+    (``Constraint.mentions``) are rewritten.
     """
     target = d.task_of(label)
     new_labels = body.labels
-    rewritten = frozenset(c.reduced(label, new_labels) for c in d.formula)
+    touched = [c for c in d.formula if c.mentions(label)]
+    rewritten = {c.reduced(label, new_labels) for c in touched}
     tasks = (d.tasks - {target}) | body.tasks
-    return TaskNetwork(frozenset(tasks), body.formula | rewritten)
+    return TaskNetwork(frozenset(tasks), d.formula.difference(touched) | body.formula | rewritten)

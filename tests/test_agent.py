@@ -15,7 +15,6 @@ from htnact.agent import (
     observe,
     run_agent,
     sra_step,
-    top_couple,
 )
 from htnact.corpus import corpus
 from htnact.model import Atom, Constant, Task
@@ -42,16 +41,10 @@ def fresh_agent(rover, state):
 
 def test_initial_top_couple(rover):
     config = initial_agent_configuration(frozenset(), rover)
-    top = top_couple(config)
+    top = config.couples
+    assert top.origin is None and len(top) == 1
     assert {lt.label for lt in top.pursued} == {NOP_LABEL}
     assert top.alternatives == ()
-
-
-def test_top_couple_is_one_function_under_every_name():
-    import htnact
-    from htnact import acting, agent
-
-    assert htnact.top_couple is agent.top_couple is acting.top_couple
 
 
 def test_observe_adds_top_level_tasks(rover, rover_nocali):
@@ -63,7 +56,7 @@ def test_observe_adds_top_level_tasks(rover, rover_nocali):
     )
     assert {lt.label for lt in new_config.network.tasks} == {NOP_LABEL, "A", "B"}
     assert new_config.network.formula == frozenset()
-    assert {lt.label for lt in top_couple(new_config).pursued} == {
+    assert {lt.label for lt in new_config.couples.pursued} == {
         NOP_LABEL,
         "A",
         "B",

@@ -48,6 +48,18 @@ def test_couple_reference_imports_no_private_names():
     assert _private_imports(Path(__file__).parent / "couple_reference.py") == []
 
 
+def test_grounding_reference_imports_no_private_names():
+    """The brute force ranges over the universe itself and matches nothing
+    against the state, so a fault in acting's matching cannot cancel out."""
+    assert _private_imports(Path(__file__).parent / "grounding_reference.py") == []
+
+
+def test_rewrite_reference_imports_no_private_names():
+    """The unfiltered rewrites visit every constraint themselves, so a filter
+    hidden in a private helper cannot reach them."""
+    assert _private_imports(Path(__file__).parent / "rewrite_reference.py") == []
+
+
 REF_CLASSES = {"LabelRef", "FirstRef", "LastRef"}
 
 

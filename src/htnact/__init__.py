@@ -58,7 +58,6 @@ from .constraints import (
     Ordering,
     TaskNetwork,
     holds,
-    rewrite_labels,
 )
 from .domain import (
     Domain,

@@ -253,13 +253,14 @@ def ordered_alternatives(bodies) -> tuple[Body, ...]:
 
 @dataclass(frozen=True)
 class Configuration:
-    """One node of an execution trace."""
+    """One node of an execution trace: a task network, a state, the couple
+    tree and the domain.  It keeps no binding: an action's binding is applied
+    to the whole configuration, so no variable it binds occurs here."""
 
     network: TaskNetwork
     state: frozenset
     couples: ReductionCouple  # the top-level couple, and the tree under it
     domain: Domain = field(repr=False)
-    theta: Substitution = EMPTY_SUBSTITUTION
 
     def sorted_couples(self) -> list[ReductionCouple]:
         return sorted(self.couples, key=ReductionCouple.sort_key)
@@ -1006,9 +1007,7 @@ def apply(
             label, cfg.state, cfg.network, choice.binding, cfg.couples, cfg.domain,
             ctx.tables if ctx is not None else None,
         )
-        config = Configuration(
-            network, state, couples, cfg.domain, cfg.theta.compose(choice.binding)
-        )
+        config = Configuration(network, state, couples, cfg.domain)
         removed = frozenset((label,))
     elif choice.kind == REDUCTION:
         # the couple holding the task holds the new couple in its place

@@ -447,12 +447,6 @@ def network(tasks: Iterable[LabelledTask], formula: Iterable[Constraint] = ()) -
     return TaskNetwork(frozenset(tasks), frozenset(formula))
 
 
-def rewrite_labels(formula: frozenset, label: str, replacement: frozenset) -> frozenset:
-    """Replace ``label`` with ``replacement`` inside first[]/last[] label sets."""
-    old = frozenset((label,))
-    return frozenset(c.rewrite_refs(lambda ref: ref.redirect(old, replacement)) for c in formula)
-
-
 def holds(literal: Literal, state: frozenset) -> bool:
     """Closed-world ground literal evaluation against a state.
 

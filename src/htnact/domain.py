@@ -117,29 +117,22 @@ def fresh_rename(
 ) -> TaskNetwork:
     """An isomorphic copy of ``body`` with fresh labels and fresh variables.
 
-    Variables in ``keep`` (a method head's parameters) are left alone, and
-    then ``bound`` (their match against a task) is applied to every member;
-    everything else is standardized apart.
+    Variables in ``keep`` (a method head's parameters) are not renamed but
+    take their term in ``bound`` (their match against a task); everything
+    else is standardized apart.  Both are one map, applied simultaneously,
+    so neither rewrites a term the other put in.
     """
     label_map = {lab: gen.label(lab) for lab in sorted(body.labels)}
-    var_map = {
-        v: gen.variable(v.name)
-        for v in sorted(body.variables)
-        if v not in keep
-    }
-    theta = Substitution(var_map)
+    fresh = {v: gen.variable(v.name) for v in sorted(body.variables) if v not in keep}
+    theta = Substitution({**fresh, **bound})
 
     def rename_ref(ref):
         return ref.relabel(lambda label: label_map.get(label, label))
 
     tasks = frozenset(
-        LabelledTask(label_map[lt.label], lt.task.substitute(theta).substitute(bound))
-        for lt in body.tasks
+        LabelledTask(label_map[lt.label], lt.task.substitute(theta)) for lt in body.tasks
     )
-    formula = frozenset(
-        c.substitute(theta).substitute(bound).rewrite_refs(rename_ref)
-        for c in body.formula
-    )
+    formula = frozenset(c.substitute(theta).rewrite_refs(rename_ref) for c in body.formula)
     return TaskNetwork(tasks, formula)
 
 

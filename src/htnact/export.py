@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .acting import ACTION, OBSERVATION, REDUCTION, REPLACEMENT, Configuration, Step
-from .model import label_key, labelled_task_key
+from .model import EMPTY_SUBSTITUTION, Substitution, label_key, labelled_task_key
 from .trace import Trace
 
 
@@ -21,15 +21,14 @@ def _render_state(state) -> str:
     return " ".join(sorted(str(a) for a in state)) or "-"
 
 
-def _render_config(config: Configuration, indent: str) -> list[str]:
+def _render_config(config: Configuration, binding: str, indent: str) -> list[str]:
     lines = []
     tasks = " ".join(lt.text for lt in config.network.sorted_tasks()) or "-"
     lines.append(f"{indent}tasks: {tasks}")
     constraints = sorted(str(c) for c in config.network.formula)
     lines.append(f"{indent}constraints: {'; '.join(constraints) or '-'}")
     lines.append(f"{indent}state: {_render_state(config.state)}")
-    binding = ", ".join(f"{v}/{t}" for v, t in config.theta.items_sorted())
-    lines.append(f"{indent}binding: {binding or '-'}")
+    lines.append(f"{indent}binding: {binding}")
     lines.append(f"{indent}couples:")
     for couple in config.sorted_couples():
         origin = couple.origin or "top"
@@ -40,17 +39,16 @@ def _render_config(config: Configuration, indent: str) -> list[str]:
     return lines
 
 
+def _render_binding(binding: Substitution) -> str:
+    return ", ".join(f"{v}/{t}" for v, t in binding.items_sorted()) or "-"
+
+
 def _step_header(index: int, step: Step) -> list[str]:
     lines = [f"step {index}", f"  kind: {step.kind}"]
     if step.kind == ACTION:
         lines.append(f"  label: {step.label}")
         lines.append(f"  task: {step.task}")
-        binding = ""
-        if step.binding:
-            binding = ", ".join(
-                f"{v}/{t}" for v, t in step.binding.items_sorted()
-            )
-        lines.append(f"  with: {binding or '-'}")
+        lines.append(f"  with: {_render_binding(step.binding)}")
     elif step.kind == REDUCTION:
         lines.append(f"  label: {step.label}")
         lines.append(f"  method: {step.body.method}")
@@ -77,7 +75,12 @@ def render_trace(
     domain_name: str = "",
     meta: Optional[dict] = None,
 ) -> str:
-    """Deterministic textual form of a trace, one block per step."""
+    """Deterministic textual form of a trace, one block per step.
+
+    A configuration's ``binding:`` line is the union of the bindings of the
+    trace's actions so far: an action binds only constants, and a variable
+    it binds occurs nowhere after it, so the union never rebinds one.
+    """
     lines = ["trace"]
     if domain_name:
         lines.append(f"domain: {domain_name}")
@@ -99,8 +102,13 @@ def render_trace(
     lines.append(f"free-of: {free or '-'}")
     lines.append("")
     previous_state = None
+    bound = EMPTY_SUBSTITUTION
+    binding = "-"
     for index, step in enumerate(trace.steps):
         lines.extend(_step_header(index, step))
+        if step.kind == ACTION and step.binding:
+            bound = Substitution({**bound, **step.binding})
+            binding = _render_binding(bound)
         state = step.config.state
         if previous_state is not None:
             gained = sorted(str(a) for a in state - previous_state)
@@ -108,6 +116,6 @@ def render_trace(
             lines.append(f"  state+: {' '.join(gained) or '-'}")
             lines.append(f"  state-: {' '.join(lost) or '-'}")
         previous_state = state
-        lines.extend(_render_config(step.config, "  "))
+        lines.extend(_render_config(step.config, binding, "  "))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

@@ -180,31 +180,16 @@ State = frozenset  # frozenset[Atom]; all atoms ground, closed-world semantics
 
 
 class Substitution(Mapping[Variable, Term]):
-    """An immutable, normalized mapping from variables to terms.
-
-    Normalization resolves variable-to-variable chains and drops identity
-    bindings, which makes application idempotent: applying a substitution
-    twice equals applying it once.
-    """
+    """An immutable mapping from variables to terms, applied simultaneously:
+    each variable is replaced by its own term, once.  Identity bindings are
+    dropped; a binding to another bound variable is kept as it is, so
+    ``{X/Y, Y/X}`` swaps ``X`` and ``Y``."""
 
     __slots__ = ("_map", "_hash", "_domain")
 
     def __init__(self, mapping: Optional[Mapping[Variable, Term]] = None):
-        resolved: dict[Variable, Term] = {}
-        raw = dict(mapping) if mapping else {}
-        for var in raw:
-            term = raw[var]
-            seen = {var}
-            while isinstance(term, Variable) and term in raw and term not in seen:
-                seen.add(term)
-                term = raw[term]
-            if term != var:
-                resolved[var] = term
-        self._hold(resolved)
-
-    def _hold(self, normal: dict) -> None:
-        """Keep ``normal``, already normalized, as this substitution's map."""
-        object.__setattr__(self, "_map", normal)
+        items = mapping.items() if mapping else ()
+        object.__setattr__(self, "_map", {v: t for v, t in items if t != v})
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_domain", None)
 
@@ -222,25 +207,6 @@ class Substitution(Mapping[Variable, Term]):
 
     def get(self, key, default=None):
         return self._map.get(key, default)
-
-    def compose(self, later: "Substitution") -> "Substitution":
-        """Substitution equivalent to applying ``self`` first, then ``later``.
-
-        When ``later`` binds only constants, as every action binding does,
-        the composition is already normal: no term it adds is a variable, and
-        the variables ``self`` leaves are bound by neither.  It is then built
-        without the chain-resolution pass, which costs O(|self|) per action.
-        """
-        combined: dict[Variable, Term] = {
-            v: later.term(t) for v, t in self._map.items()
-        }
-        for v, t in later._map.items():
-            combined.setdefault(v, t)
-        if not all(isinstance(t, Constant) for t in later._map.values()):
-            return Substitution(combined)
-        normal = object.__new__(Substitution)
-        normal._hold(combined)
-        return normal
 
     def items_sorted(self) -> list[tuple[Variable, Term]]:
         return sorted(self._map.items(), key=lambda vt: vt[0].name)

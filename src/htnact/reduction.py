@@ -6,7 +6,7 @@ from functools import cached_property
 
 from .constraints import TaskNetwork, network_fingerprint
 from .domain import Domain, fresh_rename
-from .model import NameGenerator, Substitution, Task, cached_hash, match_task
+from .model import NameGenerator, Task, cached_hash, match_task
 
 
 @dataclass(frozen=True)
@@ -55,26 +55,18 @@ def relevant_method_bodies(task: Task, domain: Domain, gen: NameGenerator) -> tu
     """Fresh-renamed instances of every method body relevant for ``task``.
 
     Declaration order is preserved.  Primitive task symbols are a contract
-    violation; an empty result just means no method head matches.
+    violation; an empty result just means no method head matches.  ``gen``
+    avoids every name of the network ``task`` sits in, so the body's fresh
+    variables never meet the task's.
     """
     if domain.is_primitive(task.symbol):
         raise ValueError(f"task {task} is primitive; it has no relevant methods")
     bodies = []
     for index, method in domain.methods_for(task.symbol):
-        head, body = method.head, method.body
-        theta = match_task(task, head)
-        if theta is None:
-            continue
-        if any(a in head.variables and a != h for h, a in zip(head.args, task.args)):
-            # A head variable reappears elsewhere in the task, so the binding
-            # would chain it into another: rename the head apart first.
-            for v in task.variables:
-                gen.reserve_variable(v.name)
-            apart = Substitution({v: gen.variable(v.name) for v in sorted(head.variables)})
-            head, body = head.substitute(apart), body.substitute(apart)
-            theta = match_task(task, head)
-        renamed = fresh_rename(body, gen, keep=head.variables, bound=theta)
-        bodies.append(Body(method.name, index, renamed))
+        theta = match_task(task, method.head)
+        if theta is not None:
+            renamed = fresh_rename(method.body, gen, keep=method.head.variables, bound=theta)
+            bodies.append(Body(method.name, index, renamed))
     return tuple(bodies)
 
 

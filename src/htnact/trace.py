@@ -112,7 +112,6 @@ from .model import (
     Task,
     label_key,
     labelled_task_key,
-    substitute,
 )
 from .reduction import Body
 
@@ -150,10 +149,7 @@ class Trace:
         return OPEN
 
     def actions_performed(self) -> tuple[Task, ...]:
-        theta = self.final.theta
-        return tuple(
-            substitute(s.task, theta) for s in self.steps if s.kind == ACTION
-        )
+        return tuple(s.task for s in self.steps if s.kind == ACTION)
 
     def action_labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.steps if s.kind == ACTION)
@@ -478,7 +474,7 @@ def validate_trace(trace: Trace) -> list[str]:
 
     The trace must start from the initial configuration of its network,
     state and domain (``acting.initial_configuration``): one top-level couple
-    pursuing exactly the network's tasks, nothing reduced and nothing bound.
+    pursuing exactly the network's tasks, nothing reduced.
     Every later step must replay (``replay_step``) to exactly itself, the
     choice it records included.
     """
@@ -623,7 +619,6 @@ def _check_junction(
         new_cfg.network.tasks != old_cfg.network.tasks
         or not new_cfg.network.formula <= old_cfg.network.formula
         or new_cfg.state != old_cfg.state
-        or new_cfg.theta != old_cfg.theta
     ):
         raise TraceError("rebuilt trace diverges from the original at the junction")
     held = next(c for c in old_cfg.couples if c.origin == origin).alternatives
@@ -644,7 +639,7 @@ class SearchBudgetExceeded(Exception):
 
 
 def canonical_key(cfg: Configuration) -> str:
-    """A fingerprint of a configuration (minus bindings) for memoising search.
+    """A fingerprint of a configuration for memoising search.
 
     Three pieces, under one renaming of the network's and the couples'
     labels: the network's ``network_fingerprint``, the state's text, and

@@ -13,7 +13,6 @@ from htnact.constraints import (
     holds,
     network_fingerprint,
     precedence_closure,
-    rewrite_labels,
 )
 from htnact.acting import ReductionCouple
 from htnact.model import (
@@ -33,11 +32,17 @@ def ordc(a: str, b: str) -> Constraint:
     return Constraint(Ordering(LabelRef(a), LabelRef(b)))
 
 
+def reduced(formula: frozenset, label: str, new: frozenset) -> frozenset:
+    """``formula`` once the task ``label`` is reduced to tasks labelled
+    ``new``, constraint by constraint, as ``reduce_task`` rewrites it."""
+    return frozenset(c.reduced(label, new) for c in formula)
+
+
 def test_rewrite_labels_inside_first():
     lander = Literal(Atom("lander", (Variable("L"),)))
     before = Constraint(Before(lander, FirstRef(frozenset({"11", "12"}))))
-    rewritten = rewrite_labels(
-        rewrite_labels(frozenset({before}), "11", frozenset({"8", "9", "10"})),
+    rewritten = reduced(
+        reduced(frozenset({before}), "11", frozenset({"8", "9", "10"})),
         "12",
         frozenset({"8", "9", "10"}),
     )
@@ -47,13 +52,13 @@ def test_rewrite_labels_inside_first():
 
 
 def test_rewrite_labels_without_mention_is_identity():
-    formula = frozenset({ordc("a", "b")})
-    assert rewrite_labels(formula, "zz", frozenset({"q"})) == formula
+    c = ordc("a", "b")
+    assert c.reduced("zz", frozenset({"q"})) is c
 
 
 def test_rewrite_labels_can_drop_from_last():
     c = Constraint(Ordering(LastRef(frozenset({"11", "12"})), LabelRef("7")))
-    got = rewrite_labels(frozenset({c}), "11", frozenset())
+    got = reduced(frozenset({c}), "11", frozenset())
     assert got == frozenset(
         {Constraint(Ordering(LastRef(frozenset({"12"})), LabelRef("7")))}
     )
@@ -67,7 +72,7 @@ def test_rewrite_preserves_constraint_count():
             ordc("1", "2"),
         }
     )
-    got = rewrite_labels(formula, "1", frozenset({"x", "y"}))
+    got = reduced(formula, "1", frozenset({"x", "y"}))
     assert len(got) == len(formula)
 
 

@@ -16,8 +16,10 @@ import couple_reference
 from htnact import model
 from htnact import trace as trace_module
 from htnact.acting import (
+    INITIAL,
     OBSERVATION,
     Choice,
+    Step,
     apply,
     exec_all,
     exec_via_replacement,
@@ -26,11 +28,12 @@ from htnact.acting import (
     make_context,
 )
 from htnact.corpus import corpus
-from htnact.export import _render_config
+from htnact.export import render_trace
 from htnact.model import LabelledTask, Task
 from htnact.syntax import parse_domain, parse_problem
 from htnact.trace import (
     DefaultStrategy,
+    Trace,
     canonical_key,
     parse_directives,
     reachable,
@@ -54,7 +57,7 @@ def agree(cfg, flat, ctx) -> tuple:
     assert offered == couple_reference.replacements(cfg, flat, ctx)
     blocked = is_trace_blocked(cfg, ctx)
     assert blocked == couple_reference.is_trace_blocked(cfg, flat, ctx)
-    lines = _render_config(cfg, "  ")
+    lines = render_trace(Trace([Step(INITIAL, config=cfg)], ctx)).splitlines()
     assert lines[lines.index("  couples:") + 1:] == couple_reference.couple_lines(flat, "  ")
     observed = apply(cfg, Choice(OBSERVATION, observed=OBSERVED)).config
     assert pursued(observed.couples) == pursued(couple_reference.with_observed(flat, OBSERVED))

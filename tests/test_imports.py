@@ -30,6 +30,15 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == []
 
 
+def test_no_test_module_imports_private_names():
+    """Tests reach the package through its public names, so a private
+    helper can change without a test pinning how it is called."""
+    offenders = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        offenders += _private_imports(path)
+    assert offenders == []
+
+
 def test_oracle_reference_imports_no_private_names():
     """The differential reference keeps its own constraint semantics, so a
     fault in the oracle's cannot cancel out."""

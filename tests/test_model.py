@@ -3,7 +3,7 @@ from __future__ import annotations
 from dataclasses import fields, is_dataclass, replace as dc_replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from htnact import model
 from htnact.acting import (
@@ -52,18 +52,11 @@ def test_partial_substitution_leaves_other_variables():
     assert substitute(atom, Substitution({X: a})) == Atom("p", (a, Y))
 
 
-def test_substitution_resolves_chains():
-    theta = Substitution({X: Y, Y: a})
-    assert theta.term(X) == a
-    assert theta.term(Y) == a
-
-
-def test_substitution_compose_applies_in_order():
-    first = Substitution({X: Y})
-    second = Substitution({Y: a})
-    composed = first.compose(second)
-    assert composed.term(X) == a
-    assert composed.term(Y) == a
+def test_substitution_applies_chains_and_cycles_simultaneously():
+    chain = Substitution({X: Y, Y: a})
+    assert substitute(Atom("p", (X, Y)), chain) == Atom("p", (Y, a))
+    swap = Substitution({X: Y, Y: X})
+    assert substitute(Atom("p", (X, Y)), swap) == Atom("p", (Y, X))
 
 
 names = st.sampled_from(["X", "Y", "Z", "W"])
@@ -71,38 +64,18 @@ constants = st.sampled_from([loc1, lan1, a])
 terms = st.one_of(constants, names.map(Variable))
 
 
-@given(
-    st.dictionaries(names.map(Variable), terms, max_size=4),
-    st.dictionaries(names.map(Variable), constants, max_size=4),
-)
-def test_composing_a_ground_binding_equals_the_normalising_constructor(first, later):
-    """A binding of constants only, as every action's is, composes without
-    the chain-resolution pass; the result is the normalising constructor's."""
-    first, later = Substitution(first), Substitution(later)
-    combined = {v: later.term(t) for v, t in first.items()}
-    combined.update((v, t) for v, t in later.items() if v not in first)
-    composed = first.compose(later)
-    assert composed == Substitution(combined)
-    assert list(composed.items()) == list(Substitution(combined).items())
+@given(st.dictionaries(names.map(Variable), terms, max_size=4))
+@example({X: Y, Y: a})
+@example({X: Y, Y: Variable("Z"), Variable("Z"): X})
+def test_substitution_takes_each_variable_to_its_own_term(mapping):
+    """Chains and cycles included: nothing is resolved through another
+    binding, and a task's arguments are each replaced once."""
+    theta = Substitution(mapping)
     for name in ("X", "Y", "Z", "W"):
         v = Variable(name)
-        assert composed.term(v) == later.term(first.term(v))
-
-
-def test_composing_a_binding_of_variables_still_normalises():
-    Z, W = Variable("Z"), Variable("W")
-    first = Substitution({X: Y, Z: W})
-    composed = first.compose(Substitution({Y: Z}))
-    assert composed == Substitution({X: W, Y: W, Z: W})
-    assert composed.term(X) == W
-
-
-@given(st.dictionaries(names.map(Variable), terms, max_size=4))
-def test_substitution_application_is_idempotent(mapping):
-    theta = Substitution(mapping)
-    task = Task("t", tuple(mapping.keys()))
-    once = substitute(task, theta)
-    assert substitute(once, theta) == once
+        assert theta.term(v) == mapping.get(v, v)
+    task = Task("t", tuple(Variable(name) for name in ("X", "Y", "Z", "W")))
+    assert substitute(task, theta).args == tuple(mapping.get(v, v) for v in task.args)
 
 
 def test_match_task_binds_head_variables():

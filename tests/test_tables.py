@@ -21,7 +21,7 @@ from test_search import transmits
 
 
 def parts(cfg) -> tuple:
-    return (cfg.network, cfg.state, cfg.couples, cfg.theta)
+    return (cfg.network, cfg.state, cfg.couples)
 
 
 def digest(sequences) -> str:

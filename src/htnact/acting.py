@@ -16,9 +16,9 @@ the observation step of a dynamic trace, and is the one place a successor
 configuration is built.  A trace ``Step`` is the choice performed plus its
 result: the configuration reached and the labels removed and added.
 
-All values are immutable; the only mutable collaborators are the fresh-name
-generator, built on first use, and the component tables
-(``ComponentTables``), both confined to one run context.
+All values are immutable; the only mutable collaborators are a run
+lineage's fresh-name generator and table of reductions, and the component
+tables (``ComponentTables``), all held by a run context (``RunContext``).
 """
 from __future__ import annotations
 
@@ -273,8 +273,7 @@ class Configuration:
 
 @dataclass
 class ComponentTables:
-    """The parts successors are built from, each computed once per context
-    lineage.
+    """The parts successors are built from, each computed once per context.
 
     A table maps the values a part reads to the part; with the domain and
     the universe, which the contexts of one lineage share, that decides it.
@@ -299,11 +298,14 @@ class ComponentTables:
     (``trace.canonical_key``) reads the fingerprint and the renaming it fixed
     that are cached on the network itself (``TaskNetwork.fingerprint``).
 
-    ``make_context`` starts empty tables, ``for_config`` passes them on and
-    ``RunContext.fresh_tables`` starts fresh ones: ``extend_universe`` does,
-    and ``trace.validate_trace`` at each step.  They are dropped with the
-    last context of their lineage: nothing is shared between searches.
-    ``trace.run``, replay and the searches all build through them.
+    ``make_context`` starts empty tables and ``RunContext.fresh_tables``
+    starts fresh ones: ``extend_universe`` does, and
+    ``trace.validate_trace`` at each step.  A replaying context of a lineage
+    (``trace.validate_trace``, ``trace.eliminate_complete_replacements``)
+    builds through tables of its own, never the producer's: a trace
+    validates in the lineage that produced it, but no part its producer
+    built is looked up.  Nothing is shared between searches.  ``trace.run``,
+    replay and the searches all build through them.
     """
 
     states: dict = field(default_factory=dict)
@@ -324,58 +326,36 @@ def _memo(table: dict, key, compute, *args):
 
 @dataclass
 class RunContext:
-    """Mutable per-run collaborators: fresh names, the constant universe and
-    the component tables.
+    """Mutable per-run collaborators: fresh names, the table of reductions,
+    the constant universe and the component tables.
 
-    ``gen`` avoids exactly the names ``config`` mentions; it is built the
-    first time it is read, so a context that never draws a name never walks
-    ``config``.  ``tables`` are shared by every context of one lineage
-    (``ComponentTables``).
+    A run lineage, a run or a search and every trace it yields, has one
+    ``gen``, built by ``make_context`` from the initial configuration's
+    names, and one ``reductions`` table, mapping a ``(label, task)`` to that
+    task's relevant bodies.  The first time a task is offered for reduction,
+    ``absorb`` renames its bodies with ``gen`` and the table records them;
+    every later offer of the task, on any branch of the lineage, in replay or
+    in an elimination rebuild, returns the recorded bodies.  So a reduction
+    is named once per lineage, and a trace validates in the lineage that
+    produced it (``Trace.ctx``), choices compared by equality.
+
+    ``tables`` are the component tables (``ComponentTables``); a replaying
+    context of a lineage takes its own.
     """
 
     domain: Domain
     universe: tuple[Constant, ...]
-    config: "Configuration" = field(repr=False)
+    gen: NameGenerator = field(repr=False, compare=False)
+    reductions: dict = field(default_factory=dict, repr=False, compare=False)
     tables: ComponentTables = field(
         default_factory=ComponentTables, repr=False, compare=False
     )
 
-    @cached_property
-    def names(self) -> tuple[set, set]:
-        """The labels and variable names ``config`` mentions."""
-        return _names_of_config(self.config)
-
-    @cached_property
-    def gen(self) -> NameGenerator:
-        return NameGenerator(*self.names)
-
-    def for_config(self, config: "Configuration") -> "RunContext":
-        """A context whose fresh names avoid exactly what ``config`` mentions.
-
-        Branching explorations use this instead of sharing one generator:
-        labels are fresh with respect to the configuration at hand, and the
-        constant universe and the component tables stay the run-wide ones.
-        The generator is built on first use: only a reduction draws names, so
-        a node with no primary non-primitive task never builds one.
-        """
-        return RunContext(self.domain, self.universe, config, self.tables)
-
-    def absorb(self, choice: "Choice") -> None:
-        """Commit the names a chosen reduction introduced to the generator.
-
-        Candidate reductions rename method bodies against a throwaway fork of
-        the generator; once one is chosen, the names of its body and of its
-        alternatives become taken for the rest of the run.  No other kind of
-        execution introduces names, and observations draw theirs from the
-        generator itself.
-        """
-        if choice.kind != REDUCTION:
-            return
-        for body in (choice.body,) + choice.alternatives:
-            for label in body.network.labels:
-                self.gen.reserve_label(label)
-            for variable in body.network.variables:
-                self.gen.reserve_variable(variable.name)
+    def absorb(self, task: Task) -> tuple[Body, ...]:
+        """The relevant bodies of ``task``, renamed with the lineage's
+        generator, which commits their names to the lineage.  Called on a
+        task's first offer only; ``exec_via_reduction`` records the result."""
+        return relevant_method_bodies(task, self.domain, self.gen)
 
     def extend_universe(self, constants) -> None:
         """Add ``constants`` to the universe and start fresh tables: residual
@@ -395,10 +375,19 @@ def initial_configuration(
     return Configuration(network, state, ReductionCouple(None, network.tasks), domain)
 
 
-def _names_of_config(config: "Configuration") -> tuple[set, set]:
+def make_context(domain: Domain, config: Configuration) -> RunContext:
+    """The context of a new lineage from ``config``: its generator avoids
+    every label and variable name ``config`` mentions."""
+    universe = tuple(
+        sorted(
+            constants_of(config.network)
+            | constants_of(config.state)
+            | domain.constants
+        )
+    )
     # a couple pursues network tasks and executed ones, which are ground, so
     # its variables are the network's
-    labels: set[str] = set(config.network.labels)
+    labels = set(config.network.labels)
     variables = set(config.network.variables)
     for couple in config.couples:
         labels |= couple.member_labels
@@ -407,18 +396,7 @@ def _names_of_config(config: "Configuration") -> tuple[set, set]:
         for body in couple.alternatives:
             labels |= body.network.labels
             variables |= body.network.variables
-    return labels, {v.name for v in variables}
-
-
-def make_context(domain: Domain, config: Configuration) -> RunContext:
-    universe = tuple(
-        sorted(
-            constants_of(config.network)
-            | constants_of(config.state)
-            | domain.constants
-        )
-    )
-    return RunContext(domain, universe, config)
+    return RunContext(domain, universe, NameGenerator(labels, (v.name for v in variables)))
 
 
 @dataclass(frozen=True)
@@ -805,14 +783,19 @@ def _action_choices(
 def exec_via_reduction(
     cfg: Configuration, ctx: RunContext, label: Optional[str] = None
 ) -> tuple[Choice, ...]:
-    """Reductions of primary non-primitive tasks, of ``label`` alone if given."""
+    """Reductions of primary non-primitive tasks, of ``label`` alone if given.
+
+    A task's bodies are named once per lineage: its first offer renames them
+    (``RunContext.absorb``) and ``ctx.reductions`` records them, and every
+    later offer of the same ``(label, task)`` reuses them.  The names are
+    fresh where the task is offered, since the lineage's generator never
+    draws a name twice.
+    """
     choices = []
     for lt in _candidates(cfg, label):
         if not cfg.domain.is_nonprimitive(lt.task.symbol):
             continue
-        # candidates rename against a fork; the chosen reduction's names are
-        # committed by the caller via RunContext.absorb
-        bodies = relevant_method_bodies(lt.task, cfg.domain, ctx.gen.clone())
+        bodies = _memo(ctx.reductions, (lt.label, lt.task), ctx.absorb, lt.task)
         for body in bodies:
             remaining = ordered_alternatives(b for b in bodies if b is not body)
             choices.append(

@@ -20,7 +20,7 @@ from .agent import (
     run_agent,
 )
 from .corpus import CorpusCase, corpus
-from .domain import Domain, validate_domain
+from .domain import Domain, reference_form_warnings, validate_domain
 from .export import render_trace
 from .model import Task
 from .oracle import solutions_bounded
@@ -83,14 +83,19 @@ def _load(path: str, parse, what: str, *extra):
 
 
 def _load_domain_problem(args) -> tuple[Domain, Problem]:
-    """The validated domain and the problem that ``args`` name."""
+    """The validated domain and the problem that ``args`` name; each problem
+    reference acting reads differently from planning is warned on stderr."""
     domain = _load(args.domain, parse_domain, "domain", Path(args.domain).stem)
     report = validate_domain(domain)
     if report.violations or report.warnings:
         print(report.render(), file=sys.stderr)
     if not report.ok:
         raise InputError(f"{args.domain}: domain is invalid")
-    return domain, _load(args.problem, parse_problem, "problem", domain)
+    problem = _load(args.problem, parse_problem, "problem", domain)
+    for c in sorted(problem.network.formula, key=str):
+        for warning in reference_form_warnings(c, f"problem {problem.name}"):
+            print(f"warning {warning}", file=sys.stderr)
+    return domain, problem
 
 
 def _make_strategy(spec: str, seed: int) -> Strategy:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .constraints import After, Ordering, TaskNetwork, precedence_closure
+from .constraints import After, Constraint, Ordering, TaskNetwork, precedence_closure
 from .model import (
     EMPTY_SUBSTITUTION,
     Atom,
@@ -300,14 +300,21 @@ def validate_domain(domain: Domain) -> ValidationReport:
                                 "defer it; only actions are deferred by negated orderings",
                             )
                         )
-            for ref in c.misread_refs():
-                report.warnings.append(
-                    Violation(
-                        "reference-form",
-                        subject,
-                        f"{ref} in {c} is neither a plain label nor its slot's "
-                        "own form; acting reads it differently from planning",
-                    )
-                )
+            report.warnings += reference_form_warnings(c, subject)
 
     return report
+
+
+def reference_form_warnings(constraint: Constraint, subject: str) -> list[Violation]:
+    """A warning for each reference of ``constraint`` that is neither a plain
+    label nor its slot's own form, which acting reads differently from
+    planning: in a method body or in a problem's network."""
+    return [
+        Violation(
+            "reference-form",
+            subject,
+            f"{ref} in {constraint} is neither a plain label nor its slot's "
+            "own form; acting reads it differently from planning",
+        )
+        for ref in constraint.misread_refs()
+    ]

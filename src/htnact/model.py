@@ -340,7 +340,7 @@ def _collect(value, found: set, kind) -> None:
 
 
 class NameGenerator:
-    """Fresh label and variable names for one engine run.
+    """Fresh label and variable names for one run lineage, none drawn twice.
 
     Keeps a requested base name when it has never been used, otherwise
     appends the smallest numeric suffix that makes it fresh.  Labels and
@@ -360,15 +360,6 @@ class NameGenerator:
         name = self._pick(self._variables, base)
         self._variables.add(name)
         return Variable(name)
-
-    def reserve_label(self, name: str) -> None:
-        self._labels.add(name)
-
-    def reserve_variable(self, name: str) -> None:
-        self._variables.add(name)
-
-    def clone(self) -> "NameGenerator":
-        return NameGenerator(self._labels, self._variables)
 
     @staticmethod
     def _pick(used: set[str], base: str) -> str:

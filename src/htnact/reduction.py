@@ -57,7 +57,8 @@ def relevant_method_bodies(task: Task, domain: Domain, gen: NameGenerator) -> tu
     Declaration order is preserved.  Primitive task symbols are a contract
     violation; an empty result just means no method head matches.  ``gen``
     avoids every name of the network ``task`` sits in, so the body's fresh
-    variables never meet the task's.
+    variables never meet the task's: a run lineage's generator
+    (``acting.RunContext``) never draws a name twice.
     """
     if domain.is_primitive(task.symbol):
         raise ValueError(f"task {task} is primitive; it has no relevant methods")

@@ -62,15 +62,22 @@ step, and that step can move to the front:
   drops the constraints on them, the reduction rewrites ``t``'s; the label
   sets are disjoint, so both orders give the same formula and couples.
 
-So both orders reach the same configuration up to fresh names, perform the
-same actions and replace with the same ``complete`` flags, which is all
-``allow_partial`` and ``allow_complete`` filter on.  The fold gives an
-ancestor still open on the walk's stack no sequences, so a narrowed node
-must not rely on one: when a successor in its ample set has a key still open
-on the stack, the node expands in full (the cycle proviso).  The walks that
-must see every configuration or trace keep the full expansion:
-``maximal_traces`` and its filters, which the jump and acting-only suites
-use, and ``reachable`` as ``verify.check_extendability`` calls it.
+So both orders reach the same configuration, perform the same actions and
+replace with the same ``complete`` flags, which is all ``allow_partial`` and
+``allow_complete`` filter on.  The configuration is the same, names
+included: a lineage names the bodies of a task once (``RunContext``), so
+``t`` is reduced to the same body in either order.  Only where an earlier
+action bound a variable of ``t`` is ``t`` another task when it is reduced
+late; its body then differs in its fresh names alone, which costs the search
+a memo hit but no sequence.
+
+The fold gives an ancestor still open on the walk's stack no sequences, so a
+narrowed node must not rely on one: when a successor in its ample set has a
+key still open on the stack, the node expands in full (the cycle proviso).
+The walks that must see every configuration or trace keep the full
+expansion: ``maximal_traces`` and its filters, which the jump and
+acting-only suites use, and ``reachable`` as ``verify.check_extendability``
+calls it.
 """
 from __future__ import annotations
 
@@ -88,6 +95,7 @@ from .acting import (
     REDUCTION,
     REPLACEMENT,
     Choice,
+    ComponentTables,
     Configuration,
     RunContext,
     Step,
@@ -104,15 +112,7 @@ from .acting import (
     with_alternatives,
 )
 from .constraints import Renaming
-from .domain import fresh_rename
-from .model import (
-    Constant,
-    LabelledTask,
-    NameGenerator,
-    Task,
-    label_key,
-    labelled_task_key,
-)
+from .model import Task, label_key
 from .reduction import Body
 
 SUCCESSFUL = "successful"
@@ -303,7 +303,6 @@ def strategy_step(
     chosen = strategy.choose(trace.steps, choices)
     if chosen is None:
         return None
-    ctx.absorb(chosen)
     step = apply(cfg, chosen, ctx)
     trace.steps.append(step)
     return step
@@ -333,11 +332,11 @@ def replay_step(prev: Configuration, recorded: Step, ctx: RunContext) -> Step:
 
     A step is legal exactly when ``prev`` offers it for its label: an action
     with its binding (``exec_via_action``, every binding), a reduction with
-    its body and alternatives up to fresh names (``_recorded_reduction``), a
-    replacement with its body and flags (``exec_via_replacement``).  An
-    observation is applied as recorded.  ``ctx`` must know every name of
-    ``prev``, as a run's context does; it absorbs each replayed reduction, so
-    the bodies it offers carry the names a run recorded.
+    its body and alternatives (``exec_via_reduction``), a replacement with
+    its body and flags (``exec_via_replacement``), each found by equality.
+    An observation is applied as recorded.  ``ctx`` must be of the lineage
+    that produced the step, so a reduction is offered with the bodies the
+    lineage named for its task.
     """
     label = recorded.label
     if recorded.kind == OBSERVATION:
@@ -347,9 +346,8 @@ def replay_step(prev: Configuration, recorded: Step, ctx: RunContext) -> Step:
         found = next((c for c in offered if c.binding == recorded.binding), None)
     elif recorded.kind == REDUCTION:
         offered = exec_via_reduction(prev, ctx, label)
-        found = _recorded_reduction(offered, recorded, ctx.for_config(prev).names)
-        if found is not None:
-            ctx.absorb(found)
+        wanted = (recorded.body, recorded.alternatives)
+        found = next((c for c in offered if (c.body, c.alternatives) == wanted), None)
     elif recorded.kind == REPLACEMENT:
         offered = tuple(c for c in exec_via_replacement(prev, ctx) if c.label == label)
         wanted = (recorded.body, recorded.complete, recorded.jump)
@@ -362,113 +360,6 @@ def replay_step(prev: Configuration, recorded: Step, ctx: RunContext) -> Step:
     return apply(prev, found, ctx)
 
 
-def _recorded_reduction(
-    offered: tuple[Choice, ...], recorded: Step, taken: tuple[set, set]
-) -> Optional[Choice]:
-    """``recorded``'s reduction, when its body and alternatives are an offered
-    choice's up to a renaming of each body's own names (``_renames``), and
-    those names are fresh (``_fresh``)."""
-    kept = recorded.alternatives
-    bodies = (recorded.body,) + kept
-    for choice in offered:
-        held = choice.task.variables
-        if (
-            len(choice.alternatives) == len(kept)
-            and all(
-                _renames(body, offered_body, held)
-                for body, offered_body in zip(bodies, (choice.body,) + choice.alternatives)
-            )
-            and _fresh(bodies, held, taken)
-        ):
-            return dc_replace(choice, body=recorded.body, alternatives=kept)
-    return None
-
-
-def _fresh(bodies: tuple[Body, ...], held: frozenset, taken: tuple[set, set]) -> bool:
-    """Do ``bodies`` name only labels and variables outside ``held`` that the
-    ``taken`` names of a configuration lack and no other of them names?"""
-    labels = [label for body in bodies for label in body.network.labels]
-    names = [v.name for body in bodies for v in body.network.variables - held]
-    return (
-        len(set(labels)) == len(labels)
-        and len(set(names)) == len(names)
-        and taken[0].isdisjoint(labels)
-        and taken[1].isdisjoint(names)
-    )
-
-
-def _renames(recorded: Body, offered: Body, held: frozenset) -> bool:
-    """Is ``recorded`` ``offered`` under an injective renaming of its labels
-    and of its variables outside ``held``?  Tasks are paired first, which
-    names every label, then constraints; a pairing is undone when a later
-    member cannot follow it, so set order never decides the answer."""
-    if recorded == offered:
-        return True
-    r, o = recorded.network, offered.network
-    if (recorded.method, recorded.index, len(r.tasks), len(r.formula), _outside(r)) != (
-        offered.method, offered.index, len(o.tasks), len(o.formula), _outside(o)
-    ):
-        return False
-    members = sorted(r.tasks, key=labelled_task_key) + sorted(r.formula, key=str)
-    targets = sorted(o.tasks, key=labelled_task_key) + sorted(o.formula, key=str)
-
-    tasks = len(r.tasks)
-
-    def extend(k: int, names: dict, used: frozenset) -> bool:
-        if k == len(members):
-            return True
-        for j in range(tasks) if k < tasks else range(tasks, len(targets)):
-            paired = dict(names)
-            if j not in used and _pair(members[k], targets[j], paired, held):
-                if extend(k + 1, paired, used | {j}):
-                    return True
-        return False
-
-    return extend(0, {}, frozenset())
-
-
-def _outside(network) -> frozenset:
-    """The labels ``network``'s constraints name beyond its tasks."""
-    return frozenset().union(*(c.labels() for c in network.formula)) - network.labels
-
-
-def _pair(member, target, names: dict, held: frozenset) -> bool:
-    """Extend ``names`` so that task or constraint ``member`` names ``target``:
-    a label, or a variable outside ``held``, names one of its own kind that
-    nothing else names; labels outside the body and other terms name
-    themselves."""
-    if isinstance(member, LabelledTask):
-        same = member.task.symbol == target.task.symbol
-        keys, values = (member.label, *member.task.args), (target.label, *target.task.args)
-    else:
-        rename = lambda label: names.get(label, label)  # noqa: E731
-        refs = tuple(ref.relabel(rename) for ref in member.refs())
-        if (member.negated, type(member.body), refs) != (
-            target.negated, type(target.body), target.refs()
-        ):
-            return False
-        literal = getattr(member.body, "literal", None)
-        other = getattr(target.body, "literal", None)
-        if literal is None:
-            return True
-        same = (literal.positive, literal.atom.symbol) == (other.positive, other.atom.symbol)
-        keys, values = literal.atom.args, other.atom.args
-    if not same or len(keys) != len(values):
-        return False
-    for key, value in zip(keys, values):
-        if isinstance(key, Constant) or key in held:
-            if key != value:
-                return False
-        elif key in names:
-            if names[key] != value:
-                return False
-        elif type(value) is not type(key) or value in held or value in names.values():
-            return False
-        else:
-            names[key] = value
-    return True
-
-
 def validate_trace(trace: Trace) -> list[str]:
     """Check every step against the execution semantics; return the problems.
 
@@ -476,7 +367,10 @@ def validate_trace(trace: Trace) -> list[str]:
     state and domain (``acting.initial_configuration``): one top-level couple
     pursuing exactly the network's tasks, nothing reduced.
     Every later step must replay (``replay_step``) to exactly itself, the
-    choice it records included.
+    choice it records included.  Replay runs in the lineage that produced
+    the trace (``trace.ctx``), so each reduction is offered with the bodies
+    that lineage named for its task, but through component tables of its
+    own: no part the producer built is looked up.
     """
     first = trace.steps[0]
     if first.kind != INITIAL:
@@ -485,7 +379,7 @@ def validate_trace(trace: Trace) -> list[str]:
     problems: list[str] = []
     if cfg0 != initial_configuration(cfg0.network, cfg0.state, cfg0.domain):
         problems.append("initial configuration is not its network's initial configuration")
-    ctx = make_context(cfg0.domain, cfg0)
+    ctx = dc_replace(trace.ctx)
     for i in range(1, len(trace.steps)):
         prev = trace.steps[i - 1].config
         recorded = trace.steps[i]
@@ -498,9 +392,6 @@ def validate_trace(trace: Trace) -> list[str]:
             problems.append(f"step {i} ({recorded.describe()}): recomputed step differs")
         except (TraceError, KeyError, ValueError) as exc:
             problems.append(f"step {i} ({recorded.describe()}): {exc}")
-        # the next step starts from the recorded configuration; a context built
-        # for it knows all its names, whatever this step introduced
-        ctx = ctx.for_config(recorded.config)
     return problems
 
 
@@ -521,9 +412,16 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
     in between, re-inserts the abandoned body as an untried alternative, and
     replays the rest of the trace.  Actions performed are preserved and the
     trace never grows.
+
+    Every step is rebuilt in the lineage that produced the trace
+    (``trace.ctx``), through component tables of its own, so the redirected
+    reduction is the one that lineage offers with the chosen alternative,
+    and the abandoned body goes back among the alternatives under its own
+    names: the lineage never draws a name twice, and no rebuilt step meets
+    them.
     """
     steps = list(trace.steps)
-    run_ctx = make_context(trace.initial.domain, trace.initial)
+    ctx = dc_replace(trace.ctx, tables=ComponentTables())
     while True:
         m = _first_complete_replacement(steps)
         if m is None:
@@ -544,10 +442,8 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
                 f"no reduction of {origin} precedes its complete replacement"
             )
         incorrect = steps[i].body
-        ctx = run_ctx.for_config(steps[i - 1].config)
-        restored = _renamed_apart(incorrect, steps[i].task, steps, ctx)
         alternatives = ordered_alternatives(
-            [b for b in steps[i].alternatives if b != correct] + [restored]
+            [b for b in steps[i].alternatives if b != correct] + [incorrect]
         )
 
         subtree = set(incorrect.network.labels)
@@ -565,13 +461,12 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
         redirected = Choice(
             REDUCTION, origin, steps[i].task, body=correct, alternatives=alternatives
         )
-        ctx.absorb(redirected)
         new_steps = steps[:i] + [apply(steps[i - 1].config, redirected, ctx)]
         for j in range(i + 1, m):
             if j in skipped:
                 continue
             new_steps.append(_rebuilt(new_steps[-1].config, steps[j], ctx))
-        _check_junction(new_steps[-1].config, steps[m].config, origin, restored)
+        _check_junction(new_steps[-1].config, steps[m].config, origin, incorrect)
         for j in range(m + 1, len(steps)):
             new_steps.append(_rebuilt(new_steps[-1].config, steps[j], ctx))
         steps = new_steps
@@ -589,25 +484,11 @@ def _rebuilt(prev: Configuration, step: Step, ctx: RunContext) -> Step:
     return replay_step(prev, step, ctx)
 
 
-def _renamed_apart(body: Body, task: Task, steps: list[Step], ctx: RunContext) -> Body:
-    """``body`` under names no configuration of ``steps`` mentions, ``task``'s
-    variables kept: the rebuilt trace keeps it untried where the original
-    dropped it, and a later reduction may reuse its old names."""
-    labels: set[str] = set()
-    variables: set[str] = set()
-    for step in steps:
-        step_labels, step_variables = ctx.for_config(step.config).names
-        labels |= step_labels
-        variables |= step_variables
-    gen = NameGenerator(labels, variables)
-    return dc_replace(body, network=fresh_rename(body.network, gen, keep=task.variables))
-
-
 def _check_junction(
     new_cfg: Configuration,
     old_cfg: Configuration,
     origin: str,
-    restored: Body,
+    abandoned: Body,
 ) -> None:
     """The rebuilt trace must meet the original where the eliminated
     replacement had landed, with two sanctioned differences: the redirected
@@ -623,7 +504,7 @@ def _check_junction(
         raise TraceError("rebuilt trace diverges from the original at the junction")
     held = next(c for c in old_cfg.couples if c.origin == origin).alternatives
     expected = with_alternatives(
-        old_cfg.couples, origin, ordered_alternatives(set(held) | {restored})
+        old_cfg.couples, origin, ordered_alternatives(set(held) | {abandoned})
     )
     if expected != new_cfg.couples:
         raise TraceError("rebuilt couples diverge from the original at the junction")
@@ -657,8 +538,11 @@ def canonical_key(cfg: Configuration) -> str:
     origins, and tasks or constraints that differ only in their labels are
     numbered in label order.  Two configurations that differ by another
     renaming may get different keys, which costs the explorers a memo hit
-    but never a result.  A canonical labelling would merge few of them
-    (ROADMAP.md), so none is attempted.
+    but never a result.  Within a lineage, which names each reduction once,
+    two paths that reduce the same tasks to the same bodies reach equal
+    configurations, unless one reduced a task after an action bound one of
+    its variables (module docstring).  A canonical labelling would merge few
+    of the rest (ROADMAP.md), so none is attempted.
 
     The fingerprint is cached on the network (``TaskNetwork.fingerprint``);
     ``acting.ComponentTables`` says how searches share it.
@@ -690,7 +574,7 @@ def _expand(cfg: Configuration, ctx: RunContext, nodes, follow) -> tuple[Choice,
     """Count ``cfg`` against the budget; return its executions ``follow`` accepts."""
     if next(nodes) > SEARCH_NODES:
         raise SearchBudgetExceeded(f"more than {SEARCH_NODES} configurations")
-    return tuple(filter(follow, exec_all(cfg, ctx.for_config(cfg), all_bindings=True)))
+    return tuple(filter(follow, exec_all(cfg, ctx, all_bindings=True)))
 
 
 def maximal_traces(

@@ -28,7 +28,7 @@ from htnact.constraints import LabelRef, TaskNetwork
 from htnact.corpus import corpus
 from htnact.domain import fresh_rename
 from htnact.fixtures import fixture_text
-from htnact.model import Constant, LabelledTask, NameGenerator, Substitution, Task, Variable
+from htnact.model import Constant, LabelledTask, Substitution, Task, Variable
 from htnact.reduction import Body
 from htnact.syntax import parse_domain, parse_problem, parse_scenario
 from htnact.trace import (
@@ -92,11 +92,10 @@ def mutants(trace: Trace) -> list[tuple[str, int, Trace]]:
     """``(kind, step index, prefix)`` for every forgery of every step."""
     out = []
     steps = trace.steps
-    names = _trace_names(trace)
     others = _bodies(trace)
     for i in range(1, len(steps)):
         prev, step = steps[i - 1].config, steps[i]
-        for kind, forged in _forgeries(prev, step, names, others, steps):
+        for kind, forged in _forgeries(prev, step, trace.ctx.gen, others, steps):
             out.append((kind, i, Trace(steps[:i] + [forged], trace.ctx)))
     return out
 
@@ -112,11 +111,11 @@ def problem_lists() -> list[tuple[str, str, int, list[str]]]:
     return out
 
 
-def _forgeries(prev, step: Step, names, others, steps):
+def _forgeries(prev, step: Step, gen, others, steps):
     if step.kind == ACTION:
         yield from _action_forgeries(prev, step)
     elif step.kind == REDUCTION:
-        yield from _reduction_forgeries(prev, step, names, others)
+        yield from _reduction_forgeries(prev, step, gen, others)
     elif step.kind == REPLACEMENT:
         yield "flipped complete flag", dc_replace(step, complete=not step.complete)
         yield "flipped jump flag", dc_replace(step, jump=not step.jump)
@@ -149,7 +148,9 @@ def _action_forgeries(prev, step: Step):
     yield "forged action task", dc_replace(step, task=Task("forged", step.task.args))
 
 
-def _reduction_forgeries(prev, step: Step, names, others):
+def _reduction_forgeries(prev, step: Step, gen, others):
+    """Forged reductions; a forged body's fresh names come from ``gen``, the
+    trace's lineage generator, so they are fresh in the trace too."""
     kept = step.alternatives
 
     def reduced(body: Body, alternatives) -> Step:
@@ -174,14 +175,14 @@ def _reduction_forgeries(prev, step: Step, names, others):
         yield "forged body: constraint negated", reduced(negated, kept)
     if kept:
         yield "dropped alternative", reduced(step.body, kept[1:])
-    copy = fresh_rename(step.body.network, NameGenerator(*names), keep=step.task.variables)
+    copy = fresh_rename(step.body.network, gen, keep=step.task.variables)
     added = ordered_alternatives(kept + (dc_replace(step.body, network=copy),))
     yield "added alternative", reduced(step.body, added)
     # the step records other alternatives than the couple it made keeps: a
-    # first one under fresh names, which replay accepts, or one more
+    # first one under other fresh names, or one more
     unlike = added
     if kept:
-        first = fresh_rename(kept[0].network, NameGenerator(*names), keep=step.task.variables)
+        first = fresh_rename(kept[0].network, gen, keep=step.task.variables)
         unlike = (dc_replace(kept[0], network=first),) + kept[1:]
     yield "alternatives unlike the couple's", dc_replace(step, alternatives=unlike)
     taken = sorted(prev.network.labels - {step.label}) or [step.label]
@@ -222,14 +223,3 @@ def _bodies(trace: Trace) -> list[Body]:
         for couple in step.config.sorted_couples():
             out.extend(couple.alternatives)
     return out
-
-
-def _trace_names(trace: Trace) -> tuple[set, set]:
-    """Every label and variable name the trace's configurations mention."""
-    labels: set[str] = set()
-    variables: set[str] = set()
-    for step in trace.steps:
-        step_labels, step_variables = trace.ctx.for_config(step.config).names
-        labels |= step_labels
-        variables |= step_variables
-    return labels, variables

@@ -253,13 +253,7 @@ def test_observation_does_not_change_applicability(rover, rover_nocali):
     from htnact.acting import exec_all
 
     config, ctx, dtrace = fresh_agent(rover, rover_nocali.state)
-    before = {
-        s.describe()
-        for s in exec_all(config, ctx.for_config(config))
-    }
+    before = {s.describe() for s in exec_all(config, ctx)}
     new_config, _ = observe(config, [("E", Task("charge"))], ctx)
-    after = {
-        s.describe()
-        for s in exec_all(new_config, ctx.for_config(new_config))
-    }
+    after = {s.describe() for s in exec_all(new_config, ctx)}
     assert before <= after

@@ -51,7 +51,7 @@ from htnact.trace import (
     sample_traces,
     successful_action_sequences,
 )
-from htnact.verify import check_extendability
+from htnact.verify import check_extendability, traces_with_complete_replacements
 from search_reference import reference_action_sequences
 
 
@@ -109,7 +109,7 @@ def explored(cfg0, limit: int = 200):
     while stack and len(out) < limit:
         cfg = stack.pop()
         out.append(cfg)
-        for choice in exec_all(cfg, ctx.for_config(cfg), all_bindings=True):
+        for choice in exec_all(cfg, ctx, all_bindings=True):
             successor = apply(cfg, choice).config
             key = canonical_key(successor)
             if key not in seen:
@@ -135,15 +135,14 @@ def test_blocked_checks_agree_with_the_per_couple_reference(
             if is_successful(cfg):
                 continue
             nodes += 1
-            node_ctx = ctx.for_config(cfg)
-            expected = reference_replacements(cfg, node_ctx)
-            assert exec_via_replacement(cfg, node_ctx) == expected
-            actions = exec_via_action(cfg, node_ctx, all_bindings=True)
-            assert exec_via_replacement(cfg, node_ctx, actions) == expected
-            expected_blocked = reference_is_trace_blocked(cfg, node_ctx)
-            assert is_trace_blocked(cfg, node_ctx) == expected_blocked
+            expected = reference_replacements(cfg, ctx)
+            assert exec_via_replacement(cfg, ctx) == expected
+            actions = exec_via_action(cfg, ctx, all_bindings=True)
+            assert exec_via_replacement(cfg, ctx, actions) == expected
+            expected_blocked = reference_is_trace_blocked(cfg, ctx)
+            assert is_trace_blocked(cfg, ctx) == expected_blocked
             for couple in meeting_couples(cfg):
-                args = (couple.pursued, cfg.network, cfg.state, node_ctx)
+                args = (couple.pursued, cfg.network, cfg.state, ctx)
                 assert is_blocked(*args) == reference_is_blocked(*args)
             replaced += bool(expected)
             trace_blocked += expected_blocked
@@ -265,38 +264,56 @@ def test_exec_all_checks_each_primary_action_once(monkeypatch):
 def test_explorer_builds_names_only_where_a_reduction_may_draw_them(
     monkeypatch, rover, rover_nocali
 ):
-    built = []
-    real = acting._names_of_config
+    """A search names a task's bodies on its first offer only, each
+    ``(label, task)`` once, however many nodes offer it."""
+    named = []
+    real = acting.RunContext.absorb
 
-    def recorded(config):
-        built.append(config)
-        return real(config)
+    def recorded(self, task):
+        named.append(task)
+        return real(self, task)
 
-    monkeypatch.setattr(acting, "_names_of_config", recorded)
-    nodes = []
-    real_exec_all = acting.exec_all
+    monkeypatch.setattr(acting.RunContext, "absorb", recorded)
+    offers = []
+    real_reduction = acting.exec_via_reduction
 
-    def counted_exec_all(cfg, *args, **kwargs):
-        nodes.append(cfg)
-        return real_exec_all(cfg, *args, **kwargs)
+    def counted_reduction(cfg, *args, **kwargs):
+        offered = real_reduction(cfg, *args, **kwargs)
+        offers.extend(offered)
+        return offered
 
-    monkeypatch.setattr(trace_module, "exec_all", counted_exec_all)
-    cfg0 = initial_configuration(rover_nocali.network, rover_nocali.state, rover)
-    assert successful_action_sequences(cfg0, make_context(rover, cfg0))
-    assert built and len(built) < len(nodes)
-    for cfg in built:
-        assert any(
-            rover.is_nonprimitive(lt.task.symbol)
-            for lt in primary_tasks(cfg.network, rover)
-        )
-
-
-def test_a_context_builds_the_names_of_its_configuration_once(rover, rover_nocali):
+    monkeypatch.setattr(acting, "exec_via_reduction", counted_reduction)
     cfg0 = initial_configuration(rover_nocali.network, rover_nocali.state, rover)
     ctx = make_context(rover, cfg0)
-    assert "gen" not in vars(ctx)
-    assert ctx.gen is ctx.gen
-    assert ctx.gen.label("A") == "A_2"
+    assert successful_action_sequences(cfg0, ctx)
+    assert len(named) == len(ctx.reductions) < len(offers)
+    assert sorted(map(str, named)) == sorted(str(task) for _, task in ctx.reductions)
+
+
+def test_every_context_of_a_lineage_shares_one_generator(monkeypatch, rover, rover_nocali):
+    """A run's context, and the contexts that validate and rebuild its
+    traces, share the lineage's generator and table of reductions, each with
+    component tables of its own."""
+    cfg0 = initial_configuration(rover_nocali.network, rover_nocali.state, rover)
+    trace = run(cfg0, DefaultStrategy())
+    assert trace.ctx.gen.label("A") == "A_2"  # the initial names are taken
+    replaying = []
+    real = trace_module.replay_step
+
+    def recorded(prev, step, ctx):
+        replaying.append(ctx)
+        return real(prev, step, ctx)
+
+    monkeypatch.setattr(trace_module, "replay_step", recorded)
+    assert trace_module.validate_trace(trace) == []
+    sampled = next(t for c in corpus(20, 0) for t in traces_with_complete_replacements(c))
+    count = len(replaying)
+    trace_module.eliminate_complete_replacements(sampled)
+    assert 0 < count < len(replaying)
+    for index, ctx in enumerate(replaying):
+        producer = trace.ctx if index < count else sampled.ctx
+        assert ctx.gen is producer.gen and ctx.reductions is producer.reductions
+        assert ctx is not producer and ctx.tables is not producer.tables
 
 
 def test_couples_mention_no_variable_the_network_lacks(rover, rover_problem, rover_nocali):
@@ -310,7 +327,8 @@ def test_couples_mention_no_variable_the_network_lacks(rover, rover_problem, rov
 
 
 def test_no_two_couples_share_an_origin(rover):
-    """A context names couple origins too, so no reduction draws one again."""
+    """A lineage's generator never draws a name twice, so no reduction draws
+    an origin again."""
     two = parse_problem(
         "problem two\nstate: didExp(loc1), didExp(loc2), lander(lan1)\n"
         "tasks:\n  A1: transmitData(loc1)\n  A2: transmitData(loc2)\n"
@@ -344,13 +362,12 @@ def test_memoised_applicability_equals_a_fresh_computation(
     for cfg0 in starts(rover, rover_problem, rover_nocali):
         ctx = make_context(cfg0.domain, cfg0)
         for cfg in explored(cfg0):
-            node_ctx = ctx.for_config(cfg)
             for label in primary_actions(cfg):
                 args = (label, cfg.network, cfg.state)
                 for limit in (None, 1):
                     fresh = make_context(cfg0.domain, cfg0)
                     assert applicable_substitutions(
-                        *args, node_ctx, limit
+                        *args, ctx, limit
                     ) == applicable_substitutions(*args, fresh, limit)
                     calls += 1
         entries += len(ctx.tables.applicable)

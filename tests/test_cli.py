@@ -397,3 +397,46 @@ def test_verify_elimination_reports_replay_failure(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("complete-replacement-elimination: FAIL")
     assert "Traceback" not in captured.out + captured.err
+
+
+REFERENCE_DOMAIN = """\
+domain refs
+
+operator a
+  pre: p
+  add:
+  del: p
+
+operator c
+  pre:
+  add:
+  del:
+"""
+
+REFERENCE_PROBLEM = """\
+problem refs
+state: p
+tasks:
+  n1: a
+  n2: c
+  n3: c
+constraints:
+  before p last[n1,n2]
+"""
+
+
+@pytest.mark.parametrize("command", [["act"], ["plan", "--depth", "3"]])
+def test_a_problem_reference_acting_reads_differently_is_warned(tmp_path, capsys, command):
+    """``last[n1,n2]`` in a before-constraint's slot: acting gives a.c.c,
+    c.a.c and c.c.a, planning only the last two; both commands say so."""
+    domain, problem = tmp_path / "refs.htn", tmp_path / "refs.prob"
+    domain.write_text(REFERENCE_DOMAIN)
+    problem.write_text(REFERENCE_PROBLEM)
+    code = main([command[0], str(domain), str(problem), *command[1:]])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err == (
+        "warning [reference-form] problem refs: last[n1,n2] in before p last[n1,n2] "
+        "is neither a plain label nor its slot's own form; acting reads it differently "
+        "from planning\n"
+    )

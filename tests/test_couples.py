@@ -78,7 +78,7 @@ def walked(cfg0, monkeypatch):
     monkeypatch.setattr(trace_module, "apply", recording)
     ctx = make_context(cfg0.domain, cfg0)
     for cfg, *_ in reachable(cfg0, ctx):
-        yield cfg, flats[id(cfg)][1], ctx.for_config(cfg)
+        yield cfg, flats[id(cfg)][1], ctx
 
 
 def test_the_tree_behaves_as_the_flat_couples_everywhere_reachable(

@@ -128,7 +128,7 @@ def walked(cfg0):
     it and the choices the walk took there."""
     ctx = make_context(cfg0.domain, cfg0)
     for cfg, _, choices, _ in reachable(cfg0, ctx):
-        yield cfg, ctx.for_config(cfg), choices
+        yield cfg, ctx, choices
 
 
 def test_grounding_agrees_with_the_brute_force(rover, rover_problem, rover_nocali):

@@ -50,7 +50,7 @@ def explored_keys(cfg0) -> set:
     stack = [cfg0]
     while stack:
         cfg = stack.pop()
-        for choice in exec_all(cfg, ctx.for_config(cfg), all_bindings=True):
+        for choice in exec_all(cfg, ctx, all_bindings=True):
             successor = apply(cfg, choice).config
             keys = (canonical_key(successor), key_reference.canonical_key(successor))
             if keys not in seen:

@@ -113,14 +113,6 @@ def test_name_generator_keeps_free_bases():
     assert gen.label("B") == "B_2"
 
 
-def test_name_generator_clone_is_independent():
-    gen = NameGenerator()
-    gen.label("n")
-    fork = gen.clone()
-    assert fork.label("n") == "n_2"
-    assert gen.label("n") == "n_2"
-
-
 def test_variable_and_constant_collection():
     task = Task("t", (X, loc1))
     assert variables_of(task) == frozenset({X})
@@ -188,7 +180,7 @@ def check_bindings(cfg, ctx) -> int:
     variables to a constant; returns how many bindings were tried."""
     bindings = [
         choice.binding
-        for choice in exec_all(cfg, ctx.for_config(cfg), all_bindings=True)
+        for choice in exec_all(cfg, ctx, all_bindings=True)
         if choice.kind == ACTION and choice.binding
     ]
     bindings += [

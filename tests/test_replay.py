@@ -1,5 +1,7 @@
 """Replay by membership: a recorded step is legal exactly when its
-predecessor offers it.
+predecessor offers it, found by equality.  A run lineage names a task's
+bodies once, so every offer of a reduction carries the same names, and
+those names are fresh.
 
 ``tests/mutation_corpus.py`` builds the valid traces and their one-step
 forgeries; every source must validate and every forgery must be rejected at
@@ -29,13 +31,16 @@ from htnact.acting import (
     exec_via_reduction,
     initial_configuration,
     make_context,
+    ordered_alternatives,
     primary_tasks,
 )
+from htnact.corpus import corpus
 from htnact.model import Task
 from htnact.reduction import relevant_method_bodies
 from htnact.syntax import parse_domain, parse_problem
-from htnact.trace import DefaultStrategy, Trace, run, validate_trace
+from htnact.trace import DefaultStrategy, Trace, reachable, run, validate_trace
 from mutation_corpus import mutants, renamed, sources
+from test_search import transmits
 
 KINDS = {
     "forged body",
@@ -79,29 +84,87 @@ def test_every_mutant_is_rejected_at_the_step_it_forges(corpus_traces):
 
 def test_a_reduction_with_another_methods_body_is_rejected(rover, rover_problem):
     cfg = initial_configuration(rover_problem.network, rover_problem.state, rover)
-    steps = run(cfg, DefaultStrategy()).steps
+    trace = run(cfg, DefaultStrategy())
+    steps = trace.steps
     assert steps[2].describe() == "reduction A with m1"
     m3 = next(s.body for s in steps if s.kind == REDUCTION and s.body.method == "m3")
     forged = apply(steps[1].config, Choice(REDUCTION, "A", steps[2].task, body=m3))
-    problems = validate_trace(Trace(steps[:2] + [forged], None))
+    problems = validate_trace(Trace(steps[:2] + [forged], trace.ctx))
     assert len(problems) == 1 and problems[0].startswith("step 2 (reduction A with m3)")
 
 
-def test_fresh_names_in_any_order_validate(rover, rover_problem):
-    """The recorded body and alternative carry names that reverse the label
-    order the offered ones have; a renaming of the body's own names is all
-    that differs, so the step is legal."""
+def test_a_reduction_under_other_fresh_names_is_rejected(rover, rover_problem):
+    """A lineage names a task's bodies once, so a reduction whose body or
+    alternative carries any other fresh names is not the one offered, even
+    where only a renaming of the body's own names differs."""
     cfg = initial_configuration(rover_problem.network, rover_problem.state, rover)
     ctx = make_context(rover, cfg)
     offered = exec_via_reduction(cfg, ctx, "A")[0]
     assert offered.body.method == "m1" and offered.alternatives[0].method == "m2"
-    body = renamed(offered.body, {"1": "z3", "2": "z2", "3": "z1"})
-    alternative = renamed(offered.alternatives[0], {"6": "y7", "7": "y6"}, (("L", "Q"),))
-    step = apply(cfg, dc_replace(offered, body=body, alternatives=(alternative,)))
-    assert validate_trace(Trace([Step("initial", config=cfg), step], ctx)) == []
-    clash = renamed(offered.alternatives[0], {"6": "z3", "7": "y6"}, (("L", "Q"),))
-    step = apply(cfg, dc_replace(offered, body=body, alternatives=(clash,)))
-    assert validate_trace(Trace([Step("initial", config=cfg), step], ctx))
+
+    def problems(body, alternative) -> list[str]:
+        step = apply(cfg, dc_replace(offered, body=body, alternatives=(alternative,)))
+        return validate_trace(Trace([Step("initial", config=cfg), step], ctx))
+
+    body, (alternative,) = offered.body, offered.alternatives
+    assert problems(body, alternative) == []
+    forged = [
+        (renamed(body, {"1": "z3", "2": "z2", "3": "z1"}), alternative),
+        (body, renamed(alternative, {"6": "y7", "7": "y6"}, (("L", "Q"),))),
+        (body, renamed(alternative, {}, (("L", "Q"),))),
+    ]
+    for pair in forged:
+        assert pair != (body, alternative)
+        found = problems(*pair)
+        assert len(found) == 1 and found[0].startswith("step 1 (reduction A with m1)"), found
+
+
+def lineage_tables(rover):
+    """Each start's lineage table after ``reachable`` walked it, with every
+    reduction the walk was offered: two rover transmits and corpus cases."""
+    starts = [(transmits(rover, 2), rover)] + [(c, c.domain) for c in corpus(30, 0)]
+    for problem, domain in starts:
+        cfg0 = initial_configuration(problem.network, problem.state, domain)
+        ctx = make_context(domain, cfg0)
+        offers = [
+            choice
+            for _, _, choices, _ in reachable(cfg0, ctx)
+            for choice in choices
+            if choice.kind == REDUCTION
+        ]
+        yield cfg0, ctx.reductions, offers
+
+
+def test_every_offer_of_a_task_carries_the_same_bodies(rover):
+    """A lineage names a task's bodies on its first offer; every later
+    offer, on any branch, carries the recorded ones."""
+    _, table, offers = next(lineage_tables(rover))
+    carried: dict = {}
+    for choice in offers:
+        bodies = ordered_alternatives((choice.body,) + choice.alternatives)
+        carried.setdefault((choice.label, choice.task), set()).add(bodies)
+    assert len(offers) > 2 * len(carried) > 0
+    assert {key: found.pop() for key, found in carried.items() if len(found) == 1} == table
+
+
+def test_no_name_is_shared_by_two_entries_of_a_lineage_table(rover):
+    """Every label and fresh variable of a recorded body is its own: no
+    other body of its entry, no other entry and no initial configuration
+    names it (what replay used to check at every step)."""
+    entries = 0
+    for cfg0, table, _ in lineage_tables(rover):
+        entries += len(table)
+        owner: dict = {("label", label): None for label in cfg0.network.labels}
+        owner.update((("variable", v.name), None) for v in cfg0.network.variables)
+        for (label, task), bodies in table.items():
+            for body in bodies:
+                names = [("label", name) for name in body.network.labels]
+                names += [
+                    ("variable", v.name) for v in body.network.variables - task.variables
+                ]
+                for name in names:
+                    assert owner.setdefault(name, (label, body)) == (label, body), name
+    assert entries > 20
 
 
 HIDING_DOMAIN = """\

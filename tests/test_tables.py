@@ -80,7 +80,7 @@ def test_rover_two_transmits_walk_matches_fresh_successors_and_keys(
     actions = sum(choice.kind == ACTION for _, choice, _ in edges)
     # the tables reuse parts: fewer networks and states built than actions
     assert len(tables.networks) < actions and len(tables.states) < actions
-    assert (nodes, len(sequences), digest(sequences)) == (383, 20, "30a43796025a")
+    assert (nodes, len(sequences), digest(sequences)) == (372, 20, "30a43796025a")
 
 
 ESCAPE_DOMAIN = """\

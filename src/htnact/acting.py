@@ -176,17 +176,6 @@ class ReductionCouple:
         return frozenset(lt.label for lt in self.members)
 
     @cached_property
-    def sorted_members(self) -> tuple[tuple[str, int, str], ...]:
-        """``(task text, label length, label)`` of each direct member, sorted:
-        by task text and then label, the order ``canonical_key`` renames in."""
-        return tuple(sorted((lt.task.text, len(lt.label), lt.label) for lt in self.members))
-
-    @cached_property
-    def alternatives_key(self) -> str:
-        """The alternatives' ``Body.key_fragment`` texts, joined once."""
-        return " ".join(body.key_fragment for body in self.alternatives)
-
-    @cached_property
     def members_text(self) -> str:
         """The pursued tasks' texts in label order, rendered once per couple."""
         return " ".join([lt.text for *_, lt in self.ordered])
@@ -295,8 +284,8 @@ class ComponentTables:
     (network, label), which extracted literals and realised constraints
     both read; ``applicable`` keeps ``applicable_substitutions`` per (task,
     extracted literals, state, limit).  A configuration's key
-    (``trace.canonical_key``) reads the fingerprint and the renaming it fixed
-    that are cached on the network itself (``TaskNetwork.fingerprint``).
+    (``trace.canonical_key``) is its network, state and couples themselves,
+    so a search keys through no table.
 
     ``make_context`` starts empty tables and ``RunContext.fresh_tables``
     starts fresh ones: ``extend_universe`` does, and

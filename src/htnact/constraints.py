@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 from .model import (
     EQUALITY_SYMBOL,
@@ -366,14 +366,6 @@ class TaskNetwork:
         return sorted(self.tasks, key=labelled_task_key)
 
     @cached_property
-    def fingerprint(self) -> tuple[str, "Renaming"]:
-        """``network_fingerprint`` of this network and the renaming it fixed,
-        computed once per object; a configuration's key continues a copy of
-        the renaming over the couples."""
-        rename = Renaming()
-        return network_fingerprint(self, rename), rename
-
-    @cached_property
     def has_negated_between(self) -> bool:
         """Does the formula hold a negated between-constraint?  Its discharge
         is the one rewrite of an action that reads the state."""
@@ -385,11 +377,7 @@ class TaskNetwork:
 
 
 class Renaming(dict):
-    """Maps each label to ``#k``, numbering labels in order of first request.
-
-    Calling it renames a label; as a dict it holds the renaming fixed so
-    far, and ``Renaming(other)`` continues ``other``'s numbering apart.
-    """
+    """Maps each label to ``#k``, numbering labels in order of first request."""
 
     def __missing__(self, label: str) -> str:
         name = self[label] = f"#{len(self)}"
@@ -398,9 +386,7 @@ class Renaming(dict):
     __call__ = dict.__getitem__
 
 
-def network_fingerprint(
-    network: TaskNetwork, rename: Optional[Callable[[str], str]] = None
-) -> str:
+def network_fingerprint(network: TaskNetwork) -> str:
     """``network`` with its labels renamed to ``#k``.
 
     Labels are numbered in a deterministic traversal order: the tasks sorted
@@ -410,14 +396,11 @@ def network_fingerprint(
     Networks that differ only by a renaming of their labels share one when
     the renaming keeps that order, not otherwise: tasks with the same text
     are told apart by label order, and a constraint's text names its labels.
-    Passing ``rename`` continues one renaming across several networks, and
-    leaves the renaming fixed in it for the caller to read.
 
     Task and constraint texts and each constraint's sorted labels are cached
     on those values, so a call sorts and renames but renders nothing again.
     """
-    if rename is None:
-        rename = Renaming()
+    rename = Renaming()
     tasks = sorted(network.tasks, key=lambda lt: (lt.task.text, label_key(lt.label)))
     pieces = [f"{rename(lt.label)}:{lt.task.text}" for lt in tasks]
     formula = sorted(network.formula, key=lambda c: c.text)
@@ -461,10 +444,6 @@ def holds(literal: Literal, state: frozenset) -> bool:
     else:
         value = atom in state
     return value if literal.positive else not value
-
-
-def satisfies(state: frozenset, literals: Iterable[Literal]) -> bool:
-    return all(holds(lit, state) for lit in literals)
 
 
 def ordering_edges(formula: Iterable[Constraint]) -> set[tuple[str, str]]:

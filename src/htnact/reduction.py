@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .constraints import TaskNetwork, network_fingerprint
+from .constraints import TaskNetwork
 from .domain import Domain, fresh_rename
 from .model import NameGenerator, Task, cached_hash, match_task
 
@@ -33,16 +32,6 @@ class Body:
         """The bodies a couple holds come from distinct methods, so the
         declaring method's position orders them."""
         return self.index
-
-    @cached_property
-    def key_fragment(self) -> str:
-        """This body's part of a canonical configuration key, built once.
-
-        The network is fingerprinted under a renaming of its own: a body's
-        labels are fresh and its constraints mention no label outside it, so
-        no other part of a configuration shares a label with it.
-        """
-        return f"{self.index}<{network_fingerprint(self.network)}>"
 
 
 def has_relevant_method(task: Task, domain: Domain) -> bool:

@@ -15,8 +15,9 @@ long).
 The searches are two depth-first walks with explicit stacks, so search depth
 costs no Python stack: ``maximal_traces``, filtered by
 ``iter_successful_traces`` and ``sample_traces``, and ``reachable``, which
-enters each ``canonical_key`` once and which ``successful_action_sequences``
-and ``verify.check_extendability`` consume.  Both count each expanded
+enters each configuration once, keyed by its network, state and couples
+(``canonical_key``), and which ``successful_action_sequences`` and
+``verify.check_extendability`` consume.  Both count each expanded
 configuration against ``SEARCH_NODES`` and raise ``SearchBudgetExceeded``
 past it, never returning a partial result.
 
@@ -111,7 +112,6 @@ from .acting import (
     ordered_alternatives,
     with_alternatives,
 )
-from .constraints import Renaming
 from .model import Task, label_key
 from .reduction import Body
 
@@ -519,49 +519,20 @@ class SearchBudgetExceeded(Exception):
     """A search expanded more than ``SEARCH_NODES`` configurations."""
 
 
-def canonical_key(cfg: Configuration) -> str:
-    """A fingerprint of a configuration for memoising search.
+def canonical_key(cfg: Configuration) -> tuple:
+    """The key that memoises a search: ``(network, state, couples)``, the
+    parts of a configuration its executions read.  Each caches its hash, so
+    keying a configuration renders and sorts nothing.
 
-    Three pieces, under one renaming of the network's and the couples'
-    labels: the network's ``network_fingerprint``, the state's text, and
-    the couple tree, rendered by continuing the renaming the fingerprint
-    fixed: first the origins, in label order, then each couple's direct
-    members, by task text and label, as it renders them beside the origins
-    of the couples below it.  So the couples' part of a key grows linearly
-    with the couples.  Each untried alternative body adds its own
-    ``Body.key_fragment``, whose renaming is local: body labels are fresh
-    and meet no other part of the configuration, which every execution
-    keeps.  Distinct structures always produce distinct keys.
-
-    The key is invariant only under renamings that keep label order, not
-    under every renaming: couples are taken in ``label_key`` order of their
-    origins, and tasks or constraints that differ only in their labels are
-    numbered in label order.  Two configurations that differ by another
-    renaming may get different keys, which costs the explorers a memo hit
-    but never a result.  Within a lineage, which names each reduction once,
-    two paths that reduce the same tasks to the same bodies reach equal
-    configurations, unless one reduced a task after an action bound one of
-    its variables (module docstring).  A canonical labelling would merge few
-    of the rest (ROADMAP.md), so none is attempted.
-
-    The fingerprint is cached on the network (``TaskNetwork.fingerprint``);
-    ``acting.ComponentTables`` says how searches share it.
+    Two configurations share a key exactly when they are equal, names
+    included.  A run lineage names each reduction once (``RunContext``), so
+    two paths that reduce the same tasks reach equal configurations.  Paths
+    that differ in labels alone do not: either of two equal tasks acted, or
+    one path reduced a task after an action bound one of its variables
+    (module docstring).  The search expands both, which costs nodes but
+    never a result.
     """
-    text, renaming = cfg.network.fingerprint
-    rename = Renaming(renaming)
-    pieces = [text, "@" + " ".join(sorted(atom.text for atom in cfg.state))]
-    couples = cfg.sorted_couples()
-    for couple in couples[1:]:
-        rename(couple.origin)
-    for couple in couples:
-        origin = rename(couple.origin) if couple.origin else "top"
-        members = " ".join(
-            sorted([f"{rename(label)}:{text}" for text, _, label in couple.sorted_members])
-        )
-        if couple.children:  # in origin order, so in the order their names were drawn
-            members += " / " + " ".join([rename(c.origin) for c in couple.children])
-        pieces.append(f"[{origin}: {members} ! {couple.alternatives_key}]")
-    return "\n".join(pieces)
+    return (cfg.network, cfg.state, cfg.couples)
 
 
 def _allowed(allow_partial: bool, allow_complete: bool, choice: Choice) -> bool:
@@ -609,7 +580,7 @@ def reachable(
     ctx: RunContext,
     follow=lambda choice: True,
     narrow=lambda choices: choices,
-) -> Iterator[tuple[Configuration, str, tuple[Choice, ...], tuple]]:
+) -> Iterator[tuple[Configuration, tuple, tuple[Choice, ...], tuple]]:
     """Each configuration reachable from ``cfg0``, once per ``canonical_key``.
 
     Yields ``(cfg, key, choices, successors)`` in depth-first post-order:
@@ -620,31 +591,21 @@ def reachable(
     its choices (the cycle proviso).  A successful configuration is a leaf:
     it is never entered or keyed, and its key reads None.
 
-    Successors are built from ``ctx``'s tables (``acting.ComponentTables``).
-    Keys come from a table of the walk's own, mapping a configuration's
-    ``(network, state, couples)``, all the key reads, to its
-    ``canonical_key``, so equal configurations are keyed once.
+    Successors are built from ``ctx``'s tables (``acting.ComponentTables``),
+    and each is keyed once, where the walk builds it.
     """
     if is_successful(cfg0):
         return
     nodes = itertools.count(1)
-    keys: dict[tuple, str] = {}  # (network, state, couples) -> canonical_key
-    seen: set[str] = set()
-    opened: set[str] = set()  # the keys on the stack
+    seen: set[tuple] = set()
+    opened: set[tuple] = set()  # the keys on the stack
     stack = []
 
-    def key_of(cfg: Configuration) -> str:
-        parts = (cfg.network, cfg.state, cfg.couples)
-        key = keys.get(parts)
-        if key is None:
-            key = keys[parts] = canonical_key(cfg)
-        return key
-
-    def successor(cfg: Configuration, choice: Choice) -> tuple[Configuration, Optional[str]]:
+    def successor(cfg: Configuration, choice: Choice) -> tuple[Configuration, Optional[tuple]]:
         nxt = apply(cfg, choice, ctx).config
-        return nxt, None if is_successful(nxt) else key_of(nxt)
+        return nxt, None if is_successful(nxt) else canonical_key(nxt)
 
-    def enter(cfg: Configuration, key: str) -> None:
+    def enter(cfg: Configuration, key: tuple) -> None:
         seen.add(key)
         opened.add(key)
         choices = _expand(cfg, ctx, nodes, follow)
@@ -656,7 +617,7 @@ def reachable(
             kept, ahead = choices, []
         stack.append((cfg, key, kept, iter(ahead), []))
 
-    enter(cfg0, key_of(cfg0))
+    enter(cfg0, canonical_key(cfg0))
     while stack:
         cfg, key, choices, ahead, successors = stack[-1]
         for choice in choices[len(successors):]:
@@ -706,7 +667,7 @@ def successful_action_sequences(
     """
     # None keys a successful configuration; an ancestor still open has no
     # entry and contributes nothing
-    memo: dict[Optional[str], frozenset] = {None: frozenset({()})}
+    memo: dict[Optional[tuple], frozenset] = {None: frozenset({()})}
     key = None
     follow = functools.partial(_allowed, allow_partial, allow_complete)
     for _, key, choices, successors in reachable(cfg0, ctx, follow, _ample):

@@ -1,11 +1,12 @@
-"""Canonical keys rebuilt from scratch: the differential reference for
+"""A renaming-invariant configuration key: the differential reference for
 ``htnact.trace.canonical_key``.
 
 Every call renders the state, sorts every couple's members and fingerprints
 every alternative body under one renaming shared with the network and the
-couples.  ``canonical_key`` builds its key from parts cached on immutable
-values instead; its strings differ, but over any set of configurations both
-must put the same configurations together.
+couples, so configurations that differ by a renaming that keeps label order
+share a key.  ``canonical_key`` compares configurations by equality instead:
+it never puts together two configurations this key separates, and a search
+memoised under either key finds the same results (``tests/test_key.py``).
 """
 from __future__ import annotations
 

@@ -7,16 +7,20 @@ couples are built from its own predecessor's, and at every configuration the
 two must agree on the pursued sets, the replacements offered with their
 complete and jump flags, whether the trace is blocked, the export's couple
 lines and the couples after an observation.  The tree also makes an action
-touch only the couples that mention its binding, and keeps the couples'
-part of a key linear in the depth of a recursion.
+touch only the couples that mention its binding, and keying a
+configuration computes no couple's view, however deep the recursion.
 """
 from __future__ import annotations
+
+from dataclasses import replace as dc_replace
+from functools import cached_property
 
 import couple_reference
 from htnact import model
 from htnact import trace as trace_module
 from htnact.acting import (
     INITIAL,
+    ReductionCouple,
     OBSERVATION,
     Choice,
     Step,
@@ -182,17 +186,36 @@ def test_an_action_substitutes_into_one_couple(monkeypatch):
     assert decs == 40 and len(calls) <= 2 * decs
 
 
-def test_the_couples_part_of_a_key_grows_linearly_with_recursion_depth():
-    """The unbounded loop adds a couple per reduction.  Rendered as direct
-    members and child origins, the couples take at most 2.5 times the text
-    at twice the depth; rendered as full pursued sets they took about 4."""
+def test_keying_a_deep_configuration_computes_no_couple_view():
+    """The unbounded loop adds a couple per reduction.  A key is the couple
+    tree itself, so keying the tree 200 steps deep, hashing the key and
+    comparing it with an equal key compute no couple's view."""
     domain = parse_domain(UNBOUNDED_DOMAIN, "unbounded").value
     problem = parse_problem("problem open\nstate:\ntasks:\n  L: loop\n", domain).value
     cfg0 = initial_configuration(problem.network, problem.state, domain)
-    steps = run(cfg0, DefaultStrategy(), budget=200).steps
+    cfg = run(cfg0, DefaultStrategy(), budget=200).final
+    assert len(cfg.couples) > 100
 
-    def couples_text(step) -> int:
-        return len("\n".join(canonical_key(step.config).split("\n")[2:]))
+    def rebuilt(couple):  # an equal tree with nothing cached, children first
+        built: dict = {}
+        order, pending = [], [couple]
+        while pending:
+            order.append(pending.pop())
+            pending += order[-1].children
+        for c in reversed(order):
+            built[id(c)] = ReductionCouple(
+                c.origin, c.members, c.alternatives, tuple(built[id(x)] for x in c.children)
+            )
+        return built[id(couple)]
 
-    assert len(steps[200].config.couples) > 100
-    assert couples_text(steps[200]) <= 2.5 * couples_text(steps[100])
+    fresh, other = rebuilt(cfg.couples), rebuilt(cfg.couples)
+    key = canonical_key(dc_replace(cfg, couples=fresh))
+    assert hash(key) == hash(canonical_key(dc_replace(cfg, couples=other)))
+    assert key == canonical_key(dc_replace(cfg, couples=other))
+    views = {name for name, v in vars(ReductionCouple).items() if isinstance(v, cached_property)}
+    assert {"pursued", "labels", "members_text", "below"} <= views
+    pending = [fresh, other]
+    while pending:
+        couple = pending.pop()
+        assert not views & set(vars(couple))
+        pending += couple.children

@@ -1,19 +1,23 @@
-"""Canonical keys built from cached parts.
+"""Search keys by configuration equality, and the parts cached on values.
 
-``trace.canonical_key`` reuses texts, sorted labels and key fragments cached
-on immutable values; ``key_reference.canonical_key`` rebuilds its key from
-scratch at every call.  The strings differ, but over every configuration
-explored from corpus cases and both rover problems the two keys must put the
-same configurations together.  The cached parts must never leak into
-equality, hashing or ``repr``, and must be built once per object; a cached
-hash must equal the dataclass hash of the fields.
+``trace.canonical_key`` is a configuration's ``(network, state, couples)``;
+``key_reference.canonical_key`` renders a key that renames labels, so it
+also puts together configurations that differ by a renaming.  Over every
+configuration explored from corpus cases and both rover problems, one
+``canonical_key`` never holds two reference keys, and searches memoised
+under either key find the same results.  The parts cached on values (texts,
+sorted labels, a couple's views, hashes) must never leak into equality,
+hashing or ``repr``, and must be built once per object; a cached hash must
+equal the dataclass hash of the fields.
 """
 from __future__ import annotations
 
 from dataclasses import fields, replace as dc_replace
 
+import pytest
+
 import key_reference
-from htnact import reduction
+from htnact import constraints
 from htnact import trace as trace_module
 from htnact.acting import (
     ReductionCouple,
@@ -36,6 +40,7 @@ from htnact.model import (
 )
 from htnact.reduction import Body
 from htnact.trace import canonical_key, successful_action_sequences
+from htnact.verify import check_extendability
 from test_trace import reduced_twice
 
 
@@ -59,20 +64,19 @@ def explored_keys(cfg0) -> set:
     return seen
 
 
-def test_canonical_key_partitions_configurations_like_the_reference(
-    rover, rover_problem, rover_nocali
-):
-    starts = [
-        initial_configuration(p.network, p.state, rover)
-        for p in (rover_problem, rover_nocali)
+@pytest.fixture(scope="module")
+def problems(rover, rover_problem, rover_nocali) -> list:
+    """``(problem, domain)`` of both rover problems and 300 corpus cases."""
+    cases = corpus(200, 0) + corpus(100, 100000)
+    return [(p, rover) for p in (rover_problem, rover_nocali)] + [
+        (case, case.domain) for case in cases
     ]
-    starts += [
-        initial_configuration(case.network, case.state, case.domain)
-        for case in corpus(200, 0) + corpus(100, 100000)
-    ]
+
+
+def test_canonical_key_refines_the_reference_partition(problems):
     pairs: set = set()
-    for cfg0 in starts:
-        pairs |= explored_keys(cfg0)
+    for problem, domain in problems:
+        pairs |= explored_keys(initial_configuration(problem.network, problem.state, domain))
     by_key: dict = {}
     by_reference: dict = {}
     for key, reference in pairs:
@@ -80,7 +84,47 @@ def test_canonical_key_partitions_configurations_like_the_reference(
         by_reference.setdefault(reference, set()).add(key)
     assert len(pairs) > 4000
     assert [refs for refs in by_key.values() if len(refs) > 1] == []
-    assert [keys for keys in by_reference.values() if len(keys) > 1] == []
+    # the reference's renaming merges some configurations that differ in
+    # their labels alone, such as two equal tasks after either one acted
+    assert any(len(keys) > 1 for keys in by_reference.values())
+
+
+def searched(monkeypatch, key, problem, domain) -> tuple[list, list]:
+    """The results of the keyed searches on ``problem`` under ``key``, and
+    how many configurations each expanded."""
+    counts = []
+    real_exec_all = trace_module.exec_all
+
+    def counted_exec_all(*args, **kwargs):
+        counts[-1] += 1
+        return real_exec_all(*args, **kwargs)
+
+    monkeypatch.setattr(trace_module, "canonical_key", key)
+    monkeypatch.setattr(trace_module, "exec_all", counted_exec_all)
+    results = []
+    for allow_partial in (True, False):
+        counts.append(0)
+        cfg0 = initial_configuration(problem.network, problem.state, domain)
+        results.append(successful_action_sequences(
+            cfg0, make_context(domain, cfg0), allow_partial=allow_partial
+        ))
+    counts.append(0)
+    results.append(check_extendability(problem.network, problem.state, domain))
+    monkeypatch.undo()
+    return results, counts
+
+
+def test_searches_under_either_key_find_the_same_results(monkeypatch, problems):
+    found = 0
+    for problem, domain in problems:
+        reference, reference_nodes = searched(
+            monkeypatch, key_reference.canonical_key, problem, domain
+        )
+        results, nodes = searched(monkeypatch, canonical_key, problem, domain)
+        assert results == reference
+        assert all(n >= r for n, r in zip(nodes, reference_nodes))
+        found += bool(results[0])
+    assert found > 100
 
 
 # -- cached parts ---------------------------------------------------------------
@@ -92,8 +136,8 @@ def rendered(term_holder) -> str:
     return f"{term_holder.symbol}({', '.join(map(str, term_holder.args))})"
 
 
-def fragment(body: Body) -> str:
-    return f"{body.index}<{key_reference.network_fingerprint(body.network)}>"
+def pursued(couple: ReductionCouple) -> frozenset:
+    return couple.members.union(*map(pursued, couple.children))
 
 
 def recomputed(value) -> dict:
@@ -102,20 +146,24 @@ def recomputed(value) -> dict:
         return {"text": rendered(value)}
     if isinstance(value, Literal):
         return {"text": ("" if value.positive else "!") + rendered(value.atom)}
+    if isinstance(value, LabelledTask):
+        return {"text": f"{value.label}:{rendered(value.task)}"}
     if isinstance(value, Constraint):
         return {
             "text": ("not " if value.negated else "") + str(value.body),
             "sorted_labels": tuple(sorted(value.labels(), key=label_key)),
         }
+    if isinstance(value, TaskNetwork):
+        return {"labels": frozenset(lt.label for lt in value.tasks)}
     if isinstance(value, Body):
-        return {"key_fragment": fragment(value)}
-    if isinstance(value, (LabelledTask, TaskNetwork)):
         return {}
     assert isinstance(value, ReductionCouple)
-    members = sorted(value.members, key=lambda lt: (rendered(lt.task), label_key(lt.label)))
+    tasks = pursued(value)
+    ordered = sorted(tasks, key=lambda lt: label_key(lt.label))
     return {
-        "sorted_members": tuple((rendered(lt.task), len(lt.label), lt.label) for lt in members),
-        "alternatives_key": " ".join(fragment(b) for b in value.alternatives),
+        "pursued": tasks,
+        "labels": frozenset(lt.label for lt in tasks),
+        "members_text": " ".join(f"{lt.label}:{rendered(lt.task)}" for lt in ordered),
     }
 
 
@@ -141,9 +189,7 @@ HASH_CACHED = (Atom, Task, LabelledTask, Constraint, TaskNetwork, ReductionCoupl
 def test_cached_parts_match_recomputation_and_stay_out_of_identity(
     rover, rover_problem
 ):
-    cfg = reduced_twice(rover, rover_problem)
-    canonical_key(cfg)
-    values = cached_values(cfg)
+    values = cached_values(reduced_twice(rover, rover_problem))
     assert {type(v) for v in values} == {
         ReductionCouple, Body, Constraint, Literal, Atom, Task, LabelledTask, TaskNetwork
     }
@@ -175,55 +221,39 @@ def test_substituted_body_and_couple_get_fresh_parts():
             [Constraint(Before(Literal(Atom("at", (x,))), LabelRef("n1")))],
         ),
     )
-    couple = ReductionCouple("T", frozenset({LabelledTask("t1", Task("go", (x,)))}), (body,))
-    assert "go(X)" in body.key_fragment and "at(X)" in body.key_fragment
-    assert couple.sorted_members == (("go(X)", 2, "t1"),)
+    child = ReductionCouple("t1", frozenset({LabelledTask("n2", Task("at", (x,)))}))
+    couple = ReductionCouple(
+        "T", frozenset({LabelledTask("t2", Task("go", (x,)))}), (body,), (child,)
+    )
+    assert couple.members_text == "n2:at(X) t2:go(X)"
 
     theta = Substitution({x: Constant("c")})
     bound_body, bound_couple = body.substitute(theta), couple.substitute(theta)
     assert bound_body is not body and bound_couple is not couple
-    for value in (bound_body, bound_couple):
+    assert bound_couple.alternatives == (bound_body,)
+    for value in (bound_couple, bound_couple.children[0], bound_body.network):
         assert {name: getattr(value, name) for name in recomputed(value)} == recomputed(value)
-    assert "go(c)" in bound_body.key_fragment and "X" not in bound_body.key_fragment
-    assert bound_couple.sorted_members == (("go(c)", 2, "t1"),)
-    assert bound_couple.alternatives_key == bound_body.key_fragment
-    assert "go(X)" in body.key_fragment  # the parent keeps its own
-
-    assert dc_replace(couple, alternatives=()).alternatives_key == ""
+    assert bound_couple.members_text == "n2:at(c) t2:go(c)"
+    assert str(bound_body.network) == "<n1:go(c) | before at(c) n1>"
+    assert couple.members_text == "n2:at(X) t2:go(X)"  # the parent keeps its own
 
 
-def test_alternative_bodies_are_fingerprinted_once_each(
-    rover, rover_problem, monkeypatch
-):
-    """Across an exhaustive search, each ``Body`` object's network is
-    fingerprinted at most once, however many nodes carry the body."""
-    fingerprinted: dict = {}  # id(network) -> [network, calls]
-    bodies: dict = {}  # id(body) -> body, kept alive so ids stay unique
-    carried = 0
+def test_a_search_fingerprints_no_network(rover, rover_problem, monkeypatch):
+    """An exhaustive search keys its configurations by equality, so it
+    renames no label: ``network_fingerprint``, which numbers labels through
+    a ``Renaming``, is never called."""
+    renamings = []
 
-    original_fingerprint = reduction.network_fingerprint
+    class CountedRenaming(constraints.Renaming):
+        def __init__(self, *args) -> None:
+            renamings.append(1)
+            super().__init__(*args)
 
-    def counting_fingerprint(net, rename=None):
-        fingerprinted.setdefault(id(net), [net, 0])[1] += 1
-        return original_fingerprint(net, rename)
-
-    original_key = trace_module.canonical_key
-
-    def collecting_key(cfg):
-        nonlocal carried
-        for couple in cfg.couples:
-            for body in couple.alternatives:
-                bodies[id(body)] = body
-                carried += 1
-        return original_key(cfg)
-
-    monkeypatch.setattr(reduction, "network_fingerprint", counting_fingerprint)
-    monkeypatch.setattr(trace_module, "canonical_key", collecting_key)
+    monkeypatch.setattr(constraints, "Renaming", CountedRenaming)
+    constraints.network_fingerprint(rover_problem.network)
+    assert len(renamings) == 1  # the count sees a fingerprint
+    renamings.clear()
     cfg0 = initial_configuration(rover_problem.network, rover_problem.state, rover)
     assert successful_action_sequences(cfg0, make_context(rover, cfg0))
-
-    calls = sum(count for _, count in fingerprinted.values())
-    assert 0 < calls <= len(bodies) < carried
-    for net, count in fingerprinted.values():
-        owners = [b for b in bodies.values() if b.network is net]
-        assert count <= len(owners)
+    assert check_extendability(rover_problem.network, rover_problem.state, rover) is None
+    assert renamings == []

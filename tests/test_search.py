@@ -4,11 +4,20 @@
 the ``trace`` module docstring allows it; ``search_reference`` folds over
 every execution.  The two must give the same sets, and the narrowed search
 must expand fewer configurations where tasks can be reduced independently.
+A search keys each successor once, and the configurations it expands do not
+depend on string hashing.
 """
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import htnact
 from htnact import trace as trace_module
 from htnact.acting import (
     ACTION,
@@ -19,7 +28,7 @@ from htnact.acting import (
     is_successful,
     make_context,
 )
-from htnact.constraints import Renaming, network_fingerprint
+from htnact.constraints import network_fingerprint
 from htnact.corpus import corpus
 from htnact.syntax import parse_domain, parse_problem
 from htnact.trace import canonical_key, reachable, successful_action_sequences
@@ -88,14 +97,16 @@ def test_two_transmits_expand_fewer_nodes(monkeypatch, rover):
     assert (narrowed_nodes, len(nodes)) == (372, 437)
 
 
-# -- the key table ----------------------------------------------------------------
+# -- keys -------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "narrow", [lambda choices: choices, trace_module._ample], ids=["full", "ample"]
 )
-def test_the_key_table_gives_each_node_its_canonical_key(monkeypatch, rover, narrow):
-    """Keys looked up in ``reachable``'s table equal ``canonical_key``
-    recomputed for every node and successor, and repeats are not keyed again."""
+def test_a_search_keys_each_successor_edge_once(monkeypatch, rover, narrow):
+    """``reachable`` keys the start and each successor it builds, once each:
+    one ``canonical_key`` call per edge into a configuration that is not
+    successful, plus one for the start, and every key it yields equals
+    ``canonical_key`` recomputed."""
     starts = [(transmits(rover, 2), rover)] + [(case, case.domain) for case in corpus(30, 0)]
     calls = []
 
@@ -118,7 +129,53 @@ def test_the_key_table_gives_each_node_its_canonical_key(monkeypatch, rover, nar
             assert successor == (None if is_successful(nxt) else canonical_key(nxt))
         keyed_edges += sum(successor is not None for successor in successors)
     assert len(nodes) > 300
-    assert len(nodes) <= len(calls) < keyed_edges
+    assert len(calls) == keyed_edges + len(starts)
+
+
+SEARCH_NODES_SCRIPT = r"""
+import json
+from htnact import trace
+from htnact.acting import initial_configuration, make_context
+from htnact.corpus import corpus
+from htnact.fixtures import fixture_text
+from htnact.syntax import parse_domain
+from test_search import transmits
+
+expanded = []
+real_exec_all = trace.exec_all
+
+def counted_exec_all(*args, **kwargs):
+    expanded[-1] += 1
+    return real_exec_all(*args, **kwargs)
+
+trace.exec_all = counted_exec_all
+rover = parse_domain(fixture_text("rover.htn"), "rover").value
+starts = [(transmits(rover, 2), rover)] + [(case, case.domain) for case in corpus(30, 0)]
+for problem, domain in starts:  # every replacement allowed
+    expanded.append(0)
+    cfg0 = initial_configuration(problem.network, problem.state, domain)
+    trace.successful_action_sequences(cfg0, make_context(domain, cfg0))
+print(json.dumps(expanded))
+"""
+
+
+def test_search_node_counts_do_not_depend_on_string_hashing():
+    tests = Path(__file__).parent
+    path = os.pathsep.join((str(Path(htnact.__file__).parents[1]), str(tests)))
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", SEARCH_NODES_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    counts = json.loads(outputs.pop())
+    assert len(counts) == 31 and counts[0] == 372
 
 
 # -- where the order of reductions cannot be fixed -------------------------------
@@ -215,7 +272,7 @@ def network_and_state_key(cfg) -> str:
     and the state decide the sequences, and under this key reducing ``tt``
     and then ``uu`` returns to the key the walk started from."""
     atoms = " ".join(sorted(atom.text for atom in cfg.state))
-    return f"{network_fingerprint(cfg.network, Renaming())}@{atoms}"
+    return f"{network_fingerprint(cfg.network)}@{atoms}"
 
 
 def test_the_cycle_proviso_expands_a_node_whose_reduction_recurs(monkeypatch):

@@ -1,11 +1,11 @@
 """Successors and keys built from a search's component tables.
 
 ``reachable`` builds each successor out of parts its context's tables hold
-(``acting.ComponentTables``) and keys it from the fingerprint cached on its
-network.  On every edge the walk takes, the successor must equal ``apply``
-run with fresh tables, and its key a ``canonical_key`` computed on a network
-that has cached nothing.  The node counts and the sequences found are pinned
-at fixed inputs.
+(``acting.ComponentTables``) and keys it by its network, state and couples.
+On every edge the walk takes, the successor must equal ``apply`` run with
+fresh tables, and its key a ``canonical_key`` computed on a network that has
+cached nothing.  The node counts and the sequences found are pinned at fixed
+inputs.
 """
 from __future__ import annotations
 
@@ -140,7 +140,10 @@ def test_escapes_and_open_variables_take_their_part_of_the_key(monkeypatch):
     assert (nodes, len(sequences), digest(sequences)) == (31, 32, "3b6c2e6cecde")
 
 
-CORPUS_NODES = [12, 1, 2, 30, 7, 1, 1, 7, 1, 17, 5, 40, 2, 6, 45, 1, 15, 1, 20, 260]
+# case 12 holds two unordered tasks ``a1(c2)``: acting either leaves a
+# configuration that differs from the other in the surviving label alone,
+# and keys compare labels, so both are expanded (3 nodes, not 2)
+CORPUS_NODES = [12, 1, 2, 30, 7, 1, 1, 7, 1, 17, 5, 40, 3, 6, 45, 1, 15, 1, 20, 260]
 CORPUS_SEQUENCES = [0, 0, 1, 12, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, 41, 0, 6, 0, 4, 0]
 
 

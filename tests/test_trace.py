@@ -269,11 +269,18 @@ def relabelled(cfg, prefix):
     return dc_replace(cfg, network=network(cfg.network), couples=couples(cfg.couples))
 
 
-def test_canonical_key_ignores_label_names(rover, rover_problem):
+def test_a_relabelled_configuration_gets_another_key_but_the_same_sequences(
+    rover, rover_problem
+):
+    """Keys compare configurations by equality, names included, so a
+    renaming of the labels changes the key and never the sequences."""
     cfg = reduced_twice(rover, rover_problem)
     renamed = relabelled(cfg, "n")
     assert renamed != cfg
-    assert canonical_key(renamed) == canonical_key(cfg)
+    assert canonical_key(renamed) != canonical_key(cfg)
+    sequences = successful_action_sequences(cfg, make_context(rover, cfg))
+    assert sequences
+    assert successful_action_sequences(renamed, make_context(rover, renamed)) == sequences
 
 
 def test_canonical_key_tells_structures_apart(rover, rover_problem):

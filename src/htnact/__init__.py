@@ -24,7 +24,6 @@ from .acting import (
     exec_via_action,
     exec_via_reduction,
     exec_via_replacement,
-    extracted_literals,
     initial_configuration,
     is_applicable,
     is_blocked,

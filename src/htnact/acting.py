@@ -491,17 +491,6 @@ def relevant_constraints(label: str, d: TaskNetwork) -> frozenset:
     return frozenset(out)
 
 
-def extracted_literals(label: str, d: TaskNetwork) -> frozenset:
-    """Literals the relevant constraints require to hold, negation folded in."""
-    return _literals_of(relevant_constraints(label, d))
-
-
-def _literals_of(relevant: frozenset) -> frozenset:
-    return frozenset(
-        c.body.literal.negated() if c.negated else c.body.literal for c in relevant
-    )
-
-
 def _relevant(label: str, d: TaskNetwork, tables: ComponentTables) -> frozenset:
     """``relevant_constraints``, once per (network, label) of ``tables``."""
     return _memo(tables.relevant, (d, label), relevant_constraints, label, d)
@@ -529,7 +518,8 @@ def applicable_substitutions(
 ) -> tuple[Substitution, ...]:
     """Ground substitutions under which ``label`` is applicable in ``state``.
 
-    The action's precondition and extracted literals must all hold.  Positive
+    The action's precondition and the literals its relevant constraints
+    extract (negation folded in) must all hold.  Positive
     literals are matched against the state first; residual unbound variables
     (including any left in the task's own arguments) range over the constant
     universe.  Enumeration order is deterministic, so the first result is the
@@ -538,7 +528,10 @@ def applicable_substitutions(
     Results are kept in ``ctx``'s tables (``ComponentTables.applicable``).
     """
     task = d.task_of(label).task
-    extracted = _literals_of(_relevant(label, d, ctx.tables))
+    extracted = frozenset(
+        c.body.literal.negated() if c.negated else c.body.literal
+        for c in _relevant(label, d, ctx.tables)
+    )
     return _memo(
         ctx.tables.applicable, (task, extracted, state, limit),
         _ground, task, extracted, state, ctx, limit,

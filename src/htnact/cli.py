@@ -20,7 +20,7 @@ from .agent import (
     run_agent,
 )
 from .corpus import CorpusCase, corpus
-from .domain import Domain, reference_form_warnings, validate_domain
+from .domain import Domain, reference_form_warnings, trailing_task_warnings, validate_domain
 from .export import render_trace
 from .model import Task
 from .oracle import solutions_bounded
@@ -84,7 +84,8 @@ def _load(path: str, parse, what: str, *extra):
 
 def _load_domain_problem(args) -> tuple[Domain, Problem]:
     """The validated domain and the problem that ``args`` name; each problem
-    reference acting reads differently from planning is warned on stderr."""
+    constraint acting reads differently from planning is warned on stderr: an
+    after-constraint without a trailing task, and a misread reference."""
     domain = _load(args.domain, parse_domain, "domain", Path(args.domain).stem)
     report = validate_domain(domain)
     if report.violations or report.warnings:
@@ -92,9 +93,12 @@ def _load_domain_problem(args) -> tuple[Domain, Problem]:
     if not report.ok:
         raise InputError(f"{args.domain}: domain is invalid")
     problem = _load(args.problem, parse_problem, "problem", domain)
+    subject = f"problem {problem.name}"
+    warnings = trailing_task_warnings(problem.network, subject)
     for c in sorted(problem.network.formula, key=str):
-        for warning in reference_form_warnings(c, f"problem {problem.name}"):
-            print(f"warning {warning}", file=sys.stderr)
+        warnings += reference_form_warnings(c, subject)
+    for warning in warnings:
+        print(f"warning {warning}", file=sys.stderr)
     return domain, problem
 
 

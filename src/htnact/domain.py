@@ -318,3 +318,23 @@ def reference_form_warnings(constraint: Constraint, subject: str) -> list[Violat
         )
         for ref in constraint.misread_refs()
     ]
+
+
+def trailing_task_warnings(network: TaskNetwork, subject: str) -> list[Violation]:
+    """A warning when ``network`` carries an after-constraint but no trailing
+    task (``find_trailing_task``), the rule every method body obeys: acting
+    checks an after-constraint only before a later action, so one on the
+    last action goes unchecked, while planning checks it."""
+    if find_trailing_task(network) is not None or not any(
+        isinstance(c.body, After) for c in network.formula
+    ):
+        return []
+    return [
+        Violation(
+            "trailing-task",
+            subject,
+            "an after-constraint but no task ordered after all others and free "
+            "of after-constraints; acting reads an after-constraint on the last "
+            "action differently from planning",
+        )
+    ]

@@ -72,6 +72,23 @@ action bound a variable of ``t`` is ``t`` another task when it is reduced
 late; its body then differs in its fresh names alone, which costs the search
 a memo hit but no sequence.
 
+Exhaustive acting as ``verify.acting_solution_set`` runs it also drops every
+complete replacement (``allow_complete=False`` beside ``allow_partial=False``).
+This is the paper's elimination property read on action sequences.  A
+complete replacement abandons a body before any of its tasks has acted, so
+reducing the task with the chosen alternative in the first place performs
+the same actions.  Under ``replace_tasks``' migration semantics the abandoned
+body's constraints move onto the replacing body, so after the replacement
+that body is only more constrained than the same body reduced directly,
+which admits every action the replacing path performs.  The two
+narrowings compose: the ample set's argument holds under either flag, and
+dropping an edge leaves the cycle proviso as it was.  The argument is
+checked, not assumed: ``verify.check_sequence_elimination`` compares the
+sets found with and without complete replacements, and the elimination
+suite runs it on every case.  It passes also on the traces where
+``eliminate_complete_replacements`` fails: what fails there is the rewritten
+trace, not the actions it performs.
+
 The fold gives an ancestor still open on the walk's stack no sequences, so a
 narrowed node must not rely on one: when a successor in its ample set has a
 key still open on the stack, the node expands in full (the cycle proviso).

@@ -7,16 +7,25 @@ of the constant universe to the action's variables is tried, in the order of
 ``itertools.product`` over the variables sorted by name, and those under
 which every literal holds are kept.  No literal is matched against the
 state, no variable-free action is answered early: the reference shares only
-``holds`` and the extracted literals with ``acting``.
+``holds`` and ``relevant_constraints`` with ``acting``, and extracts the
+literals itself.
 """
 from __future__ import annotations
 
 import itertools
 
-from htnact.acting import extracted_literals
+from htnact.acting import relevant_constraints
 from htnact.constraints import TaskNetwork, holds
 from htnact.domain import Domain
 from htnact.model import Substitution, Variable, variables_of
+
+
+def extracted_literals(label: str, d: TaskNetwork) -> frozenset:
+    """Literals the relevant constraints require to hold, negation folded in."""
+    return frozenset(
+        c.body.literal.negated() if c.negated else c.body.literal
+        for c in relevant_constraints(label, d)
+    )
 
 
 def literals(label: str, d: TaskNetwork, domain: Domain) -> set:

@@ -30,6 +30,7 @@ from htnact.verify import (
     check_elimination,
     check_equivalence,
     check_extendability,
+    check_sequence_elimination,
     check_unavoidable_jump,
     traces_with_complete_replacements,
 )
@@ -141,6 +142,8 @@ def test_criterion_5_complete_replacement_elimination(corpus_cases):
     started = time.time()
     checked = 0
     for case in corpus_cases:
+        problem = check_sequence_elimination(case.network, case.state, case.domain)
+        assert problem is None, f"seed {case.seed}: {problem}"
         for trace in traces_with_complete_replacements(case, per_case=3):
             assert check_elimination(trace) is None, f"seed {case.seed}"
             checked += 1

@@ -19,7 +19,6 @@ from htnact.acting import (
     exec_all,
     exec_via_reduction,
     exec_via_replacement,
-    extracted_literals,
     initial_configuration,
     is_applicable,
     is_blocked,
@@ -51,6 +50,7 @@ from htnact.model import (
     Variable,
 )
 from htnact.trace import ScriptedStrategy, Strategy, parse_directives, run
+from grounding_reference import extracted_literals
 
 loc1, lan1 = Constant("loc1"), Constant("lan1")
 L = Variable("L")

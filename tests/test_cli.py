@@ -8,6 +8,9 @@ from htnact import trace as trace_module
 from htnact import verify as verify_module
 from htnact.cli import main
 from htnact.fixtures import fixture_path
+from htnact.oracle import solutions_bounded
+from htnact.syntax import parse_domain, parse_problem
+from htnact.verify import acting_solution_set
 
 DATA = Path(__file__).parent / "data"
 
@@ -440,3 +443,55 @@ def test_a_problem_reference_acting_reads_differently_is_warned(tmp_path, capsys
         "is neither a plain label nor its slot's own form; acting reads it differently "
         "from planning\n"
     )
+
+
+TRAILING_PROBLEM = """\
+problem trailing
+state: p
+tasks:
+  n1: c
+  n2: a
+constraints:
+  ord n1 < n2
+  after {label} p
+"""
+
+
+def trailing_problem(tmp_path, label: str):
+    """The domain and problem files, and the parsed pair, for ``after`` on
+    ``label``."""
+    domain_path, problem_path = tmp_path / "refs.htn", tmp_path / "trailing.prob"
+    domain_path.write_text(REFERENCE_DOMAIN)
+    problem_path.write_text(TRAILING_PROBLEM.format(label=label))
+    domain = parse_domain(REFERENCE_DOMAIN, "refs").value
+    parsed = parse_problem(TRAILING_PROBLEM.format(label=label), domain)
+    assert parsed.ok and not parsed.diagnostics
+    return str(domain_path), str(problem_path), domain, parsed.value
+
+
+@pytest.mark.parametrize("command", [["act"], ["plan", "--depth", "3"]])
+def test_an_after_constraint_on_the_last_action_is_warned(tmp_path, capsys, command):
+    """``after n2 p`` on the last action, which deletes ``p``: acting never
+    checks it and gives c.a, planning gives nothing; both commands say so."""
+    domain_path, problem_path, domain, problem = trailing_problem(tmp_path, "n2")
+    acted = acting_solution_set(problem.network, problem.state, domain)
+    assert [" . ".join(map(str, seq)) for seq in acted] == ["c . a"]
+    assert not solutions_bounded(problem.network, problem.state, domain, 3)
+    assert main([command[0], domain_path, problem_path, *command[1:]]) == 0
+    assert capsys.readouterr().err == (
+        "warning [trailing-task] problem trailing: an after-constraint but no task "
+        "ordered after all others and free of after-constraints; acting reads an "
+        "after-constraint on the last action differently from planning\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["act"], ["plan", "--depth", "3"]])
+def test_an_after_constraint_before_a_trailing_task_is_not_warned(
+    tmp_path, capsys, command
+):
+    """``after n1 p``: ``n2`` is ordered last and free of after-constraints."""
+    domain_path, problem_path, domain, problem = trailing_problem(tmp_path, "n1")
+    planned = solutions_bounded(problem.network, problem.state, domain, 3)
+    assert planned and acting_solution_set(problem.network, problem.state, domain) == planned
+    assert main([command[0], domain_path, problem_path, *command[1:]]) == 0
+    assert capsys.readouterr().err == ""

@@ -4,6 +4,8 @@
 the ``trace`` module docstring allows it; ``search_reference`` folds over
 every execution.  The two must give the same sets, and the narrowed search
 must expand fewer configurations where tasks can be reduced independently.
+``verify.acting_solution_set`` also drops complete replacements, and must
+still find what the reference finds with them.
 A search keys each successor once, and the configurations it expands do not
 depend on string hashing.
 """
@@ -32,13 +34,15 @@ from htnact.constraints import network_fingerprint
 from htnact.corpus import corpus
 from htnact.syntax import parse_domain, parse_problem
 from htnact.trace import canonical_key, reachable, successful_action_sequences
+from htnact.verify import acting_solution_set
 from search_reference import reference_action_sequences
 
 
-def transmits(rover, count: int):
+def transmits(rover, count: int, calibrated: bool = True):
     """``count`` unordered ``transmitData`` tasks, each with its experiment done."""
     locations = [f"loc{i}" for i in range(1, count + 1)]
-    facts = ["raw", "cali", *(f"didExp({loc})" for loc in locations), "lander(lan1)"]
+    facts = ["raw", *(["cali"] if calibrated else [])]
+    facts += [*(f"didExp({loc})" for loc in locations), "lander(lan1)"]
     tasks = "".join(
         f"  {chr(ord('A') + i)}: transmitData({loc})\n" for i, loc in enumerate(locations)
     )
@@ -77,9 +81,10 @@ def test_narrowed_search_equals_the_reference_on_a_corpus_slice():
     assert found > 20
 
 
-def test_two_transmits_expand_fewer_nodes(monkeypatch, rover):
-    problem = transmits(rover, 2)
-    cfg0 = initial_configuration(problem.network, problem.state, rover)
+def counted(monkeypatch, search, problem, domain, **flags):
+    """What ``search`` finds from ``problem``'s initial configuration, and
+    how many configurations it expands."""
+    cfg0 = initial_configuration(problem.network, problem.state, domain)
     nodes = []
     real_exec_all = trace_module.exec_all
 
@@ -88,13 +93,68 @@ def test_two_transmits_expand_fewer_nodes(monkeypatch, rover):
         return real_exec_all(*args, **kwargs)
 
     monkeypatch.setattr(trace_module, "exec_all", counted_exec_all)
-    narrowed = successful_action_sequences(cfg0, make_context(rover, cfg0))
-    narrowed_nodes = len(nodes)
-    nodes.clear()
-    reference = reference_action_sequences(cfg0, make_context(rover, cfg0))
+    found = search(cfg0, make_context(domain, cfg0), **flags)
+    monkeypatch.undo()
+    return found, len(nodes)
+
+
+def test_two_transmits_expand_fewer_nodes(monkeypatch, rover):
+    problem = transmits(rover, 2)
+    narrowed, narrowed_nodes = counted(
+        monkeypatch, successful_action_sequences, problem, rover
+    )
+    reference, nodes = counted(monkeypatch, reference_action_sequences, problem, rover)
     assert narrowed == reference and len(narrowed) == 20
-    assert narrowed_nodes < len(nodes)
-    assert (narrowed_nodes, len(nodes)) == (372, 437)
+    assert narrowed_nodes < nodes
+    assert (narrowed_nodes, nodes) == (372, 437)
+
+
+# -- without complete replacements -------------------------------------------------
+
+def test_acting_solution_set_equals_the_full_reference(rover, rover_problem, rover_nocali):
+    """``acting_solution_set`` drops complete replacements and follows the
+    ample set; the reference keeps them and expands every execution.  Equal
+    sets check that the ample set, the cycle proviso and the dropped
+    replacements compose."""
+    problems = [
+        rover_problem,
+        rover_nocali,
+        transmits(rover, 2),
+        transmits(rover, 2, calibrated=False),
+    ]
+    starts = [(problem, rover) for problem in problems]
+    starts += [(case, case.domain) for case in corpus(40, 0)]
+    found = 0
+    for problem, domain in starts:
+        cfg0 = initial_configuration(problem.network, problem.state, domain)
+        reference = reference_action_sequences(
+            cfg0, make_context(domain, cfg0), allow_partial=False, allow_complete=True
+        )
+        acted = acting_solution_set(problem.network, problem.state, domain)
+        assert acted == reference
+        found += bool(acted)
+    assert found > 20
+
+
+@pytest.mark.parametrize(
+    "calibrated, sequences, nodes", [(False, 20, (1120, 101)), (True, 10, (304, 58))]
+)
+def test_dropping_complete_replacements_expands_fewer_nodes(
+    monkeypatch, rover, calibrated, sequences, nodes
+):
+    """Two transmits, partial-replacement-free: with complete replacements
+    and without, the same sequences from a tenth to a fifth of the nodes."""
+    problem = transmits(rover, 2, calibrated)
+    full, full_nodes = counted(
+        monkeypatch, successful_action_sequences, problem, rover,
+        allow_partial=False, allow_complete=True,
+    )
+    narrowed, narrowed_nodes = counted(
+        monkeypatch, successful_action_sequences, problem, rover,
+        allow_partial=False, allow_complete=False,
+    )
+    assert narrowed == full and len(narrowed) == sequences
+    assert (full_nodes, narrowed_nodes) == nodes
 
 
 # -- keys -------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import pytest
+
 from htnact.corpus import corpus
-from htnact.verify import SuiteResult, suite_elimination
+from htnact.verify import SuiteResult, check_sequence_elimination, suite_elimination
+
+REWRITE_FAILURE = "elimination failed: no offered execution matches (offered for T1: nothing)"
 
 
 def test_elimination_failure_is_reported_not_raised():
@@ -11,3 +15,29 @@ def test_elimination_failure_is_reported_not_raised():
     assert isinstance(result, SuiteResult)
     assert not result.passed
     assert any("seed 100046" in d for d in result.details)
+
+
+@pytest.mark.parametrize("seed, failures", [(100046, 2), (300026, 3)])
+def test_sequence_elimination_holds_where_the_trace_rewrite_fails(seed, failures):
+    """Forbidding complete replacements loses no action sequence on the two
+    cases whose sampled traces ``eliminate_complete_replacements`` cannot
+    rebuild; the suite counts the sequence check and still reports each
+    failed rewrite."""
+    (case,) = corpus(1, seed)
+    assert check_sequence_elimination(case.network, case.state, case.domain) is None
+    result = suite_elimination([case])
+    assert not result.passed
+    assert result.checked == failures + 1
+    assert result.details == [f"seed {seed}: {REWRITE_FAILURE}"] * failures
+
+
+@pytest.mark.parametrize("seed", [0, 100000, 200000, 300000])
+def test_sequence_elimination_holds_on_the_scan(seed):
+    """The gate ``acting_solution_set`` rests on: on each of the 300 cases
+    the complete-replacement-free search finds every sequence."""
+    failures = [
+        f"seed {case.seed}: {problem}"
+        for case in corpus(300, seed)
+        if (problem := check_sequence_elimination(case.network, case.state, case.domain))
+    ]
+    assert failures == []

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .constraints import (
@@ -164,11 +165,11 @@ class ReductionCouple:
         return self.member_labels.union(*(c.labels for c in self.children))
 
     @cached_property
-    def ordered(self) -> list[tuple[int, str, LabelledTask]]:
-        """``(label length, label, task)`` of each pursued task, in label order,
-        merged from the children's."""
+    def ordered(self) -> list[tuple[int, str, str]]:
+        """``(label length, label, text)`` of each pursued task, in label order,
+        merged from the children's.  Only ``members_text`` reads it."""
         _fill_below(self, "ordered")
-        own = [(len(lt.label), lt.label, lt) for lt in self.members]
+        own = [(len(lt.label), lt.label, lt.text) for lt in self.members]
         return sorted(itertools.chain(own, *(c.ordered for c in self.children)))
 
     @cached_property
@@ -178,7 +179,7 @@ class ReductionCouple:
     @cached_property
     def members_text(self) -> str:
         """The pursued tasks' texts in label order, rendered once per couple."""
-        return " ".join([lt.text for *_, lt in self.ordered])
+        return " ".join(map(itemgetter(2), self.ordered))
 
     def sort_key(self) -> tuple:
         return (self.origin is not None, label_key(self.origin or ""))
@@ -546,7 +547,7 @@ def _ground(
     limit: Optional[int],
 ) -> tuple[Substitution, ...]:
     """``applicable_substitutions`` computed afresh."""
-    pre, _, _ = ctx.domain.operator_for(task).instantiate(task)
+    pre = ctx.domain.operator_for(task).precondition_for(task)
     literals = set(pre) | extracted
     if task.is_ground and all(lit.is_ground for lit in literals):
         # nothing to bind: the empty binding, if every literal holds
@@ -680,7 +681,7 @@ def action_result(
 
 
 def _state_after(state: frozenset, ground_task: Task, domain: Domain) -> frozenset:
-    _, add, delete = domain.operator_for(ground_task).instantiate(ground_task)
+    add, delete = domain.operator_for(ground_task).effects_for(ground_task)
     return frozenset((state - frozenset(delete)) | frozenset(add))
 
 
@@ -933,17 +934,24 @@ def exec_via_replacement(
 
 
 def exec_all(
-    cfg: Configuration, ctx: RunContext, all_bindings: bool = False
+    cfg: Configuration,
+    ctx: RunContext,
+    all_bindings: bool = False,
+    *,
+    replacements: bool = True,
 ) -> tuple[Choice, ...]:
-    """Every execution possible from ``cfg``: actions, reductions, replacements."""
+    """Every execution possible from ``cfg``: actions, reductions, replacements.
+
+    A search that follows no replacement passes ``replacements=False`` and
+    is offered none: they are never built.
+    """
     if not cfg.network.tasks:
         return ()
     actions = exec_via_action(cfg, ctx, all_bindings)
-    return (
-        actions
-        + exec_via_reduction(cfg, ctx)
-        + exec_via_replacement(cfg, ctx, actions)
-    )
+    choices = actions + exec_via_reduction(cfg, ctx)
+    if replacements:
+        choices += exec_via_replacement(cfg, ctx, actions)
+    return choices
 
 
 def with_observed(cfg: Configuration, observed: frozenset) -> Configuration:

@@ -41,13 +41,25 @@ class Operator:
 
     def instantiate(self, task: Task) -> tuple[tuple[Literal, ...], tuple[Atom, ...], tuple[Atom, ...]]:
         """Precondition and effects with parameters bound to the task's arguments."""
+        return (self.precondition_for(task), *self.effects_for(task))
+
+    def precondition_for(self, task: Task) -> tuple[Literal, ...]:
+        """The precondition with parameters bound to the task's arguments."""
+        theta = self._binding(task)
+        return tuple(l.substitute(theta) for l in self.precondition)
+
+    def effects_for(self, task: Task) -> tuple[tuple[Atom, ...], tuple[Atom, ...]]:
+        """Add and delete effects with parameters bound to the task's arguments."""
+        theta = self._binding(task)
+        return (
+            tuple(a.substitute(theta) for a in self.add),
+            tuple(a.substitute(theta) for a in self.delete),
+        )
+
+    def _binding(self, task: Task) -> Substitution:
         if task.symbol != self.symbol or len(task.args) != len(self.params):
             raise ValueError(f"operator {self.symbol}/{len(self.params)} does not match {task}")
-        theta = Substitution(dict(zip(self.params, task.args)))
-        pre = tuple(l.substitute(theta) for l in self.precondition)
-        add = tuple(a.substitute(theta) for a in self.add)
-        dele = tuple(a.substitute(theta) for a in self.delete)
-        return pre, add, dele
+        return Substitution(dict(zip(self.params, task.args)))
 
 
 NOP_OPERATOR = Operator(NOP_SYMBOL)

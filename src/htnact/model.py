@@ -344,28 +344,34 @@ class NameGenerator:
 
     Keeps a requested base name when it has never been used, otherwise
     appends the smallest numeric suffix that makes it fresh.  Labels and
-    variables live in separate namespaces.
+    variables live in separate namespaces.  Used names are never released,
+    so a base's smallest free suffix only grows: each namespace remembers
+    where the last scan for a base stopped and the next one starts there,
+    which makes a draw amortised constant time.
     """
 
     def __init__(self, labels: Iterable[str] = (), variables: Iterable[str] = ()):
         self._labels = set(labels)
         self._variables = set(variables)
+        self._label_suffix: dict[str, int] = {}
+        self._variable_suffix: dict[str, int] = {}
 
     def label(self, base: str = "n") -> str:
-        name = self._pick(self._labels, base)
+        name = self._pick(self._labels, self._label_suffix, base)
         self._labels.add(name)
         return name
 
     def variable(self, base: str = "V") -> Variable:
-        name = self._pick(self._variables, base)
+        name = self._pick(self._variables, self._variable_suffix, base)
         self._variables.add(name)
         return Variable(name)
 
     @staticmethod
-    def _pick(used: set[str], base: str) -> str:
+    def _pick(used: set[str], suffix: dict[str, int], base: str) -> str:
         if base not in used:
             return base
-        k = 2
+        k = suffix.get(base, 2)
         while f"{base}_{k}" in used:
             k += 1
+        suffix[base] = k
         return f"{base}_{k}"

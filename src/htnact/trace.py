@@ -558,11 +558,19 @@ def _allowed(allow_partial: bool, allow_complete: bool, choice: Choice) -> bool:
     return allow_complete if choice.complete else allow_partial
 
 
+def _no_replacement(choice: Choice) -> bool:
+    return choice.kind != REPLACEMENT
+
+
 def _expand(cfg: Configuration, ctx: RunContext, nodes, follow) -> tuple[Choice, ...]:
-    """Count ``cfg`` against the budget; return its executions ``follow`` accepts."""
+    """Count ``cfg`` against the budget; return its executions ``follow``
+    accepts.  Where ``follow`` is ``_no_replacement``, no replacement is built."""
     if next(nodes) > SEARCH_NODES:
         raise SearchBudgetExceeded(f"more than {SEARCH_NODES} configurations")
-    return tuple(filter(follow, exec_all(cfg, ctx, all_bindings=True)))
+    choices = exec_all(
+        cfg, ctx, all_bindings=True, replacements=follow is not _no_replacement
+    )
+    return tuple(filter(follow, choices))
 
 
 def maximal_traces(
@@ -677,7 +685,8 @@ def successful_action_sequences(
     """Action sequences of every successful trace reachable from ``cfg0``.
 
     Explores the executions (all ground bindings included), optionally
-    skipping partial- or complete-replacement edges, with the reductions of
+    skipping partial- or complete-replacement edges (skipping both, it
+    builds no replacement choice), with the reductions of
     one task in place of every other choice wherever one qualifies (module
     docstring), and folds each configuration's sequences from its
     successors' in ``reachable`` order.
@@ -686,7 +695,10 @@ def successful_action_sequences(
     # entry and contributes nothing
     memo: dict[Optional[tuple], frozenset] = {None: frozenset({()})}
     key = None
-    follow = functools.partial(_allowed, allow_partial, allow_complete)
+    follow = (
+        functools.partial(_allowed, allow_partial, allow_complete)
+        if allow_partial or allow_complete else _no_replacement
+    )
     for _, key, choices, successors in reachable(cfg0, ctx, follow, _ample):
         sequences = set()
         for choice, successor in zip(choices, successors):

@@ -72,7 +72,8 @@ def acting_solution_set(
     actions (the ``trace`` module docstring).  That this loses no sequence
     is checked, not proved: ``check_sequence_elimination`` compares the set
     with the one the search keeping complete replacements finds, and the
-    ``elimination`` suite runs it on every case.
+    ``elimination`` suite runs it on every case.  Following no
+    replacement, the search builds no replacement choice.
     """
     return _action_sequences(network, state, domain, allow_complete=False)
 

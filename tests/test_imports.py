@@ -63,6 +63,12 @@ def test_grounding_reference_imports_no_private_names():
     assert _private_imports(Path(__file__).parent / "grounding_reference.py") == []
 
 
+def test_export_reference_imports_no_private_names():
+    """The reference renderer sorts every configuration itself, so a fault in
+    the export's incremental lists cannot cancel out."""
+    assert _private_imports(Path(__file__).parent / "export_reference.py") == []
+
+
 def test_rewrite_reference_imports_no_private_names():
     """The unfiltered rewrites visit every constraint themselves, so a filter
     hidden in a private helper cannot reach them."""

@@ -113,6 +113,50 @@ def test_name_generator_keeps_free_bases():
     assert gen.label("B") == "B_2"
 
 
+def linear_draws(labels, variables, draws) -> list[str]:
+    """The names drawn by a scan of the suffixes from ``_2`` on every draw."""
+    used = {True: set(labels), False: set(variables)}
+    names = []
+    for is_label, base in draws:
+        name, k = base, 2
+        while name in used[is_label]:
+            name, k = f"{base}_{k}", k + 1
+        used[is_label].add(name)
+        names.append(name)
+    return names
+
+
+# bases with and without a suffix, and suffixed names with gaps such as 1_3
+name_bases = st.sampled_from(["n", "1", "V", "1_3", "n_2", "n_2_2"])
+seeded_names = st.lists(
+    st.one_of(
+        name_bases,
+        st.builds("{}_{}".format, name_bases, st.integers(2, 7)),
+    ),
+    max_size=12,
+)
+
+
+@example(
+    labels=["1", "1_3", "1_4", "1_3_2"],
+    variables=["V", "V_2", "V_5"],
+    draws=[(True, "1"), (True, "1"), (True, "1"), (True, "1_3"), (True, "1_3"),
+           (False, "V"), (False, "V"), (False, "V"), (False, "V"), (False, "V")],
+)
+@given(
+    labels=seeded_names,
+    variables=seeded_names,
+    draws=st.lists(st.tuples(st.booleans(), name_bases), max_size=40),
+)
+def test_name_generator_draws_the_names_of_the_linear_scan(labels, variables, draws):
+    gen = NameGenerator(labels, variables)
+    drawn = [
+        gen.label(base) if is_label else gen.variable(base).name
+        for is_label, base in draws
+    ]
+    assert drawn == linear_draws(labels, variables, draws)
+
+
 def test_variable_and_constant_collection():
     task = Task("t", (X, loc1))
     assert variables_of(task) == frozenset({X})

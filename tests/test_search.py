@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import htnact
+from htnact import acting as acting_module
 from htnact import trace as trace_module
 from htnact.acting import (
     ACTION,
@@ -155,6 +156,28 @@ def test_dropping_complete_replacements_expands_fewer_nodes(
     )
     assert narrowed == full and len(narrowed) == sequences
     assert (full_nodes, narrowed_nodes) == nodes
+
+
+def test_a_search_that_follows_no_replacement_builds_none(monkeypatch, rover):
+    """``acting_solution_set`` follows no replacement, so no node of its
+    search builds a replacement choice; a search that follows complete ones
+    still builds them."""
+    built = []
+    real_exec_via_replacement = acting_module.exec_via_replacement
+
+    def counted_exec_via_replacement(*args, **kwargs):
+        built.append(1)
+        return real_exec_via_replacement(*args, **kwargs)
+
+    monkeypatch.setattr(acting_module, "exec_via_replacement", counted_exec_via_replacement)
+    problem = transmits(rover, 2, calibrated=False)
+    acted = acting_solution_set(problem.network, problem.state, rover)
+    assert len(acted) == 20 and built == []
+    cfg0 = initial_configuration(problem.network, problem.state, rover)
+    full = successful_action_sequences(
+        cfg0, make_context(rover, cfg0), allow_partial=False, allow_complete=True
+    )
+    assert full == acted and built
 
 
 # -- keys -------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace as dc_replace
-from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -48,6 +47,7 @@ from .model import (
     Task,
     Variable,
     cached_hash,
+    cached_view,
     constants_of,
     label_key,
     labelled_task_key,
@@ -80,7 +80,9 @@ class ReductionCouple:
     couple, so a couple whose subtree did not change keeps it.  A tree's
     label count (``size``), variables and hash are taken from its
     children's at construction, and its views and equality are computed
-    with a stack: a deep tree costs no Python stack.
+    with a stack: a deep tree costs no Python stack.  A couple above a
+    changed one is ``relinked`` to its new children: it keeps its members,
+    alternatives and their variables (``own_variables``), unscanned.
     """
 
     origin: Optional[str]
@@ -90,18 +92,21 @@ class ReductionCouple:
 
     __hash__ = cached_hash
 
-    def __init__(self, origin, members, alternatives=(), children=()) -> None:
-        size = len(members)
-        variables = [lt.variables for lt in members]
-        variables += [body.network.variables for body in alternatives]
-        for child in children:
-            size += child.size
-            variables.append(child.variables)
+    def __init__(self, origin, members, alternatives=(), children=(), own=None) -> None:
+        if own is None:
+            own = frozenset().union(*(x.variables for x in (*members, *alternatives)))
         self.__dict__.update(
-            origin=origin, members=members, alternatives=alternatives,
-            children=children, size=size, variables=frozenset().union(*variables),
+            origin=origin, members=members, alternatives=alternatives, children=children,
+            size=len(members) + sum(c.size for c in children), own_variables=own,
+            variables=own.union(*(c.variables for c in children)),
             # model.cached_hash's value, from the children's cached hashes
             _hash=hash((origin, members, alternatives, children)),
+        )
+
+    def relinked(self, children: tuple) -> "ReductionCouple":
+        """This couple over ``children``, its own parts taken unscanned."""
+        return ReductionCouple(
+            self.origin, self.members, self.alternatives, children, self.own_variables
         )
 
     def __eq__(self, other) -> bool:
@@ -122,7 +127,7 @@ class ReductionCouple:
     def __iter__(self):
         return itertools.chain((self,), self.below)
 
-    @cached_property
+    @cached_view
     def below(self) -> tuple["ReductionCouple", ...]:
         """Every couple below this one, parents first."""
         found, pending = [], list(self.children)
@@ -137,34 +142,38 @@ class ReductionCouple:
 
     def substitute(self, theta: Substitution) -> "ReductionCouple":
         """The tree under ``theta``: only the couples whose subtree mentions a
-        variable ``theta`` binds are rebuilt, children first."""
+        variable ``theta`` binds are rebuilt, children first: relinked, unless
+        their own members or alternatives mention one."""
+        bound = theta.domain
         touched, pending = [], [self]
         while pending:
             couple = pending.pop()
-            if not couple.variables.isdisjoint(theta.domain):
+            if not couple.variables.isdisjoint(bound):
                 touched.append(couple)
                 pending.extend(couple.children)
         new: dict = {}
         for couple in reversed(touched):
-            new[couple] = ReductionCouple(
-                couple.origin,
-                substitute(couple.members, theta),
-                substitute(couple.alternatives, theta),
-                tuple(new.get(c, c) for c in couple.children),
-            )
+            children = tuple(new.get(c, c) for c in couple.children)
+            if couple.own_variables.isdisjoint(bound):
+                new[couple] = couple.relinked(children)
+            else:
+                new[couple] = ReductionCouple(
+                    couple.origin, substitute(couple.members, theta),
+                    substitute(couple.alternatives, theta), children,
+                )
         return new.get(self, self)
 
-    @cached_property
+    @cached_view
     def pursued(self) -> frozenset[LabelledTask]:
         _fill_below(self, "pursued")
         return self.members.union(*(c.pursued for c in self.children))
 
-    @cached_property
+    @cached_view
     def labels(self) -> frozenset[str]:
         _fill_below(self, "labels")
         return self.member_labels.union(*(c.labels for c in self.children))
 
-    @cached_property
+    @cached_view
     def ordered(self) -> list[tuple[int, str, str]]:
         """``(label length, label, text)`` of each pursued task, in label order,
         merged from the children's.  Only ``members_text`` reads it."""
@@ -172,11 +181,11 @@ class ReductionCouple:
         own = [(len(lt.label), lt.label, lt.text) for lt in self.members]
         return sorted(itertools.chain(own, *(c.ordered for c in self.children)))
 
-    @cached_property
+    @cached_view
     def member_labels(self) -> frozenset[str]:
         return frozenset(lt.label for lt in self.members)
 
-    @cached_property
+    @cached_view
     def members_text(self) -> str:
         """The pursued tasks' texts in label order, rendered once per couple."""
         return " ".join(map(itemgetter(2), self.ordered))
@@ -217,9 +226,8 @@ def _rewritten(couples: ReductionCouple, found, rewrite) -> ReductionCouple:
         if found(couple):
             new = rewrite(couple)
             for parent, old in zip(path[-2::-1], path[::-1]):
-                children = tuple(new if c is old else c for c in parent.children)
-                new = ReductionCouple(
-                    parent.origin, parent.members, parent.alternatives, children
+                new = parent.relinked(
+                    tuple(new if c is old else c for c in parent.children)
                 )
             return new
         depth += 1
@@ -255,7 +263,7 @@ class Configuration:
     def sorted_couples(self) -> list[ReductionCouple]:
         return sorted(self.couples, key=ReductionCouple.sort_key)
 
-    @cached_property
+    @cached_view
     def primary(self) -> frozenset:
         """``primary_tasks`` of the network, computed once per configuration."""
         return primary_tasks(self.network, self.domain)
@@ -276,7 +284,9 @@ class ComponentTables:
       discharge is the one rewrite that reads it;
     * ``couples``: the couple tree under the binding, per (tree, binding).
       The binding reaches only the couples whose subtree mentions one of
-      its variables (``ReductionCouple.substitute``); a search applies one
+      its variables (``ReductionCouple.substitute``), and of those only the
+      ones whose own members or alternatives mention one substitute them;
+      the others are relinked to their new children.  A search applies one
       binding to one tree from many configurations, and the table hands
       out one tree for all of them, with its cached views.
 
@@ -385,7 +395,7 @@ def make_context(domain: Domain, config: Configuration) -> RunContext:
             labels.add(couple.origin)
         for body in couple.alternatives:
             labels |= body.network.labels
-            variables |= body.network.variables
+            variables |= body.variables
     return RunContext(domain, universe, NameGenerator(labels, (v.name for v in variables)))
 
 

@@ -14,7 +14,6 @@ label takes in each, so other modules ask instead of testing classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from .model import (
@@ -24,6 +23,7 @@ from .model import (
     Substitution,
     Variable,
     cached_hash,
+    cached_view,
     label_key,
     labelled_task_key,
     sorted_labels,
@@ -264,7 +264,7 @@ class Constraint:
                 return True
         return False
 
-    @cached_property
+    @cached_view
     def sorted_labels(self) -> tuple[str, ...]:
         """``labels()`` in ``label_key`` order, sorted once per object."""
         return tuple(sorted_labels(self.labels()))
@@ -299,7 +299,7 @@ class Constraint:
             return self
         return Constraint(self.body.with_refs(*new), self.negated)
 
-    @cached_property
+    @cached_view
     def variables(self) -> frozenset[Variable]:
         """``variables_of(self)``, collected once per object: task references
         hold labels only, so the variables are the literal's."""
@@ -308,7 +308,7 @@ class Constraint:
             return frozenset()
         return frozenset(a for a in literal.atom.args if isinstance(a, Variable))
 
-    @cached_property
+    @cached_view
     def text(self) -> str:
         """``str(self)``, rendered once per object."""
         return f"not {self.body}" if self.negated else str(self.body)
@@ -337,17 +337,15 @@ class TaskNetwork:
     __hash__ = cached_hash
 
     def substitute(self, theta: Substitution) -> "TaskNetwork":
-        tasks = substitute(self.tasks, theta)
-        formula = substitute(self.formula, theta)
-        if tasks is self.tasks and formula is self.formula:
+        if self.variables.isdisjoint(theta.domain):
             return self
-        return TaskNetwork(tasks, formula)
+        return TaskNetwork(substitute(self.tasks, theta), substitute(self.formula, theta))
 
-    @cached_property
+    @cached_view
     def labels(self) -> frozenset[str]:
         return frozenset(lt.label for lt in self.tasks)
 
-    @cached_property
+    @cached_view
     def variables(self) -> frozenset[Variable]:
         """Every variable of the tasks and the formula, collected once from the
         members' own cached ``variables``."""
@@ -365,7 +363,7 @@ class TaskNetwork:
     def sorted_tasks(self) -> list[LabelledTask]:
         return sorted(self.tasks, key=labelled_task_key)
 
-    @cached_property
+    @cached_view
     def has_negated_between(self) -> bool:
         """Does the formula hold a negated between-constraint?  Its discharge
         is the one rewrite of an action that reads the state."""

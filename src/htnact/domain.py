@@ -8,7 +8,6 @@ and effects; every domain carries it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .constraints import After, Constraint, Ordering, TaskNetwork, precedence_closure
@@ -22,6 +21,7 @@ from .model import (
     Substitution,
     Task,
     Variable,
+    cached_view,
     constants_of,
     variables_of,
 )
@@ -80,11 +80,11 @@ class Domain:
     operators: tuple[Operator, ...]
     methods: tuple[Method, ...]
 
-    @cached_property
+    @cached_view
     def operator_index(self) -> dict[str, Operator]:
         return {op.symbol: op for op in self.operators}
 
-    @cached_property
+    @cached_view
     def method_index(self) -> dict[str, tuple[tuple[int, Method], ...]]:
         index: dict[str, list[tuple[int, Method]]] = {}
         for i, m in enumerate(self.methods):
@@ -106,7 +106,7 @@ class Domain:
     def methods_for(self, symbol: str) -> tuple[tuple[int, Method], ...]:
         return self.method_index.get(symbol, ())
 
-    @cached_property
+    @cached_view
     def constants(self) -> frozenset[Constant]:
         return constants_of(self.operators) | constants_of(
             tuple((m.head, m.body) for m in self.methods)

@@ -8,7 +8,6 @@ constant, so the two namespaces never collide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 EQUALITY_SYMBOL = "="
@@ -26,6 +25,21 @@ def cached_hash(self) -> int:
             tuple(map(cached.__getitem__, self.__dataclass_fields__))
         )
     return value
+
+
+class cached_view:
+    """``functools.cached_property`` without the lock Python 3.11 takes on
+    every first access: computed once and written to the object's
+    ``__dict__`` (frozen dataclasses too), which later lookups read first."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 @dataclass(frozen=True, order=True)
@@ -64,7 +78,7 @@ class Atom:
     def is_ground(self) -> bool:
         return not any(isinstance(a, Variable) for a in self.args)
 
-    @cached_property
+    @cached_view
     def text(self) -> str:
         """``str(self)``, rendered once per object."""
         if not self.args:
@@ -93,7 +107,7 @@ class Literal:
     def is_ground(self) -> bool:
         return self.atom.is_ground
 
-    @cached_property
+    @cached_view
     def text(self) -> str:
         """``str(self)``, rendered once per object."""
         return self.atom.text if self.positive else f"!{self.atom.text}"
@@ -119,12 +133,12 @@ class Task:
     def is_ground(self) -> bool:
         return not any(isinstance(a, Variable) for a in self.args)
 
-    @cached_property
+    @cached_view
     def variables(self) -> frozenset[Variable]:
         """``variables_of(self)``, collected once per object."""
         return frozenset(a for a in self.args if isinstance(a, Variable))
 
-    @cached_property
+    @cached_view
     def text(self) -> str:
         """``str(self)``, rendered once per object."""
         if not self.args:
@@ -148,12 +162,12 @@ class LabelledTask:
         task = self.task.substitute(theta)
         return self if task is self.task else LabelledTask(self.label, task)
 
-    @cached_property
+    @cached_view
     def variables(self) -> frozenset[Variable]:
         """``variables_of(self)``: the task's, shared with it."""
         return self.task.variables
 
-    @cached_property
+    @cached_view
     def text(self) -> str:
         """``str(self)``, rendered once per object."""
         return f"{self.label}:{self.task.text}"
@@ -253,7 +267,7 @@ def substitute(value, theta: Substitution):
     the same guarantee.
 
     Of a tuple or frozenset, a member that caches its ``variables`` (a task,
-    labelled task, constraint or network) is rebuilt only when those meet
+    labelled task, constraint, network or body) is rebuilt only when those meet
     the variables ``theta`` binds.  Every other such member is kept as the
     same object without a call into it, and a frozenset is assembled as
     ``(value - old) | new`` over the members that changed, so the kept ones

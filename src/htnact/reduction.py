@@ -22,6 +22,11 @@ class Body:
 
     __hash__ = cached_hash
 
+    @property
+    def variables(self):
+        """The network's: ``model.substitute`` skips a body a binding misses."""
+        return self.network.variables
+
     def substitute(self, theta) -> "Body":
         network = self.network.substitute(theta)
         if network is self.network:

@@ -7,16 +7,17 @@ couples are built from its own predecessor's, and at every configuration the
 two must agree on the pursued sets, the replacements offered with their
 complete and jump flags, whether the trace is blocked, the export's couple
 lines and the couples after an observation.  The tree also makes an action
-touch only the couples that mention its binding, and keying a
-configuration computes no couple's view, however deep the recursion.
+touch only the couples that mention its binding, relinking the ancestors of
+the couple it acts in without scanning them, and keying a configuration
+computes no couple's view, however deep the recursion.  A relinked couple
+carries what the plain constructor would compute for it.
 """
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from functools import cached_property
 
 import couple_reference
-from htnact import model
+from htnact import acting, model, reduction
 from htnact import trace as trace_module
 from htnact.acting import (
     INITIAL,
@@ -28,12 +29,13 @@ from htnact.acting import (
     exec_all,
     exec_via_replacement,
     initial_configuration,
+    is_successful,
     is_trace_blocked,
     make_context,
 )
 from htnact.corpus import corpus
 from htnact.export import render_trace
-from htnact.model import LabelledTask, Task
+from htnact.model import LabelledTask, Task, cached_view
 from htnact.syntax import parse_domain, parse_problem
 from htnact.trace import (
     DefaultStrategy,
@@ -46,6 +48,21 @@ from htnact.trace import (
 from test_blocked import UNBOUNDED_DOMAIN, counter_problem
 
 OBSERVED = frozenset({LabelledTask("obs", Task("nop"))})
+
+
+def rebuilt(couple):
+    """An equal tree with nothing cached, every couple made by the plain
+    constructor, children first."""
+    built: dict = {}
+    order, pending = [], [couple]
+    while pending:
+        order.append(pending.pop())
+        pending += order[-1].children
+    for c in reversed(order):
+        built[id(c)] = ReductionCouple(
+            c.origin, c.members, c.alternatives, tuple(built[id(x)] for x in c.children)
+        )
+    return built[id(couple)]
 
 
 def pursued(couples) -> dict:
@@ -166,24 +183,144 @@ def test_a_replacement_keeps_a_chain_of_couples_with_equal_pursued_sets():
 
 # -- costs the tree bounds ----------------------------------------------------------
 
+def path_to(top, label) -> list:
+    """The couples from ``top`` down to the one holding ``label``."""
+    pending = [[top]]
+    while pending:
+        path = pending.pop()
+        if any(lt.label == label for lt in path[-1].members):
+            return path
+        pending += [path + [child] for child in path[-1].children]
+    raise KeyError(label)
+
+
+def counting(monkeypatch, cls, name="substitute") -> list:
+    """``(object, binding)`` for each call of ``cls.name`` from now, in call
+    order."""
+    calls, real = [], getattr(cls, name)
+
+    def counted(self, theta):
+        calls.append((self, theta))
+        return real(self, theta)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def test_an_action_substitutes_into_one_couple(monkeypatch):
     """Each ``dec`` binds the variables of one task, which the deepest couple
     holds: at most two members are rebuilt per action, one in the network and
     one in that couple, however deep the recursion (flat couples rebuilt it
-    in every ancestor: 860 calls)."""
+    in every ancestor: 860 calls).  The couples above it are relinked: each
+    keeps its members and alternatives objects, which are not even handed to
+    ``substitute``, and no alternative body is substituted, as none mentions
+    a variable a ``dec`` binds (820 calls when every ancestor substituted its
+    alternatives)."""
     problem, domain = counter_problem(40)
     cfg0 = initial_configuration(problem.network, problem.state, domain)
-    calls = []
-    real = model.LabelledTask.substitute
-
-    def counted(self, theta):
-        calls.append(self)
-        return real(self, theta)
-
-    monkeypatch.setattr(model.LabelledTask, "substitute", counted)
+    tasks = counting(monkeypatch, model.LabelledTask)
+    bodies = counting(monkeypatch, reduction.Body)
+    values = counting(monkeypatch, acting, "substitute")
     trace = run(cfg0, DefaultStrategy())
-    decs = sum(1 for s in trace.steps if s.kind == "action" and s.task.symbol == "dec")
-    assert decs == 40 and len(calls) <= 2 * decs
+    substituted = {(id(value), theta) for value, theta in values}
+    decs = 0
+    for before, step in zip(trace.steps, trace.steps[1:]):
+        if step.kind != "action" or step.task.symbol != "dec":
+            continue
+        decs += 1
+        after = {c.origin: c for c in step.config.couples}
+        above = path_to(before.config.couples, step.label)[:-1]
+        assert len(above) == decs
+        for old in above:
+            new = after[old.origin]
+            assert new is not old
+            assert new.members is old.members and new.alternatives is old.alternatives
+            for value in (old.members, old.alternatives):
+                assert (id(value), step.binding) not in substituted
+    assert decs == 40 and len(tasks) <= 2 * decs
+    assert bodies == []
+
+
+def same_tree(couples) -> tuple[int, int]:
+    """Assert that ``couples`` carries, couple by couple, what the plain
+    constructor computes for an equal tree; returns how many couples, and
+    how many of them hold variables of their own and a couple below."""
+    pairs, seen, holding = [(couples, rebuilt(couples))], 0, 0
+    while pairs:
+        a, b = pairs.pop()
+        assert (a.size, a.variables, a.own_variables) == (b.size, b.variables, b.own_variables)
+        assert hash(a) == hash(b) and a.members_text == b.members_text
+        pairs += zip(a.children, b.children)
+        seen += 1
+        holding += bool(a.own_variables and a.children)
+    assert couples == rebuilt(couples)
+    return seen, holding
+
+
+RELINK_DOMAIN = """\
+domain relink
+
+operator pick(X)
+  pre: item(X)
+  add: held(X)
+  del: item(X)
+
+operator go
+  pre:
+  add:
+  del:
+
+method m1 top
+  tasks:
+    1: pick(X)
+    2: mid
+
+method m2 top
+  tasks:
+    3: go
+
+method m3 mid
+  tasks:
+    4: low
+
+method m4 low
+  tasks:
+    5: pick(Y)
+
+method m5 low
+  tasks:
+    6: go
+"""
+
+
+def test_relinked_couples_carry_what_the_constructor_computes(rover, rover_problem, rover_nocali):
+    """After every step of a deep recursion and of both rover runs, and at
+    every configuration a walk over a corpus reaches, each couple's label
+    count, variables, own variables, hash and members text are those of the
+    same tree built by the plain constructor.  In none of these does a
+    couple relinked above a changed one hold a variable, so a walk over a
+    domain whose couple 1 keeps ``pick(X)`` unbound while ``low`` is
+    reduced and ``pick(Y)`` acts below it checks that case."""
+    problem, domain = counter_problem(40)
+    starts = [initial_configuration(problem.network, problem.state, domain)]
+    starts += [initial_configuration(p.network, p.state, rover) for p in (rover_problem, rover_nocali)]
+    checked = holding = 0
+    for cfg0 in starts:
+        trace = run(cfg0, DefaultStrategy())
+        assert is_successful(trace.final)
+        for step in trace.steps:
+            checked += same_tree(step.config.couples)[0]
+    relink = parse_domain(RELINK_DOMAIN, "relink").value
+    problem = parse_problem(
+        "problem relink\nstate: item(c1), item(c2)\ntasks:\n  T: top\n", relink
+    ).value
+    walks = [(case.network, case.state, case.domain) for case in corpus(40, 0)]
+    for network, state, domain in walks + [(problem.network, problem.state, relink)]:
+        cfg0 = initial_configuration(network, state, domain)
+        for cfg, *_ in reachable(cfg0, make_context(domain, cfg0)):
+            counts = same_tree(cfg.couples)
+            checked, holding = checked + counts[0], holding + counts[1]
+    assert checked > 4800 and holding > 0
 
 
 def test_keying_a_deep_configuration_computes_no_couple_view():
@@ -196,23 +333,11 @@ def test_keying_a_deep_configuration_computes_no_couple_view():
     cfg = run(cfg0, DefaultStrategy(), budget=200).final
     assert len(cfg.couples) > 100
 
-    def rebuilt(couple):  # an equal tree with nothing cached, children first
-        built: dict = {}
-        order, pending = [], [couple]
-        while pending:
-            order.append(pending.pop())
-            pending += order[-1].children
-        for c in reversed(order):
-            built[id(c)] = ReductionCouple(
-                c.origin, c.members, c.alternatives, tuple(built[id(x)] for x in c.children)
-            )
-        return built[id(couple)]
-
     fresh, other = rebuilt(cfg.couples), rebuilt(cfg.couples)
     key = canonical_key(dc_replace(cfg, couples=fresh))
     assert hash(key) == hash(canonical_key(dc_replace(cfg, couples=other)))
     assert key == canonical_key(dc_replace(cfg, couples=other))
-    views = {name for name, v in vars(ReductionCouple).items() if isinstance(v, cached_property)}
+    views = {name for name, v in vars(ReductionCouple).items() if isinstance(v, cached_view)}
     assert {"pursued", "labels", "members_text", "below"} <= views
     pending = [fresh, other]
     while pending:

@@ -148,6 +148,31 @@ def test_only_acting_builds_reduction_couples():
     assert _couple_builds(PACKAGE / "acting.py")  # the guard sees a build
 
 
+def _cached_property_uses(path: Path) -> list[str]:
+    """``file:line`` for each import of ``functools.cached_property`` and
+    each ``functools.cached_property`` attribute read."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools" and any(
+            alias.name == "cached_property" for alias in node.names
+        ) or isinstance(node, ast.Attribute) and node.attr == "cached_property" and (
+            getattr(node.value, "id", None) == "functools"
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_cached_views_use_one_descriptor():
+    """Every cached view in the package is ``model.cached_view``, which takes
+    no lock; ``functools.cached_property`` takes one on every first access
+    before Python 3.12."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        offenders += _cached_property_uses(path)
+    assert offenders == []
+    assert _cached_property_uses(Path(__file__).parent / "couple_reference.py")  # it sees one
+
+
 def test_every_traced_function_exists():
     """perfbench/tracing.py wraps its TARGETS by name; a renamed function
     must fail here rather than in the benchmark's traced run."""

@@ -24,7 +24,6 @@ from .model import (
     Variable,
     cached_hash,
     cached_view,
-    label_key,
     labelled_task_key,
     sorted_labels,
     substitute,
@@ -264,11 +263,6 @@ class Constraint:
                 return True
         return False
 
-    @cached_view
-    def sorted_labels(self) -> tuple[str, ...]:
-        """``labels()`` in ``label_key`` order, sorted once per object."""
-        return tuple(sorted_labels(self.labels()))
-
     def rewrite_refs(self, fn) -> "Constraint":
         """``self`` with ``fn`` applied to each reference; ``self`` itself
         when ``fn`` hands every reference back unchanged."""
@@ -372,56 +366,6 @@ class TaskNetwork:
     def __str__(self) -> str:
         tasks = " ".join(str(t) for t in self.sorted_tasks())
         return f"<{tasks} | {render_formula(self.formula)}>"
-
-
-class Renaming(dict):
-    """Maps each label to ``#k``, numbering labels in order of first request."""
-
-    def __missing__(self, label: str) -> str:
-        name = self[label] = f"#{len(self)}"
-        return name
-
-    __call__ = dict.__getitem__
-
-
-def network_fingerprint(network: TaskNetwork) -> str:
-    """``network`` with its labels renamed to ``#k``.
-
-    Labels are numbered in a deterministic traversal order: the tasks sorted
-    by task text and then label, then the labels of each constraint, taking
-    the constraints in the order of their text and each one's labels in
-    ``label_key`` order.  Distinct structures never share a fingerprint.
-    Networks that differ only by a renaming of their labels share one when
-    the renaming keeps that order, not otherwise: tasks with the same text
-    are told apart by label order, and a constraint's text names its labels.
-
-    Task and constraint texts and each constraint's sorted labels are cached
-    on those values, so a call sorts and renames but renders nothing again.
-    """
-    rename = Renaming()
-    tasks = sorted(network.tasks, key=lambda lt: (lt.task.text, label_key(lt.label)))
-    pieces = [f"{rename(lt.label)}:{lt.task.text}" for lt in tasks]
-    formula = sorted(network.formula, key=lambda c: c.text)
-    for c in formula:
-        for label in c.sorted_labels:
-            rename(label)
-    rendered = sorted(_renamed_constraint(c, rename) for c in formula)
-    return " ".join(pieces) + " | " + " & ".join(rendered)
-
-
-def _renamed_constraint(c: Constraint, rename: Callable[[str], str]) -> str:
-    def ref_str(ref: TaskRef) -> str:
-        if ref.plain:
-            return rename(ref.label)
-        return f"{ref.keyword}[{','.join(sorted(map(rename, ref.labels)))}]"
-
-    parts = [type(c.body).__name__] + [ref_str(ref) for ref in c.refs()]
-    literal = getattr(c.body, "literal", None)
-    if literal is not None:
-        parts.append(literal.text)
-    if c.negated:
-        parts.append("~")
-    return " ".join(parts)
 
 
 def network(tasks: Iterable[LabelledTask], formula: Iterable[Constraint] = ()) -> TaskNetwork:

@@ -4,7 +4,9 @@ A completion of a primitive task network is a total ordering of one of its
 ground instances that is executable from the initial state and satisfies
 every constraint, evaluated positionally over the simulated state sequence.
 The solution set is the union of the completions of every network reachable
-by a bounded number of reductions.
+by a bounded number of reductions.  ``reachable_networks`` names each task's
+relevant bodies once per search, so reductions taken in any order meet in
+equal networks, and it deduplicates networks by equality.
 
 Completions are found by progression over task indices, per grounding of the
 network's variables.  A task is placed when its precondition holds in the
@@ -44,11 +46,10 @@ from .constraints import (
     TaskNetwork,
     TaskRef,
     holds,
-    network_fingerprint,
 )
 from .domain import Domain, run_generator
 from .model import Constant, Substitution, Task, constants_of
-from .reduction import reduce_task, relevant_method_bodies
+from .reduction import Body, reduce_task, relevant_method_bodies
 
 
 def constant_universe(network: TaskNetwork, state: frozenset, domain: Domain) -> tuple[Constant, ...]:
@@ -256,9 +257,19 @@ def completions(
 def reachable_networks(
     network: TaskNetwork, domain: Domain, depth: int
 ) -> list[TaskNetwork]:
-    """Networks reachable from ``network`` by at most ``depth`` reductions."""
+    """Networks reachable from ``network`` by at most ``depth`` reductions.
+
+    A task's relevant bodies are renamed once per search, on the task's first
+    offer, from the search's one generator; every later offer of the same
+    ``(label, task)``, in any network, reduces it to the same bodies.  So the
+    same reductions taken in any order give equal networks, and the search
+    deduplicates by equality.  A label enters with one body and leaves when
+    it is reduced, so a recorded body's names never meet a network that
+    still holds its task.
+    """
     gen = run_generator(network.labels, (network,))
-    seen = {network_fingerprint(network)}
+    bodies: dict[tuple[str, Task], tuple[Body, ...]] = {}
+    seen = {network}
     frontier = [network]
     out = [network]
     for _ in range(depth):
@@ -267,12 +278,14 @@ def reachable_networks(
             for lt in net.sorted_tasks():
                 if not domain.is_nonprimitive(lt.task.symbol):
                     continue
-                for body in relevant_method_bodies(lt.task, domain, gen):
+                key = (lt.label, lt.task)
+                if key not in bodies:
+                    bodies[key] = relevant_method_bodies(lt.task, domain, gen)
+                for body in bodies[key]:
                     reduced = reduce_task(net, lt.label, body.network)
-                    key = network_fingerprint(reduced)
-                    if key in seen:
+                    if reduced in seen:
                         continue
-                    seen.add(key)
+                    seen.add(reduced)
                     next_frontier.append(reduced)
                     out.append(reduced)
         if not next_frontier:

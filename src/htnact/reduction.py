@@ -52,7 +52,7 @@ def relevant_method_bodies(task: Task, domain: Domain, gen: NameGenerator) -> tu
     violation; an empty result just means no method head matches.  ``gen``
     avoids every name of the network ``task`` sits in, so the body's fresh
     variables never meet the task's: a run lineage's generator
-    (``acting.RunContext``) never draws a name twice.
+    (``acting.RunContext``) and an oracle search's never draw a name twice.
     """
     if domain.is_primitive(task.symbol):
         raise ValueError(f"task {task} is primitive; it has no relevant methods")

@@ -7,6 +7,12 @@ number of tasks, and obviously right: the forward search in ``htnact.oracle``
 must return exactly these sets.  The grounding and the positional evaluation
 are this module's own, so a fault in the oracle's constraint semantics cannot
 cancel out.
+
+The reachable networks are this module's own too: a breadth-first search
+that renames a task's bodies afresh at every offer and deduplicates networks
+by ``key_reference.network_fingerprint``, invariant under renamings that keep
+label order.  So a network the oracle's equality search misses is not missed
+here as well.
 """
 from __future__ import annotations
 
@@ -24,9 +30,11 @@ from htnact.constraints import (
     TaskNetwork,
     holds,
 )
-from htnact.domain import Domain
+from htnact.domain import Domain, run_generator
 from htnact.model import Constant, LabelledTask, Substitution, Task
-from htnact.oracle import constant_universe, reachable_networks
+from htnact.oracle import constant_universe
+from htnact.reduction import reduce_task, relevant_method_bodies
+from key_reference import network_fingerprint
 
 
 def _groundings(
@@ -134,6 +142,32 @@ def _simulate(
         current = frozenset((current - frozenset(delete)) | frozenset(add))
         states.append(current)
     return states
+
+
+def reachable_networks(
+    network: TaskNetwork, domain: Domain, depth: int
+) -> list[TaskNetwork]:
+    """Networks reachable from ``network`` by at most ``depth`` reductions,
+    one per fingerprint."""
+    gen = run_generator(network.labels, (network,))
+    seen = {network_fingerprint(network)}
+    frontier = [network]
+    out = [network]
+    for _ in range(depth):
+        next_frontier = []
+        for net in frontier:
+            for lt in net.sorted_tasks():
+                if not domain.is_nonprimitive(lt.task.symbol):
+                    continue
+                for body in relevant_method_bodies(lt.task, domain, gen):
+                    reduced = reduce_task(net, lt.label, body.network)
+                    key = network_fingerprint(reduced)
+                    if key not in seen:
+                        seen.add(key)
+                        next_frontier.append(reduced)
+                        out.append(reduced)
+        frontier = next_frontier
+    return out
 
 
 def solutions_bounded(

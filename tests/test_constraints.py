@@ -11,7 +11,6 @@ from htnact.constraints import (
     Ordering,
     TaskNetwork,
     holds,
-    network_fingerprint,
     precedence_closure,
 )
 from htnact.acting import ReductionCouple
@@ -26,6 +25,7 @@ from htnact.model import (
     substitute,
 )
 from htnact.reduction import Body
+from key_reference import network_fingerprint
 
 
 def ordc(a: str, b: str) -> Constraint:
@@ -123,6 +123,9 @@ def test_formula_equality_is_order_insensitive():
 
 
 # -- network fingerprints -------------------------------------------------------------
+# The renaming-invariant fingerprint is the test reference's
+# (``key_reference``); these keep it honest for the key and oracle
+# differentials that lean on it.
 
 def chain(a: str, b: str, c: str, literal: str = "ready") -> TaskNetwork:
     """Two ``go`` tasks ``a``, ``b`` before ``c``, gated by a before-constraint."""

@@ -148,6 +148,42 @@ def test_only_acting_builds_reduction_couples():
     assert _couple_builds(PACKAGE / "acting.py")  # the guard sees a build
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The package modules ``path`` imports, by bare name, wherever in the
+    file the import stands."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"htnact.{module}" if module else "htnact"
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(n.removeprefix("htnact.") for n in names if n.startswith("htnact."))
+    return found & {p.stem for p in PACKAGE.glob("*.py")}
+
+
+GROUND_TRUTH = ("oracle", "reduction", "domain")
+ACTING_SIDE = {"acting", "trace", "verify"}
+
+
+def test_the_ground_truth_imports_nothing_of_acting():
+    """The oracle is what acting is verified against, so neither it nor the
+    modules it builds on may reach acting's lineage tables, searches or
+    checks, directly or through another module."""
+    reached, stack = set(), list(GROUND_TRUTH)
+    while stack:
+        module = stack.pop()
+        if module not in reached:
+            reached.add(module)
+            stack += _package_imports(PACKAGE / f"{module}.py")
+    assert reached & ACTING_SIDE == set()
+    assert "acting" in _package_imports(PACKAGE / "trace.py")  # the guard sees one
+
+
 def _cached_property_uses(path: Path) -> list[str]:
     """``file:line`` for each import of ``functools.cached_property`` and
     each ``functools.cached_property`` attribute read."""

@@ -6,9 +6,9 @@ also puts together configurations that differ by a renaming.  Over every
 configuration explored from corpus cases and both rover problems, one
 ``canonical_key`` never holds two reference keys, and searches memoised
 under either key find the same results.  The parts cached on values (texts,
-sorted labels, a couple's views, hashes) must never leak into equality,
-hashing or ``repr``, and must be built once per object; a cached hash must
-equal the dataclass hash of the fields.
+a couple's views, hashes) must never leak into equality, hashing or
+``repr``, and must be built once per object; a cached hash must equal the
+dataclass hash of the fields.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from dataclasses import fields, replace as dc_replace
 import pytest
 
 import key_reference
-from htnact import constraints
 from htnact import trace as trace_module
 from htnact.acting import (
     ReductionCouple,
@@ -149,10 +148,7 @@ def recomputed(value) -> dict:
     if isinstance(value, LabelledTask):
         return {"text": f"{value.label}:{rendered(value.task)}"}
     if isinstance(value, Constraint):
-        return {
-            "text": ("not " if value.negated else "") + str(value.body),
-            "sorted_labels": tuple(sorted(value.labels(), key=label_key)),
-        }
+        return {"text": ("not " if value.negated else "") + str(value.body)}
     if isinstance(value, TaskNetwork):
         return {"labels": frozenset(lt.label for lt in value.tasks)}
     if isinstance(value, Body):
@@ -236,24 +232,3 @@ def test_substituted_body_and_couple_get_fresh_parts():
     assert bound_couple.members_text == "n2:at(c) t2:go(c)"
     assert str(bound_body.network) == "<n1:go(c) | before at(c) n1>"
     assert couple.members_text == "n2:at(X) t2:go(X)"  # the parent keeps its own
-
-
-def test_a_search_fingerprints_no_network(rover, rover_problem, monkeypatch):
-    """An exhaustive search keys its configurations by equality, so it
-    renames no label: ``network_fingerprint``, which numbers labels through
-    a ``Renaming``, is never called."""
-    renamings = []
-
-    class CountedRenaming(constraints.Renaming):
-        def __init__(self, *args) -> None:
-            renamings.append(1)
-            super().__init__(*args)
-
-    monkeypatch.setattr(constraints, "Renaming", CountedRenaming)
-    constraints.network_fingerprint(rover_problem.network)
-    assert len(renamings) == 1  # the count sees a fingerprint
-    renamings.clear()
-    cfg0 = initial_configuration(rover_problem.network, rover_problem.state, rover)
-    assert successful_action_sequences(cfg0, make_context(rover, cfg0))
-    assert check_extendability(rover_problem.network, rover_problem.state, rover) is None
-    assert renamings == []

@@ -25,6 +25,7 @@ from htnact.oracle import (
     solutions_bounded,
 )
 from htnact.syntax import parse_problem
+from test_search import transmits
 
 loc1 = Constant("loc1")
 
@@ -273,6 +274,32 @@ tasks:
 """)
     solutions = solutions_bounded(problem.network, problem.state, rover, 4)
     assert len(solutions) == 20
+
+
+@pytest.mark.parametrize("calibrated", [True, False])
+def test_the_search_matches_the_reference_search_on_two_transmits(rover, calibrated):
+    """The reference renames bodies at every offer and deduplicates by
+    fingerprint; the oracle's completions over its networks are the oracle's
+    solutions.  (Brute-force completions would take about 20 s here.)"""
+    problem = transmits(rover, 2, calibrated)
+    state, universe = problem.state, constant_universe(problem.network, problem.state, rover)
+    reference = frozenset().union(*(
+        completions(net, state, rover, universe)
+        for net in oracle_reference.reachable_networks(problem.network, rover, 4)
+    ))
+    solutions = solutions_bounded(problem.network, state, rover, 4)
+    assert solutions == reference and len(solutions) == (10 if calibrated else 20)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("calibrated", [True, False])
+def test_reductions_in_any_order_meet(rover, count, calibrated):
+    """Each transmit reduces in two steps to one of six networks, and the
+    steps of different transmits commute: one network per combination of
+    choices, whatever the order the reductions were taken in."""
+    problem = transmits(rover, count, calibrated)
+    networks = reachable_networks(problem.network, rover, 2 * count)
+    assert len(networks) == len(set(networks)) == 6 ** count
 
 
 def test_negated_between_remembers_its_escape():

@@ -31,11 +31,11 @@ from htnact.acting import (
     is_successful,
     make_context,
 )
-from htnact.constraints import network_fingerprint
 from htnact.corpus import corpus
 from htnact.syntax import parse_domain, parse_problem
 from htnact.trace import canonical_key, reachable, successful_action_sequences
 from htnact.verify import acting_solution_set
+from key_reference import network_fingerprint
 from search_reference import reference_action_sequences
 
 

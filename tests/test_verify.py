@@ -3,7 +3,14 @@ from __future__ import annotations
 import pytest
 
 from htnact.corpus import corpus
-from htnact.verify import SuiteResult, check_sequence_elimination, suite_elimination
+from htnact.oracle import solutions_bounded
+from htnact.verify import (
+    SuiteResult,
+    check_equivalence,
+    check_sequence_elimination,
+    suite_elimination,
+)
+from test_search import transmits
 
 REWRITE_FAILURE = "elimination failed: no offered execution matches (offered for T1: nothing)"
 
@@ -41,3 +48,10 @@ def test_sequence_elimination_holds_on_the_scan(seed):
         if (problem := check_sequence_elimination(case.network, case.state, case.domain))
     ]
     assert failures == []
+
+
+@pytest.mark.parametrize("calibrated, sequences", [(True, 54), (False, 108)])
+def test_acting_equals_planning_on_three_transmits(rover, calibrated, sequences):
+    problem = transmits(rover, 3, calibrated)
+    assert check_equivalence(problem.network, problem.state, rover, depth=6) is None
+    assert len(solutions_bounded(problem.network, problem.state, rover, 6)) == sequences

@@ -11,10 +11,11 @@ couples and the domain.  Three kinds of execution rewrite configurations:
   alternative body, recovering from failure.
 
 ``exec_via_*`` and ``exec_all`` enumerate the legal executions from a
-configuration as light ``Choice`` values; ``apply`` performs one choice, or
-the observation step of a dynamic trace, and is the one place a successor
-configuration is built.  A trace ``Step`` is the choice performed plus its
-result: the configuration reached and the labels removed and added.
+configuration as light ``Choice`` values; ``successor`` performs one choice,
+or the observation step of a dynamic trace, and is the one place a successor
+configuration is built.  A trace ``Step``, built by ``apply``, is the choice
+performed plus its result: the configuration reached and the labels removed
+and added.  A search keeps no steps and builds configurations alone.
 
 All values are immutable; the only mutable collaborators are a run
 lineage's fresh-name generator and table of reductions, and the component
@@ -23,7 +24,7 @@ tables (``ComponentTables``), all held by a run context (``RunContext``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
@@ -249,16 +250,23 @@ def ordered_alternatives(bodies) -> tuple[Body, ...]:
     return tuple(sorted(bodies, key=Body.sort_key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Configuration:
     """One node of an execution trace: a task network, a state, the couple
     tree and the domain.  It keeps no binding: an action's binding is applied
-    to the whole configuration, so no variable it binds occurs here."""
+    to the whole configuration, so no variable it binds occurs here.
+
+    Its constructor, like ``Choice``'s and ``Step``'s, writes every field in
+    one update of the instance dict, where the generated frozen one makes a
+    call per field; a search builds one per edge."""
 
     network: TaskNetwork
     state: frozenset
     couples: ReductionCouple  # the top-level couple, and the tree under it
     domain: Domain = field(repr=False)
+
+    def __init__(self, network, state, couples, domain) -> None:
+        self.__dict__.update(network=network, state=state, couples=couples, domain=domain)
 
     def sorted_couples(self) -> list[ReductionCouple]:
         return sorted(self.couples, key=ReductionCouple.sort_key)
@@ -304,8 +312,9 @@ class ComponentTables:
     (``trace.validate_trace``, ``trace.eliminate_complete_replacements``)
     builds through tables of its own, never the producer's: a trace
     validates in the lineage that produced it, but no part its producer
-    built is looked up.  Nothing is shared between searches.  ``trace.run``,
-    replay and the searches all build through them.
+    built is looked up.  Nothing is shared between searches.  ``successor``
+    builds through them: for ``trace.run`` and replay by way of ``apply``,
+    and for the searches' walk (``trace.reachable``), which keeps no step.
     """
 
     states: dict = field(default_factory=dict)
@@ -399,13 +408,14 @@ def make_context(domain: Domain, config: Configuration) -> RunContext:
     return RunContext(domain, universe, NameGenerator(labels, (v.name for v in variables)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Choice:
     """One legal execution from a configuration, not yet performed.
 
     It holds everything a strategy, a choice directive or an explorer matches
-    on; ``apply`` performs it.  A reduction keeps the bodies it leaves untried
-    in ``alternatives``; a replacement names the couple it swaps out.
+    on; ``successor`` performs it, and ``apply`` records it as a ``Step``.
+    A reduction keeps the bodies it leaves untried in ``alternatives``; a
+    replacement names the couple it swaps out.
     """
 
     kind: str
@@ -418,6 +428,16 @@ class Choice:
     complete: Optional[bool] = None
     jump: Optional[bool] = None
     observed: frozenset = frozenset()
+
+    def __init__(
+        self, kind, label=None, task=None, binding=None, body=None, alternatives=(),
+        couple=None, complete=None, jump=None, observed=frozenset(),
+    ) -> None:
+        self.__dict__.update(
+            kind=kind, label=label, task=task, binding=binding, body=body,
+            alternatives=alternatives, couple=couple, complete=complete, jump=jump,
+            observed=observed,
+        )
 
     def describe(self) -> str:
         if self.kind == ACTION:
@@ -436,7 +456,7 @@ class Choice:
         return self.kind
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, init=False)
 class Step(Choice):
     """One trace element: the choice performed, the configuration it reached,
     and the labels it removed from and added to the network."""
@@ -444,6 +464,17 @@ class Step(Choice):
     config: Configuration
     removed: frozenset = frozenset()
     added: frozenset = frozenset()
+
+    def __init__(
+        self, kind, label=None, task=None, binding=None, body=None, alternatives=(),
+        couple=None, complete=None, jump=None, observed=frozenset(), *,
+        config, removed=frozenset(), added=frozenset(),
+    ) -> None:
+        self.__dict__.update(
+            kind=kind, label=label, task=task, binding=binding, body=body,
+            alternatives=alternatives, couple=couple, complete=complete, jump=jump,
+            observed=observed, config=config, removed=removed, added=added,
+        )
 
 
 # -- primary tasks -------------------------------------------------------------
@@ -969,30 +1000,29 @@ def with_observed(cfg: Configuration, observed: frozenset) -> Configuration:
     network = TaskNetwork(cfg.network.tasks | observed, cfg.network.formula)
     top = cfg.couples
     couples = ReductionCouple(top.origin, top.members | observed, top.alternatives, top.children)
-    return dc_replace(cfg, network=network, couples=couples)
+    return Configuration(network, cfg.state, couples, cfg.domain)
 
 
-def apply(
+def successor(
     cfg: Configuration, choice: Choice, ctx: Optional[RunContext] = None
-) -> Step:
-    """The step that performs ``choice`` from ``cfg``.
+) -> Configuration:
+    """The configuration that performing ``choice`` from ``cfg`` reaches.
 
     Every successor configuration is built here, for the three kinds of
     execution and for observations; an action's from ``ctx``'s tables, or
     fresh ones without a context.  Legality is the caller's concern:
     ``exec_*`` offer only legal choices, and replay applies a recorded step
-    only once it has found it among them.
+    only once it has found it among them.  A search reads no more of an
+    edge than this (``trace.reachable``); ``apply`` makes it a ``Step``.
     """
-    label, body = choice.label, choice.body
-    removed = added = frozenset()
-    if choice.kind == ACTION:
+    kind, label, body = choice.kind, choice.label, choice.body
+    if kind == ACTION:
         network, state, couples = action_result(
             label, cfg.state, cfg.network, choice.binding, cfg.couples, cfg.domain,
             ctx.tables if ctx is not None else None,
         )
-        config = Configuration(network, state, couples, cfg.domain)
-        removed = frozenset((label,))
-    elif choice.kind == REDUCTION:
+        return Configuration(network, state, couples, cfg.domain)
+    if kind == REDUCTION:
         # the couple holding the task holds the new couple in its place
         target = cfg.network.task_of(label)
         created = ReductionCouple(label, body.network.tasks, choice.alternatives)
@@ -1004,27 +1034,38 @@ def apply(
                 holder.alternatives, tuple(children),
             )
 
-        config = dc_replace(
-            cfg,
-            network=reduce_task(cfg.network, label, body.network),
-            couples=_rewritten(cfg.couples, lambda c: target in c.members, holding),
+        return Configuration(
+            reduce_task(cfg.network, label, body.network), cfg.state,
+            _rewritten(cfg.couples, lambda c: target in c.members, holding), cfg.domain,
         )
-        removed, added = frozenset((label,)), body.network.labels
-    elif choice.kind == REPLACEMENT:
+    if kind == REPLACEMENT:
         couple = choice.couple
-        removed = couple.labels & cfg.network.labels
-        config = dc_replace(
-            cfg,
-            network=replace_tasks(couple.pursued, body.network, cfg.network),
-            couples=update_couples(removed, couple, body, cfg.couples),
+        return Configuration(
+            replace_tasks(couple.pursued, body.network, cfg.network), cfg.state,
+            update_couples(couple.labels & cfg.network.labels, couple, body, cfg.couples),
+            cfg.domain,
         )
-        added = body.network.labels
-    elif choice.kind == OBSERVATION:
-        config = with_observed(cfg, choice.observed)
-    else:
-        raise ValueError(f"cannot apply a {choice.kind} choice")
+    if kind == OBSERVATION:
+        return with_observed(cfg, choice.observed)
+    raise ValueError(f"cannot apply a {kind} choice")
+
+
+def apply(
+    cfg: Configuration, choice: Choice, ctx: Optional[RunContext] = None
+) -> Step:
+    """The step that performs ``choice`` from ``cfg``: the configuration
+    ``successor`` builds, and the labels the choice removes and adds."""
+    config = successor(cfg, choice, ctx)
+    kind, label, body = choice.kind, choice.label, choice.body
+    removed = added = frozenset()
+    if kind == ACTION:
+        removed = frozenset((label,))
+    elif kind == REDUCTION:
+        removed, added = frozenset((label,)), body.network.labels
+    elif kind == REPLACEMENT:
+        removed, added = choice.couple.labels & cfg.network.labels, body.network.labels
     return Step(
-        choice.kind,
+        kind,
         label=label,
         task=choice.task,
         binding=choice.binding,

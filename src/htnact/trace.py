@@ -6,11 +6,12 @@ provides the strategies that resolve the semantics' nondeterminism by picking
 one of the choices ``exec_all`` offers (``strategy_step``, shared by ``run``
 and the agent loop), the exhaustive searches used by the verification
 suites, and the constructive rewriting that eliminates complete-replacement
-steps from a trace while preserving the actions performed.  Every step,
-whether run, replayed, explored or rewritten, is built by ``acting.apply``
-from a choice, out of the parts its context's tables hold
-(``acting.ComponentTables``, which describes what is cached and for how
-long).
+steps from a trace while preserving the actions performed.  Every
+configuration, whether run, replayed, explored or rewritten, is built by
+``acting.successor`` from a choice, out of the parts its context's tables
+hold (``acting.ComponentTables``, which describes what is cached and for how
+long).  A trace's steps wrap it (``acting.apply``); ``reachable`` keeps no
+step and builds the configuration alone.
 
 The searches are two depth-first walks with explicit stacks, so search depth
 costs no Python stack: ``maximal_traces``, filtered by
@@ -127,6 +128,7 @@ from .acting import (
     is_trace_blocked,
     make_context,
     ordered_alternatives,
+    successor,
     with_alternatives,
 )
 from .model import Task, label_key
@@ -616,8 +618,9 @@ def reachable(
     its choices (the cycle proviso).  A successful configuration is a leaf:
     it is never entered or keyed, and its key reads None.
 
-    Successors are built from ``ctx``'s tables (``acting.ComponentTables``),
-    and each is keyed once, where the walk builds it.
+    Successors are built by ``acting.successor`` from ``ctx``'s tables
+    (``acting.ComponentTables``), with no ``Step`` around them, and each is
+    keyed once, where the walk builds it.
     """
     if is_successful(cfg0):
         return
@@ -626,8 +629,8 @@ def reachable(
     opened: set[tuple] = set()  # the keys on the stack
     stack = []
 
-    def successor(cfg: Configuration, choice: Choice) -> tuple[Configuration, Optional[tuple]]:
-        nxt = apply(cfg, choice, ctx).config
+    def keyed(cfg: Configuration, choice: Choice) -> tuple[Configuration, Optional[tuple]]:
+        nxt = successor(cfg, choice, ctx)
         return nxt, None if is_successful(nxt) else canonical_key(nxt)
 
     def enter(cfg: Configuration, key: tuple) -> None:
@@ -637,7 +640,7 @@ def reachable(
         kept = narrow(choices)
         ahead = []  # a narrowed node's successors, built once, here for the proviso
         if len(kept) < len(choices):
-            ahead = [successor(cfg, choice) for choice in kept]
+            ahead = [keyed(cfg, choice) for choice in kept]
         if any(nxt_key in opened for _, nxt_key in ahead):
             kept, ahead = choices, []
         stack.append((cfg, key, kept, iter(ahead), []))
@@ -646,7 +649,7 @@ def reachable(
     while stack:
         cfg, key, choices, ahead, successors = stack[-1]
         for choice in choices[len(successors):]:
-            nxt, nxt_key = next(ahead, None) or successor(cfg, choice)
+            nxt, nxt_key = next(ahead, None) or keyed(cfg, choice)
             successors.append(nxt_key)
             if nxt_key is not None and nxt_key not in seen:
                 enter(nxt, nxt_key)
@@ -689,11 +692,14 @@ def successful_action_sequences(
     builds no replacement choice), with the reductions of
     one task in place of every other choice wherever one qualifies (module
     docstring), and folds each configuration's sequences from its
-    successors' in ``reachable`` order.
+    successors' in ``reachable`` order.  The fold codes each ground task as
+    a small int, so joining sequences hashes ints, not tasks; the sequences
+    are decoded once, at ``cfg0``.
     """
     # None keys a successful configuration; an ancestor still open has no
     # entry and contributes nothing
-    memo: dict[Optional[tuple], frozenset] = {None: frozenset({()})}
+    memo: dict[Optional[tuple], set] = {None: {()}}
+    codes: dict[Task, int] = {}
     key = None
     follow = (
         functools.partial(_allowed, allow_partial, allow_complete)
@@ -701,16 +707,18 @@ def successful_action_sequences(
     )
     for _, key, choices, successors in reachable(cfg0, ctx, follow, _ample):
         sequences = set()
-        for choice, successor in zip(choices, successors):
-            suffixes = memo.get(successor, frozenset())
+        for choice, nxt in zip(choices, successors):
+            suffixes = memo.get(nxt, ())
             if choice.kind == ACTION:
                 # bindings ground the task at execution time, so the head is
                 # final and the suffix set is label- and binding-free
-                sequences |= {(choice.task,) + s for s in suffixes}
+                head = (codes.setdefault(choice.task, len(codes)),)
+                sequences.update([head + s for s in suffixes])
             else:
-                sequences |= suffixes
-        memo[key] = frozenset(sequences)
-    return memo[key]
+                sequences.update(suffixes)
+        memo[key] = sequences
+    tasks = tuple(codes)  # in code order
+    return frozenset(tuple(map(tasks.__getitem__, s)) for s in memo[key])
 
 
 def iter_successful_traces(

@@ -32,6 +32,7 @@ from htnact.acting import (
     is_successful,
     is_trace_blocked,
     make_context,
+    successor,
 )
 from htnact.corpus import corpus
 from htnact.export import render_trace
@@ -85,18 +86,20 @@ def agree(cfg, flat, ctx) -> tuple:
     return len(offered), blocked
 
 
-def walked(cfg0, monkeypatch):
+def walked(cfg0, monkeypatch, edges):
     """Each configuration ``reachable`` explores from ``cfg0``, with its context
-    and the flat couples built along the edge the walk took to it."""
+    and the flat couples built along the edge the walk took to it; each edge
+    the walk builds is appended to ``edges``."""
     flats = {id(cfg0): (cfg0, couple_reference.initial(cfg0))}
 
     def recording(cfg, choice, ctx=None):
-        step = apply(cfg, choice, ctx)
+        nxt = successor(cfg, choice, ctx)
         flat = couple_reference.after(flats[id(cfg)][1], cfg, choice)
-        flats[id(step.config)] = (step.config, flat)  # kept alive: ids stay unique
-        return step
+        flats[id(nxt)] = (nxt, flat)  # kept alive: ids stay unique
+        edges.append(choice)
+        return nxt
 
-    monkeypatch.setattr(trace_module, "apply", recording)
+    monkeypatch.setattr(trace_module, "successor", recording)
     ctx = make_context(cfg0.domain, cfg0)
     for cfg, *_ in reachable(cfg0, ctx):
         yield cfg, flats[id(cfg)][1], ctx
@@ -116,13 +119,16 @@ def test_the_tree_behaves_as_the_flat_couples_everywhere_reachable(
     problem, domain = counter_problem(8)
     starts.append(initial_configuration(problem.network, problem.state, domain))
     configurations = replacements = blocked = 0
+    edges = []
     for cfg0 in starts:
-        for cfg, flat, ctx in walked(cfg0, monkeypatch):
+        for cfg, flat, ctx in walked(cfg0, monkeypatch, edges):
             offered, stuck = agree(cfg, flat, ctx)
             configurations += 1
             replacements += offered
             blocked += stuck
     assert configurations > 4000 and replacements > 1500 and blocked > 300
+    # the hook saw the walk: every configuration but a start was built by it
+    assert len(edges) >= configurations - len(starts)
 
 
 CHAIN_DOMAIN = """\

@@ -34,13 +34,13 @@ def walked(monkeypatch, problem, domain):
     the walk applied, the tables, the keys it computed per (network, state,
     couples), the node count and the sequences."""
     edges, nodes, keys = [], [], {}
-    real_apply, real_exec_all = trace_module.apply, trace_module.exec_all
+    real_successor, real_exec_all = trace_module.successor, trace_module.exec_all
     real_key = trace_module.canonical_key
 
-    def recording_apply(cfg, choice, ctx=None):
-        step = real_apply(cfg, choice, ctx)
-        edges.append((cfg, choice, step.config))
-        return step
+    def recording_successor(cfg, choice, ctx=None):
+        nxt = real_successor(cfg, choice, ctx)
+        edges.append((cfg, choice, nxt))
+        return nxt
 
     def counted_exec_all(*args, **kwargs):
         nodes.append(1)
@@ -50,7 +50,7 @@ def walked(monkeypatch, problem, domain):
         key = keys[(cfg.network, cfg.state, cfg.couples)] = real_key(cfg)
         return key
 
-    monkeypatch.setattr(trace_module, "apply", recording_apply)
+    monkeypatch.setattr(trace_module, "successor", recording_successor)
     monkeypatch.setattr(trace_module, "exec_all", counted_exec_all)
     monkeypatch.setattr(trace_module, "canonical_key", recorded_key)
     cfg0 = initial_configuration(problem.network, problem.state, domain)
@@ -76,6 +76,8 @@ def test_rover_two_transmits_walk_matches_fresh_successors_and_keys(
     edges, tables, keys, nodes, sequences = walked(
         monkeypatch, transmits(rover, 2), rover
     )
+    # the hook saw the walk: every node but the first was built by it
+    assert len(edges) >= nodes - 1
     check_edges(edges, keys)
     actions = sum(choice.kind == ACTION for _, choice, _ in edges)
     # the tables reuse parts: fewer networks and states built than actions
@@ -136,6 +138,7 @@ def test_escapes_and_open_variables_take_their_part_of_the_key(monkeypatch):
     domain = parse_domain(ESCAPE_DOMAIN, "escape").value
     problem = parse_problem(ESCAPE_PROBLEM, domain).value
     edges, _, keys, nodes, sequences = walked(monkeypatch, problem, domain)
+    assert len(edges) >= nodes - 1
     check_edges(edges, keys)
     assert (nodes, len(sequences), digest(sequences)) == (31, 32, "3b6c2e6cecde")
 
@@ -151,6 +154,7 @@ def test_corpus_walks_match_fresh_successors_and_keys(monkeypatch):
     nodes, counts, digests = [], [], []
     for case in corpus(20, 100000):
         edges, _, keys, expanded, sequences = walked(monkeypatch, case, case.domain)
+        assert len(edges) >= expanded - 1
         check_edges(edges, keys)
         nodes.append(expanded)
         counts.append(len(sequences))

@@ -312,7 +312,9 @@ class ComponentTables:
     (``trace.validate_trace``, ``trace.eliminate_complete_replacements``)
     builds through tables of its own, never the producer's: a trace
     validates in the lineage that produced it, but no part its producer
-    built is looked up.  Nothing is shared between searches.  ``successor``
+    built is looked up.  Nothing is shared between searches but each
+    method's renaming plan (``domain.Method.plan``), which holds no drawn
+    name and no part of a configuration.  ``successor``
     builds through them: for ``trace.run`` and replay by way of ``apply``,
     and for the searches' walk (``trace.reachable``), which keeps no step.
     """
@@ -363,7 +365,11 @@ class RunContext:
     def absorb(self, task: Task) -> tuple[Body, ...]:
         """The relevant bodies of ``task``, renamed with the lineage's
         generator, which commits their names to the lineage.  Called on a
-        task's first offer only; ``exec_via_reduction`` records the result."""
+        task's first offer only; ``exec_via_reduction`` records the result.
+        Every body's names are drawn here, in declaration order, whether or
+        not it is ever taken, so a lineage's names do not depend on which
+        bodies are taken; a body's network is built only when it is
+        (``reduction.Body``)."""
         return relevant_method_bodies(task, self.domain, self.gen)
 
     def extend_universe(self, constants) -> None:
@@ -403,7 +409,7 @@ def make_context(domain: Domain, config: Configuration) -> RunContext:
         if couple.origin is not None:
             labels.add(couple.origin)
         for body in couple.alternatives:
-            labels |= body.network.labels
+            labels |= body.labels
             variables |= body.variables
     return RunContext(domain, universe, NameGenerator(labels, (v.name for v in variables)))
 
@@ -492,10 +498,17 @@ def primary_tasks(d: TaskNetwork, domain: Domain) -> frozenset:
         if not isinstance(c.body, Ordering):
             continue
         if not c.negated:
-            excluded |= c.body.after.labels
+            after = c.body.after
+            if after.plain:
+                excluded.add(after.label)
+            else:
+                excluded |= after.labels
         else:
             left = c.body.before
-            deferred.update(label for label in left.labels if left.ends_at(label))
+            if left.plain:
+                deferred.add(left.label)
+            else:
+                deferred.update(label for label in left.labels if left.ends_at(label))
     out = set()
     for lt in d.tasks:
         if lt.label in excluded:
@@ -1061,9 +1074,9 @@ def apply(
     if kind == ACTION:
         removed = frozenset((label,))
     elif kind == REDUCTION:
-        removed, added = frozenset((label,)), body.network.labels
+        removed, added = frozenset((label,)), body.labels
     elif kind == REPLACEMENT:
-        removed, added = choice.couple.labels & cfg.network.labels, body.network.labels
+        removed, added = choice.couple.labels & cfg.network.labels, body.labels
     return Step(
         kind,
         label=label,

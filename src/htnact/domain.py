@@ -65,6 +65,60 @@ class Operator:
 NOP_OPERATOR = Operator(NOP_SYMBOL)
 
 
+class RenamingPlan:
+    """How a template network is renamed apart, worked out once per template.
+
+    It records the template's labels in the order their fresh names are
+    drawn (sorted), its variables (sorted) and those of them that are drawn
+    fresh (the ones outside ``keep``).  A copy substitutes only the tasks
+    and constraints that hold a variable (their cached ``variables``): a
+    ground task or literal is shared by every copy.  The plan holds the
+    template's own names only, never a drawn one, so one plan serves every
+    lineage and search.
+
+    ``draw`` commits a copy's names to a generator; ``build`` makes the copy
+    from them.  ``fresh_rename`` does both at once, and a ``reduction.Body``
+    draws when its task is offered and builds when it is taken.
+    """
+
+    __slots__ = ("template", "labels", "variables", "renamable")
+
+    def __init__(self, template: TaskNetwork, keep: frozenset = frozenset()):
+        self.template = template
+        self.labels = tuple(sorted(template.labels))
+        self.variables = tuple(sorted(template.variables))
+        self.renamable = tuple(v for v in self.variables if v not in keep)
+
+    def draw(
+        self, gen: NameGenerator, bound: Substitution = EMPTY_SUBSTITUTION
+    ) -> tuple[tuple[str, ...], Substitution]:
+        """A fresh label for each of ``labels``, in order, then a fresh
+        variable for each renamable one; a kept variable takes its term in
+        ``bound``.  The substitution names the template's variables only."""
+        fresh = tuple(gen.label(label) for label in self.labels)
+        theta = {v: gen.variable(v.name) for v in self.renamable}
+        theta.update((v, t) for v in self.variables if (t := bound.get(v)) is not None)
+        return fresh, Substitution(theta)
+
+    def build(self, fresh: tuple[str, ...], theta: Substitution) -> TaskNetwork:
+        """The template with ``fresh[i]`` for ``labels[i]`` and ``theta``
+        applied, both at once."""
+        names = dict(zip(self.labels, fresh))
+
+        def rename_ref(ref):
+            return ref.relabel(lambda label: names.get(label, label))
+
+        tasks = frozenset(
+            LabelledTask(names[lt.label], lt.task.substitute(theta) if lt.variables else lt.task)
+            for lt in self.template.tasks
+        )
+        formula = frozenset(
+            (c.substitute(theta) if c.variables else c).rewrite_refs(rename_ref)
+            for c in self.template.formula
+        )
+        return TaskNetwork(tasks, formula)
+
+
 @dataclass(frozen=True)
 class Method:
     """A non-primitive task head paired with the task network that refines it."""
@@ -72,6 +126,12 @@ class Method:
     name: str
     head: Task
     body: TaskNetwork
+
+    @cached_view
+    def plan(self) -> RenamingPlan:
+        """How every body drawn from this method is renamed: the head's
+        variables are kept, to take the task's terms."""
+        return RenamingPlan(self.body, self.head.variables)
 
 
 @dataclass(frozen=True)
@@ -132,20 +192,12 @@ def fresh_rename(
     Variables in ``keep`` (a method head's parameters) are not renamed but
     take their term in ``bound`` (their match against a task); everything
     else is standardized apart.  Both are one map, applied simultaneously,
-    so neither rewrites a term the other put in.
+    so neither rewrites a term the other put in.  The names are drawn, then
+    the copy built, by a ``RenamingPlan`` of ``body``: the same draw and
+    build a method's bodies go through (``Method.plan``).
     """
-    label_map = {lab: gen.label(lab) for lab in sorted(body.labels)}
-    fresh = {v: gen.variable(v.name) for v in sorted(body.variables) if v not in keep}
-    theta = Substitution({**fresh, **bound})
-
-    def rename_ref(ref):
-        return ref.relabel(lambda label: label_map.get(label, label))
-
-    tasks = frozenset(
-        LabelledTask(label_map[lt.label], lt.task.substitute(theta)) for lt in body.tasks
-    )
-    formula = frozenset(c.substitute(theta).rewrite_refs(rename_ref) for c in body.formula)
-    return TaskNetwork(tasks, formula)
+    plan = RenamingPlan(body, keep)
+    return plan.build(*plan.draw(gen, bound))
 
 
 def run_generator(labels: Iterable[str] = (), values=()) -> NameGenerator:

@@ -347,6 +347,10 @@ def _collect(value, found: set, kind) -> None:
             _collect(v, found, kind)
         return
     if hasattr(value, "__dataclass_fields__"):
+        terms = getattr(value, "terms", None)
+        if terms is not None:  # its fields are not its terms: a drawn body's
+            _collect(terms(), found, kind)
+            return
         for name in value.__dataclass_fields__:
             _collect(getattr(value, name), found, kind)
         return

@@ -465,12 +465,12 @@ def eliminate_complete_replacements(trace: Trace) -> Trace:
             [b for b in steps[i].alternatives if b != correct] + [incorrect]
         )
 
-        subtree = set(incorrect.network.labels)
+        subtree = set(incorrect.labels)
         skipped: set[int] = set()
         for j in range(i + 1, m):
             step = steps[j]
             if step.kind == REDUCTION and step.label in subtree:
-                subtree |= set(step.body.network.labels)
+                subtree |= step.body.labels
                 skipped.add(j)
             elif step.removed & subtree:
                 raise TraceError(

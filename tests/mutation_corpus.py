@@ -24,12 +24,12 @@ from htnact.acting import (
     ordered_alternatives,
 )
 from htnact.agent import ScriptedEvents, dtrace_to_trace, run_agent
-from htnact.constraints import LabelRef, TaskNetwork
+from htnact.constraints import TaskNetwork
 from htnact.corpus import corpus
-from htnact.domain import fresh_rename
+from htnact.domain import Method
 from htnact.fixtures import fixture_text
 from htnact.model import Constant, LabelledTask, Substitution, Task, Variable
-from htnact.reduction import Body
+from htnact.reduction import Body, relevant_method_bodies
 from htnact.syntax import parse_domain, parse_problem, parse_scenario
 from htnact.trace import (
     DefaultStrategy,
@@ -160,37 +160,40 @@ def _reduction_forgeries(prev, step: Step, gen, others):
     forged = next((b for b in others if b.method != step.body.method), None)
     if forged is not None:
         yield "forged body", reduced(forged, kept)
-    held = step.task.variables & step.body.network.variables
+    held = step.task.variables & step.body.variables
     if held:
         unlinked = Substitution({min(held): Variable("Unlinked")})
         yield "forged body: task variable unlinked", reduced(
             step.body.substitute(unlinked), kept
         )
-    network = step.body.network
-    stated = sorted((c for c in network.formula if hasattr(c.body, "literal")), key=str)
+    # a body is a renaming of its method's template, so a body with a
+    # constraint negated is one of a forged method, under the same renaming
+    template = step.body.template
+    stated = sorted((c for c in template.body.formula if hasattr(c.body, "literal")), key=str)
     if stated:
         flipped = dc_replace(stated[0], negated=not stated[0].negated)
-        formula = network.formula - {stated[0]} | {flipped}
-        negated = dc_replace(step.body, network=TaskNetwork(network.tasks, formula))
+        formula = template.body.formula - {stated[0]} | {flipped}
+        method = Method(template.name, template.head, TaskNetwork(template.body.tasks, formula))
+        negated = dc_replace(step.body, template=method)
         yield "forged body: constraint negated", reduced(negated, kept)
     if kept:
         yield "dropped alternative", reduced(step.body, kept[1:])
-    copy = fresh_rename(step.body.network, gen, keep=step.task.variables)
-    added = ordered_alternatives(kept + (dc_replace(step.body, network=copy),))
+    # the task's bodies drawn again, under names fresh in the trace
+    redrawn = {b.index: b for b in relevant_method_bodies(step.task, prev.domain, gen)}
+    added = ordered_alternatives(kept + (redrawn[step.body.index],))
     yield "added alternative", reduced(step.body, added)
     # the step records other alternatives than the couple it made keeps: a
     # first one under other fresh names, or one more
     unlike = added
     if kept:
-        first = fresh_rename(kept[0].network, gen, keep=step.task.variables)
-        unlike = (dc_replace(kept[0], network=first),) + kept[1:]
+        unlike = (redrawn[kept[0].index],) + kept[1:]
     yield "alternatives unlike the couple's", dc_replace(step, alternatives=unlike)
     taken = sorted(prev.network.labels - {step.label}) or [step.label]
-    own = sorted(step.body.network.labels)
+    own = sorted(step.body.labels)
     if own:
         yield "reused label", reduced(renamed(step.body, {own[0]: taken[0]}), kept)
-    if own and kept and kept[0].network.labels:
-        first = sorted(kept[0].network.labels)[0]
+    if own and kept and kept[0].labels:
+        first = sorted(kept[0].labels)[0]
         shared = (renamed(kept[0], {first: own[0]}),) + kept[1:]
         yield "label shared by two bodies", reduced(step.body, shared)
 
@@ -199,19 +202,8 @@ def renamed(body: Body, labels: dict, variables: tuple = ()) -> Body:
     """``body`` under the label renaming and the ``(old, new)`` variable-name
     pairs given."""
     theta = Substitution({Variable(a): Variable(b) for a, b in variables})
-    swap = lambda label: labels.get(label, label)  # noqa: E731
-
-    def ref(r):
-        if isinstance(r, LabelRef):
-            return LabelRef(swap(r.label))
-        return type(r)(frozenset(map(swap, r.labels)))
-
-    network = body.network.substitute(theta)
-    network = TaskNetwork(
-        frozenset(LabelledTask(swap(lt.label), lt.task) for lt in network.tasks),
-        frozenset(c.rewrite_refs(ref) for c in network.formula),
-    )
-    return dc_replace(body, network=network)
+    fresh = tuple(labels.get(label, label) for label in body.fresh)
+    return dc_replace(body.substitute(theta), fresh=fresh)
 
 
 def _bodies(trace: Trace) -> list[Body]:

@@ -14,17 +14,19 @@ from htnact.constraints import (
     precedence_closure,
 )
 from htnact.acting import ReductionCouple
+from htnact.domain import Method, make_domain
 from htnact.model import (
     Atom,
     Constant,
     LabelledTask,
     Literal,
+    NameGenerator,
     Substitution,
     Task,
     Variable,
     substitute,
 )
-from htnact.reduction import Body
+from htnact.reduction import Body, relevant_method_bodies
 from key_reference import network_fingerprint
 
 
@@ -171,13 +173,23 @@ def move_then_charge() -> TaskNetwork:
     return TaskNetwork(frozenset(tasks), frozenset(formula))
 
 
-def couple_over(network: TaskNetwork) -> ReductionCouple:
-    return ReductionCouple("n", network.tasks, (Body("m", 0, network),))
+def drawn(template: TaskNetwork, *args) -> Body:
+    """``template`` as the body of a method ``m`` with head ``t(X)``, drawn
+    for the task ``t(*args)`` (``t(X)`` by default) by a generator that has
+    seen no name, so its labels and variables keep theirs."""
+    X = Variable("X")
+    domain = make_domain("d", (), (Method("m", Task("t", (X,)), template),))
+    (body,) = relevant_method_bodies(Task("t", args or (X,)), domain, NameGenerator())
+    return body
+
+
+def couple_over(body: Body) -> ReductionCouple:
+    return ReductionCouple("n", body.network.tasks, (body,))
 
 
 def test_empty_and_disjoint_substitutions_share_every_value():
     network = move_then_charge()
-    values = (network, Body("m", 0, network), couple_over(network), network.formula)
+    values = (network, drawn(network), couple_over(drawn(network)), network.formula)
     for theta in (Substitution(), Substitution({Variable("Z"): Constant("loc1")})):
         for value in values:
             assert substitute(value, theta) is value
@@ -188,8 +200,9 @@ def test_empty_and_disjoint_substitutions_share_every_value():
 def test_substitution_of_one_task_equals_a_rebuild_and_shares_the_rest():
     loc1 = Constant("loc1")
     theta = Substitution({Variable("X"): loc1})
-    network = move_then_charge()
-    couple = couple_over(network)
+    template = move_then_charge()
+    couple = couple_over(drawn(template))  # its body built, so substituted along
+    network = couple.alternatives[0].network
     rebuilt = TaskNetwork(
         frozenset(
             {LabelledTask("1", Task("move", (loc1,))), LabelledTask("2", Task("charge"))}
@@ -202,16 +215,25 @@ def test_substitution_of_one_task_equals_a_rebuild_and_shares_the_rest():
         ),
     )
     got = substitute(couple, theta)
-    assert got == couple_over(rebuilt)
+    assert got == couple_over(drawn(template, loc1))
+    assert drawn(template, loc1).network == rebuilt
     got_network = got.alternatives[0].network
+    assert got_network == rebuilt
     assert any(lt is network.task_of("2") for lt in got_network.tasks)
     ordering = next(c for c in network.formula if isinstance(c.body, Ordering))
     assert any(c is ordering for c in got_network.formula)
+    # an unbuilt body builds from its method's plan, which shares the
+    # template's ground task, and its ground constraint under kept names
+    unbuilt = substitute(drawn(template), theta).network
+    assert unbuilt == rebuilt
+    assert any(lt.task is template.task_of("2").task for lt in unbuilt.tasks)
+    ordering = next(c for c in template.formula if isinstance(c.body, Ordering))
+    assert any(c is ordering for c in unbuilt.formula)
 
 
 def test_cached_labels_stay_out_of_equality_hash_and_repr():
     network = move_then_charge()
-    read, unread = couple_over(network), couple_over(network)
+    read, unread = couple_over(drawn(network)), couple_over(drawn(network))
     assert read.labels == frozenset({"1", "2"})
     assert read.alternatives[0].network.labels == frozenset({"1", "2"})
     assert read == unread and hash(read) == hash(unread)

@@ -69,6 +69,12 @@ def test_export_reference_imports_no_private_names():
     assert _private_imports(Path(__file__).parent / "export_reference.py") == []
 
 
+def test_rename_reference_imports_no_private_names():
+    """The eager renaming keeps its own draw and rewrite, so a fault in the
+    renaming plan cannot cancel out."""
+    assert _private_imports(Path(__file__).parent / "rename_reference.py") == []
+
+
 def test_rewrite_reference_imports_no_private_names():
     """The unfiltered rewrites visit every constraint themselves, so a filter
     hidden in a private helper cannot reach them."""

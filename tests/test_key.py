@@ -40,6 +40,7 @@ from htnact.model import (
 from htnact.reduction import Body
 from htnact.trace import canonical_key, successful_action_sequences
 from htnact.verify import check_extendability
+from test_constraints import drawn
 from test_trace import reduced_twice
 
 
@@ -152,7 +153,7 @@ def recomputed(value) -> dict:
     if isinstance(value, TaskNetwork):
         return {"labels": frozenset(lt.label for lt in value.tasks)}
     if isinstance(value, Body):
-        return {}
+        return {"variables": value.network.variables}
     assert isinstance(value, ReductionCouple)
     tasks = pursued(value)
     ordered = sorted(tasks, key=lambda lt: label_key(lt.label))
@@ -210,12 +211,11 @@ def test_cached_parts_match_recomputation_and_stay_out_of_identity(
 
 def test_substituted_body_and_couple_get_fresh_parts():
     x = Variable("X")
-    body = Body(
-        "m1", 0,
+    body = drawn(
         network(
             [LabelledTask("n1", Task("go", (x,)))],
             [Constraint(Before(Literal(Atom("at", (x,))), LabelRef("n1")))],
-        ),
+        )
     )
     child = ReductionCouple("t1", frozenset({LabelledTask("n2", Task("at", (x,)))}))
     couple = ReductionCouple(

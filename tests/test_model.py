@@ -30,6 +30,7 @@ from htnact.model import (
     substitute,
     variables_of,
 )
+from htnact.reduction import Body
 from htnact.trace import DefaultStrategy, reachable, run
 from test_blocked import counter_problem
 
@@ -199,6 +200,11 @@ def rebuilt(value, theta: Substitution):
         return theta.term(value)
     if isinstance(value, (tuple, frozenset)):
         return type(value)(rebuilt(v, theta) for v in value)
+    if isinstance(value, Body):  # a renaming: ``theta`` follows it
+        own = value.theta
+        return Body(value.template, value.index, value.fresh, Substitution(
+            {v: rebuilt(own.term(v), theta) for v in value.template.body.variables}
+        ))
     if is_dataclass(value):
         return type(value)(*(rebuilt(getattr(value, f.name), theta) for f in fields(value)))
     return value  # constants, labels, symbols, flags and indices
@@ -238,6 +244,8 @@ def check_bindings(cfg, ctx) -> int:
             check_substitution(couple, theta)
             check_substitution(couple.pursued, theta)
             check_substitution(couple.alternatives, theta)
+            for body in couple.alternatives:
+                assert substitute(body, theta).network == rebuilt(body.network, theta)
     return len(bindings)
 
 

@@ -262,7 +262,10 @@ def relabelled(cfg, prefix):
         return ReductionCouple(
             c.origin and prefix + c.origin,
             tasks(c.members),
-            tuple(dc_replace(b, network=network(b.network)) for b in c.alternatives),
+            tuple(
+                dc_replace(b, fresh=tuple(prefix + label for label in b.fresh))
+                for b in c.alternatives
+            ),
             tuple(couples(child) for child in c.children),
         )
 
